@@ -6,6 +6,11 @@ at a parameter point; `limit_distribution` computes the limiting (Cesaro)
 state distribution, handling reducible and periodic chains via closed-class
 decomposition: absorption probabilities into each closed class times the
 unique stationary distribution inside it.
+
+Both solves use GTH elimination (Grassmann, Taksar & Heyman, Oper. Res. 33,
+1985): each eliminated state's diagonal is the sum of its off-diagonal
+out-flow rather than 1 - p_ii, so nothing is subtracted and the results keep
+entrywise relative accuracy even when escape rates are tiny.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ SUPPORT_CUTOFF = 1e-14
 ROW_SUM_TOL = 1e-12
 ENTRY_TOL = 1e-12
 SIMPLEX_TOL = 1e-12
-PIVOT_RTOL = 1e-13
 RESIDUAL_TOL = 1e-9
 
 
@@ -341,36 +345,24 @@ def closed_classes(m: NumericChain) -> ClassDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Dense linear solve with partial pivoting
+# Subtraction-free (GTH) elimination
 # ---------------------------------------------------------------------------
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting; pivots below
-    PIVOT_RTOL * (pivot row max-norm) raise SingularSystemError."""
-    a = np.array(a, dtype=float)
-    rhs = np.array(b, dtype=float)
-    single = rhs.ndim == 1
-    if single:
-        rhs = rhs[:, None]
-    n = a.shape[0]
-    tiny = np.finfo(float).tiny
-    for k in range(n):
-        r = k + int(np.argmax(np.abs(a[k:, k])))
-        pivot = a[r, k]
-        row_norm = np.max(np.abs(a[r, k:]))
-        if abs(pivot) <= PIVOT_RTOL * max(row_norm, tiny):
-            raise SingularSystemError(f"pivot {pivot!r} below tolerance at column {k}")
-        if r != k:
-            a[[k, r]] = a[[r, k]]
-            rhs[[k, r]] = rhs[[r, k]]
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-        rhs[k + 1 :] -= np.outer(factors, rhs[k])
-    x = np.zeros_like(rhs)
-    for i in range(n - 1, -1, -1):
-        x[i] = (rhs[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
-    return x[:, 0] if single else x
+def _censor(a: np.ndarray, k: int, where) -> None:
+    """One GTH step: remove state k from the flow matrix a[:k+1, :k+1] and
+    reroute the flow into k along k's out-flows to the states 0..k-1.
+
+    The out-flow is the sum of k's off-diagonal entries, never 1 - a[k, k],
+    so the step only adds, multiplies and divides nonnegative numbers.
+    Column k is left holding the in-flow per unit out-flow, which is what
+    back-substitution needs.  `where(k)` describes state k for the error.
+    """
+    out = a[k, :k].sum()
+    if not out > 0:
+        raise SingularSystemError(f"zero out-flow from {where(k)}")
+    a[:k, k] /= out
+    a[:k, :k] += np.outer(a[:k, k], a[k, :k])
 
 
 def _stationary_of_class(
@@ -379,57 +371,49 @@ def _stationary_of_class(
     """Unique stationary distribution of one closed class (equals its Cesaro
     limit also when the class is periodic)."""
     idx = np.asarray(states, dtype=int)
-    sub = m.matrix[np.ix_(idx, idx)]
-    k = len(idx)
-    if k == 1:
-        return np.array([1.0])
-    system = sub.T - np.eye(k)
-    system[-1, :] = 1.0  # normalization replaces one redundant equation
-    rhs = np.zeros(k)
-    rhs[-1] = 1.0
-    try:
-        pi = solve_linear(system, rhs)
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            f"stationary solve failed for class {list(states)} at point {m.point}: {exc}"
-        ) from exc
-    if pi.min() < -RESIDUAL_TOL:
-        raise SingularSystemError(
-            f"stationary solve produced negative mass {pi.min()!r} "
-            f"for class {list(states)} at point {m.point}"
-        )
-    np.clip(pi, 0.0, None, out=pi)
+    a = m.matrix[np.ix_(idx, idx)]
+
+    def where(k):
+        return f"state {idx[k]} of closed class {list(states)} at point {m.point}"
+
+    for k in range(len(idx) - 1, 0, -1):
+        _censor(a, k, where)
+    pi = np.ones(len(idx))
+    for k in range(1, len(idx)):
+        pi[k] = pi[:k] @ a[:k, k]
     return pi / pi.sum()
 
 
 def limit_distribution(m: NumericChain) -> LimitDistribution:
     """Limiting state distribution: absorption probability of each closed
     class from the initial distribution, times the stationary distribution
-    within the class."""
+    within the class.
+
+    The absorption probabilities come from one flow matrix over [start,
+    closed classes (lumped), transient states]: the start row is the initial
+    distribution, and eliminating the transient states leaves it holding the
+    absorption probabilities.
+    """
     decomposition = closed_classes(m)
     closed = decomposition.closed_classes()
     transient = decomposition.transient_states()
 
-    absorption = np.zeros(len(closed))
+    c = len(closed)
+    sources = np.vstack([m.init, m.matrix[transient]])
+    flow = np.zeros((1 + c + len(transient),) * 2)
+    rows = np.r_[0, 1 + c : len(flow)]
     for j, cls in enumerate(closed):
-        absorption[j] = m.init[list(cls.states)].sum()
+        flow[rows, 1 + j] = sources[:, list(cls.states)].sum(axis=1)
+    flow[rows, 1 + c :] = sources[:, transient]
 
-    if transient:
-        t_idx = np.asarray(transient, dtype=int)
-        into_classes = np.zeros((len(transient), len(closed)))
-        for j, cls in enumerate(closed):
-            into_classes[:, j] = m.matrix[np.ix_(t_idx, np.asarray(cls.states))].sum(
-                axis=1
-            )
-        system = np.eye(len(transient)) - m.matrix[np.ix_(t_idx, t_idx)]
-        try:
-            hit = solve_linear(system, into_classes)
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                f"absorption solve failed at point {m.point}: {exc}"
-            ) from exc
-        hit = hit.reshape(len(transient), len(closed))
-        absorption += m.init[t_idx] @ hit
+    def where(k):
+        state = transient[k - 1 - c]
+        cls = next(cl.states for cl in decomposition.classes if state in cl.states)
+        return f"transient state {state} of class {list(cls)} at point {m.point}"
+
+    for k in range(len(flow) - 1, c, -1):
+        _censor(flow, k, where)
+    absorption = flow[0, 1 : 1 + c]
 
     total = absorption.sum()
     if abs(total - 1.0) > 1e-10:
@@ -445,7 +429,7 @@ def limit_distribution(m: NumericChain) -> LimitDistribution:
         pi[list(cls.states)] = absorption[j] * _stationary_of_class(m, cls.states)
 
     residual = np.max(np.abs(pi @ m.matrix - pi))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise SingularSystemError(
             f"limit distribution residual {residual!r} exceeds tolerance at {m.point}"
         )

@@ -294,32 +294,37 @@ def _cmd_symbolic(args) -> int:
 
 def _fingerprint_source(spec: str, payoff, boundary_mode):
     """A distance source: a grid file, or 'PLAYER:PROBE' / 'PLAYER:ja[:BASE]'
-    pairs evaluated pointwise on the fly."""
+    pairs evaluated pointwise on the fly.  Returns the name, the evaluable
+    and the SHA-256 digests of the files read, in the order of the spec."""
     path = Path(spec)
     if path.suffix in (".json", ".csv") or (path.exists() and ":" not in spec):
-        text, _ = _read_file(spec)
+        text, digest = _read_file(spec)
         grid = (
             FingerprintGrid.from_json(text)
             if text.lstrip().startswith("{")
             else FingerprintGrid.from_csv(text)
         )
         name = grid.meta.get("player", path.stem)
-        return name, make_grid_evaluator(grid)
+        return name, make_grid_evaluator(grid), [digest]
     player_path, sep, probe_spec = spec.partition(":")
     if not sep:
         raise UsageError(
             f"source {spec!r} is neither a grid file nor a PLAYER:PROBE pair"
         )
-    player, _ = _load_player(player_path)
+    player, digest = _load_player(player_path)
+    digests = [digest]
     if probe_spec == "ja":
         probe = joss_ann(player)
     elif probe_spec.startswith("ja:"):
-        base, _ = _load_player(probe_spec[3:])
+        base, digest = _load_player(probe_spec[3:])
         probe = joss_ann(base)
+        digests.append(digest)
     else:
-        text, _ = _read_file(probe_spec)
+        text, digest = _read_file(probe_spec)
         probe = parse_probe(text)
-    return player.name, pointwise_fingerprint(player, probe, payoff, boundary_mode)
+        digests.append(digest)
+    fingerprint = pointwise_fingerprint(player, probe, payoff, boundary_mode)
+    return player.name, fingerprint, digests
 
 
 def _cmd_distance(args) -> int:
@@ -330,11 +335,11 @@ def _cmd_distance(args) -> int:
     corpus = []
     digests = []
     for spec in args.sources:
-        name, evaluable = _fingerprint_source(spec, payoff, config.boundary_mode)
+        name, evaluable, spec_digests = _fingerprint_source(
+            spec, payoff, config.boundary_mode
+        )
         corpus.append((name, evaluable))
-        for part in spec.split(":"):
-            if part != "ja" and Path(part).exists():
-                digests.append(hashlib.sha256(Path(part).read_bytes()).hexdigest())
+        digests.extend(spec_digests)
     names = [name for name, _ in corpus]
     if len(set(names)) != len(names):
         raise UsageError(f"duplicate fingerprint names: {sorted(names)}")

@@ -74,7 +74,8 @@ class NegativeWeightError(NumericError):
 
 
 class SingularSystemError(NumericError):
-    """Dense linear solve hit a pivot below tolerance."""
+    """A limit solve failed: a state with no out-flow to eliminate, or an
+    absorption sum, residual or total mass off tolerance."""
 
 
 class SingularPointError(NumericError):

@@ -438,22 +438,6 @@ def expr_eval(e: ParamExpr, x: float, y: float) -> float:
     return e.evaluate(x, y)
 
 
-def expr_add(a: ParamExpr, b: ParamExpr) -> ParamExpr:
-    return a + b
-
-
-def expr_sub(a: ParamExpr, b: ParamExpr) -> ParamExpr:
-    return a - b
-
-
-def expr_mul(a: ParamExpr, b: ParamExpr) -> ParamExpr:
-    return a * b
-
-
-def render(e: ParamExpr) -> str:
-    return e.render()
-
-
 def exact_div(a: ParamExpr, b: ParamExpr) -> ParamExpr:
     """Divide a by b, raising ExactDivisionError unless the division is exact.
 
@@ -474,7 +458,7 @@ def exact_div(a: ParamExpr, b: ParamExpr) -> ParamExpr:
         qj = lead_r[1] - lead_b[1]
         if qi < 0 or qj < 0:
             raise ExactDivisionError(
-                f"{render(_wrap(dict(remainder)))!r} is not divisible by {render(b)!r}"
+                f"{_wrap(dict(remainder)).render()!r} is not divisible by {b.render()!r}"
             )
         qc = remainder[lead_r] / coeff_b
         key = (qi, qj)
@@ -525,10 +509,6 @@ class RationalFn:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_expr(cls, e: ParamExpr) -> "RationalFn":
-        return cls(e, ParamExpr.one())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFn):
             return NotImplemented
@@ -539,36 +519,6 @@ class RationalFn:
 
     def __repr__(self) -> str:
         return f"RationalFn({self.num.render()!r}, {self.den.render()!r})"
-
-    # Field arithmetic, used by the symbolic back substitution.
-
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return RationalFn(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    def mul_expr(self, e: ParamExpr) -> "RationalFn":
-        return RationalFn(self.num * e, self.den)
-
-    def div_expr(self, e: ParamExpr) -> "RationalFn":
-        return RationalFn(self.num, self.den * e)
-
-    def scale(self, factor) -> "RationalFn":
-        return RationalFn(self.num.scale(factor), self.den)
 
 
 def ratfn_eval(f: RationalFn, x: float, y: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import PayoffMatrix, PlayerMachine, Probe
-from .chain import JointState, compose, evaluate
+from .chain import compose, evaluate
 from .errors import OutOfSimplexError
 
 RNG_ID = "numpy-pcg64"
@@ -52,22 +52,18 @@ class _GameTable:
         chain = compose(player, probe, payoff)
         numeric = evaluate(chain, x, y)
 
-        state_index = {js: s for s, js in enumerate(chain.states)}
+        # Each row of the composed chain lists the probe's outcomes with
+        # nonzero weight polynomials in canonical order, one successor each.
         boundaries: list[float] = []
         successors: list[int] = []
-        for s, js in enumerate(chain.states):
-            next_player, next_action = player.step[(js.player_state, js.probe_action)]
-            outcomes = probe.step[(js.probe_state, js.player_action)]
-            weights = np.array([w.evaluate(x, y) for _, _, w in outcomes])
+        for s, row in enumerate(chain.trans):
+            weights = np.array([w.evaluate(x, y) for w in row.values()])
             np.clip(weights, 0.0, None, out=weights)
             weights /= weights.sum()
             cumulative = np.cumsum(weights)
             cumulative[-1] = 1.0
-            for (action, probe_state, _), edge in zip(outcomes, cumulative):
-                boundaries.append(s + edge)
-                successors.append(
-                    state_index[JointState(next_player, probe_state, next_action, action)]
-                )
+            boundaries.extend(s + cumulative)
+            successors.extend(row)
         self.boundaries = np.array(boundaries)
         self.successors = np.array(successors, dtype=np.int64)
 

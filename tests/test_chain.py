@@ -21,8 +21,8 @@ from probefp.chain import (
     evaluate,
     expected_payoff,
     expected_payoff_exact,
+    _stationary_of_class,
     limit_distribution,
-    solve_linear,
 )
 from probefp.errors import (
     AlphabetMismatchError,
@@ -187,6 +187,11 @@ def test_limit_absorbing_preserves_init():
 def test_limit_transient_absorption():
     m = _numeric([[0.5, 0.25, 0.25], [0, 1, 0], [0, 0, 1]], [1, 0, 0])
     np.testing.assert_allclose(limit_distribution(m).pi, [0, 0.5, 0.5], atol=1e-12)
+    # a transient state leaking eps and 2 eps splits its mass exactly 1 : 2
+    for eps in (1e-3, 1e-8, 1e-13):
+        m = _numeric([[1 - 3 * eps, eps, 2 * eps], [0, 1, 0], [0, 0, 1]], [1, 0, 0])
+        pi = limit_distribution(m).pi
+        np.testing.assert_allclose(pi, [0, 1 / 3, 2 / 3], rtol=1e-14, atol=0)
 
 
 # -- expected payoff -----------------------------------------------------------
@@ -232,19 +237,29 @@ def test_payoff_bounds_property(payoff):
 # -- solver internals ----------------------------------------------------------
 
 
-def test_solve_linear_matches_numpy():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = rng.integers(1, 8)
-        a = rng.normal(size=(n, n))
-        b = rng.normal(size=n)
-        x = solve_linear(a, b)
-        np.testing.assert_allclose(x, np.linalg.solve(a, b), atol=1e-9)
+def test_gth_stationary_weakly_coupled():
+    # birth-death chain whose middle link carries eps one way and 2 eps back;
+    # detailed balance gives pi proportional to 1, 1/2, 1/4, 1/8 for any eps
+    exact = np.array([8, 4, 2, 1]) / 15
+    for eps in (1e-3, 1e-8, 1e-13):
+        m = _numeric(
+            [
+                [0.75, 0.25, 0, 0],
+                [0.5, 0.5 - eps, eps, 0],
+                [0, 2 * eps, 0.75 - 2 * eps, 0.25],
+                [0, 0, 0.5, 0.5],
+            ],
+            [1, 0, 0, 0],
+        )
+        np.testing.assert_allclose(limit_distribution(m).pi, exact, rtol=1e-14, atol=0)
 
 
-def test_solve_linear_singular_raises():
-    with pytest.raises(SingularSystemError):
-        solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+def test_gth_zero_out_flow_raises():
+    m = _numeric([[1, 0], [0, 1]], [0.5, 0.5])
+    with pytest.raises(SingularSystemError) as err:
+        _stationary_of_class(m, (0, 1))
+    message = str(err.value)
+    assert "state 1" in message and "[0, 1]" in message and "(0.0, 0.0)" in message
 
 
 def test_cesaro_splitting_matches_literal_loop():

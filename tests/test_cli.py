@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shutil
@@ -155,6 +156,29 @@ def test_distance_accepts_grid_files(workdir):
     assert value == pytest.approx(math.sqrt(5 / 12), abs=2e-3)
 
 
+def test_distance_input_digests_follow_spec_order(workdir):
+    grid = workdir / "alld.json"
+    assert main([
+        "fingerprint", str(workdir / "alld.player"), "--joss-ann", str(workdir / "tft.player"),
+        "-n", "4", "--format", "json", "-o", str(grid),
+    ]) == 0
+    out_file = workdir / "d3.json"
+    code = main([
+        "distance",
+        f"{workdir / 'allc.player'}:ja:{workdir / 'tft.player'}",
+        f"{workdir / 'tft.player'}:{workdir / 'constc.probe'}",
+        str(grid),
+        f"{workdir / 'pavlov.player'}:ja",
+        "--quad-n", "4", "--format", "json", "-o", str(out_file),
+    ])
+    assert code == 0
+    read = ["allc.player", "tft.player", "tft.player", "constc.probe", "alld.json",
+            "pavlov.player"]
+    expected = [hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in read]
+    doc = json.loads(out_file.read_text())
+    assert doc["meta"]["input_sha256"] == ";".join(expected)
+
+
 def test_distance_usage_errors(workdir):
     one = f"{workdir / 'allc.player'}:ja:{workdir / 'tft.player'}"
     assert main(["distance", one]) == 64
@@ -186,6 +210,20 @@ def test_simulate_deterministic_pair_reports_zero_stderr(workdir):
     doc = json.loads(out_file.read_text())
     assert doc["estimate"]["stderr"] == 0.0
     assert doc["z_score"] == 0.0
+
+
+def test_grim_near_edge_cli(workdir):
+    out_file = workdir / "grim_sim.json"
+    code = main([
+        "simulate", str(workdir / "grim.player"), "0.3", "1e-9",
+        "--joss-ann", str(workdir / "tft.player"), "--rounds", "2000", "-o", str(out_file),
+    ])
+    assert code == 0
+    assert json.loads(out_file.read_text())["exact_fingerprint"] == pytest.approx(2.2, abs=1e-12)
+    assert main([
+        "fingerprint", str(workdir / "grim.player"), "--joss-ann", str(workdir / "tft.player"),
+        "-n", "20", "--boundary", "offset", "-o", str(workdir / "grim_offset.csv"),
+    ]) == 0
 
 
 def test_simulate_out_of_simplex_usage(workdir):

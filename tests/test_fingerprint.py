@@ -4,7 +4,7 @@ import pytest
 
 import probefp.fingerprint as fingerprint_module
 from oracles import cycle_average_payoff
-from probefp.automata import parse_probe
+from probefp.automata import joss_ann, parse_probe
 from probefp.chain import compose
 from probefp.errors import ExpressionSwellError, ReducibleChainError
 from probefp.fingerprint import (
@@ -13,6 +13,7 @@ from probefp.fingerprint import (
     FingerprintGrid,
     boundary_discrepancy,
     fingerprint_at,
+    _offset_toward_centroid,
     fingerprint_grid,
     symbolic_fingerprint,
 )
@@ -168,6 +169,51 @@ def test_interior_offset_matches_cesaro_inside(players, ja_tft, payoff):
         a = fingerprint_at(players["tft"], ja_tft, payoff, *point, CESARO)
         b = fingerprint_at(players["tft"], ja_tft, payoff, *point, INTERIOR_OFFSET)
         assert a == b
+
+
+def test_grim_near_edge_keeps_interior_value(players, ja_tft, payoff):
+    # Grim is absorbed into defection for every y > 0, where JA(TFT)
+    # cooperates with probability x: the value is 1 + 4x however small y is
+    for x in (0.05, 0.3, 0.7):
+        for y in (2e-14, 1e-13, 1e-11, 1e-9, 1e-7, 1e-6):
+            value = fingerprint_at(players["grim"], ja_tft, payoff, x, y)
+            assert abs(value - (1 + 4 * x)) <= 1e-12
+
+
+def test_offset_grids_succeed_for_bundled_pairs(players, payoff):
+    for base in players.values():
+        probe = joss_ann(base)
+        for player in players.values():
+            for n in (14, 20):
+                grid = fingerprint_grid(player, probe, payoff, n, INTERIOR_OFFSET)
+                assert len(grid.values) == (n + 1) * (n + 2) // 2
+
+
+def test_offset_boundary_matches_exact_closed_form(players, payoff):
+    # the offset point is a float pair, so the closed form is evaluated
+    # exactly there and compared at relative 1e-14
+    n = 20
+    checked = 0
+    for base in players.values():
+        probe = joss_ann(base)
+        for player in players.values():
+            try:
+                fn = symbolic_fingerprint(player, probe, payoff, validate=False).fn
+            except ReducibleChainError:
+                continue
+            chain = compose(player, probe, payoff)
+            for i in range(n + 1):
+                for j in range(n + 1 - i):
+                    if i and j and i + j != n:
+                        continue
+                    x, y = _offset_toward_centroid(i / n, j / n)
+                    exact = fn.num.evaluate_exact(x, y) / fn.den.evaluate_exact(x, y)
+                    value = fingerprint_module.value_at(
+                        chain, i / n, j / n, INTERIOR_OFFSET
+                    )
+                    assert abs(Fraction(value) - exact) <= Fraction(1, 10**14) * abs(exact)
+            checked += 1
+    assert checked == 17
 
 
 # -- corner consistency ------------------------------------------------------------

@@ -1,6 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
+from oracles import random_player, random_probe
+from probefp.automata import joss_ann
 from probefp.errors import OutOfSimplexError
 from probefp.fingerprint import fingerprint_at
 from probefp.simulate import (
@@ -43,6 +47,22 @@ def test_estimate_is_bit_reproducible(players, ja_tft, payoff):
     b = estimate(players["tft"], ja_tft, payoff, 0.2, 0.4, **kwargs)
     assert a == b
     assert isinstance(a, SimEstimate)
+
+
+def test_estimate_pinned_for_fixed_seeds(players, ja_tft, payoff):
+    # recorded when the table was still built from player.step and
+    # probe.step, so any change to the draws shows here
+    rng = random.Random(10)
+    cases = [
+        (players["pavlov"], ja_tft, 0.3, 0.2, 2.420166666666667, 0.00868202580141649),
+        (players["grim"], ja_tft, 0.3, 0.2, 2.1902222222222223, 0.0038404389323897854),
+        (players["tft"], joss_ann(players["pavlov"]), 0.5, 0.0, 3.0, 0.0),
+        (random_player(rng, 4), random_probe(rng, 4), 0.1, 0.7,
+         2.1172222222222223, 0.012828241734868838),
+    ]
+    for player, probe, x, y, mean, stderr in cases:
+        result = estimate(player, probe, payoff, x, y, rounds=5000, replicates=4, seed=11)
+        assert (result.mean, result.stderr) == (mean, stderr)
 
 
 def test_estimate_deterministic_game_has_zero_stderr(players, const_c_probe, payoff):

@@ -31,8 +31,6 @@ from .errors import (
 )
 from .polyexpr import ExprSyntaxError, ParamExpr, expr_parse
 
-DEFAULT_ALPHABET = ("C", "D")
-
 # Nonnegativity of probe weights is sampled on this lattice over the
 # parameter triangle; affine weights are additionally checked exactly at the
 # three vertices.

@@ -7,10 +7,12 @@ state distribution, handling reducible and periodic chains via closed-class
 decomposition: absorption probabilities into each closed class times the
 unique stationary distribution inside it.
 
-Both solves use GTH elimination (Grassmann, Taksar & Heyman, Oper. Res. 33,
-1985): each eliminated state's diagonal is the sum of its off-diagonal
-out-flow rather than 1 - p_ii, so nothing is subtracted and the results keep
-entrywise relative accuracy even when escape rates are tiny.
+The classes come from the reachability closure of the support graph.  One
+GTH elimination (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985) over a
+class-ordered flow matrix gives both the absorption probabilities and the
+stationary distributions: each eliminated state's diagonal is the sum of its
+off-diagonal out-flow rather than 1 - p_ii, so nothing is subtracted and the
+results keep entrywise relative accuracy even when escape rates are tiny.
 """
 
 from __future__ import annotations
@@ -261,8 +263,6 @@ def evaluate(chain: ParamChain, x: float, y: float) -> NumericChain:
     if abs(init_sum - 1.0) > ROW_SUM_TOL:
         raise NegativeWeightError(f"initial distribution sums to {init_sum!r}", (x, y))
     init /= init_sum
-    np.clip(matrix, 0.0, 1.0, out=matrix)
-    np.clip(init, 0.0, 1.0, out=init)
 
     return NumericChain(
         point=(x, y),
@@ -273,75 +273,33 @@ def evaluate(chain: ParamChain, x: float, y: float) -> NumericChain:
 
 
 # ---------------------------------------------------------------------------
-# Closed-class decomposition (iterative Tarjan on the support graph)
+# Closed-class decomposition (reachability closure of the support graph)
 # ---------------------------------------------------------------------------
-
-
-def _strongly_connected_components(adjacency: list[list[int]]) -> list[list[int]]:
-    n = len(adjacency)
-    indices = [-1] * n
-    lowlinks = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if indices[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, edge_pos = work.pop()
-            if edge_pos == 0:
-                indices[v] = lowlinks[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for pos in range(edge_pos, len(adjacency[v])):
-                w = adjacency[v][pos]
-                if indices[w] == -1:
-                    work.append((v, pos + 1))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlinks[v] = min(lowlinks[v], indices[w])
-            if advanced:
-                continue
-            if lowlinks[v] == indices[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlinks[parent] = min(lowlinks[parent], lowlinks[v])
-    return components
 
 
 def closed_classes(m: NumericChain) -> ClassDecomposition:
     """Strongly connected components of the support graph, each flagged
-    closed (no edges leave it) or transient, ordered by smallest state."""
-    n = m.n_states
-    support = m.matrix > SUPPORT_CUTOFF
-    adjacency = [list(np.flatnonzero(support[s])) for s in range(n)]
-    components = _strongly_connected_components(adjacency)
+    closed (no edges leave it) or transient, ordered by smallest state.
 
-    member: dict[int, int] = {}
-    for k, comp in enumerate(components):
-        for s in comp:
-            member[s] = k
-    result = []
-    for comp in components:
-        closed = all(member[t] == member[comp[0]] for s in comp for t in adjacency[s])
-        result.append(ChainClass(states=tuple(sorted(comp)), closed=closed))
-    result.sort(key=lambda c: c.states[0])
-    return ClassDecomposition(classes=tuple(result))
+    Squaring the 0/1 walk matrix (support plus self-loops) k times covers
+    every path of up to 2^k steps, so (n-1).bit_length() squarings give the
+    reachability closure; states that reach each other form one class, and
+    a class is closed when nothing it reaches lies outside it.
+    """
+    n = m.n_states
+    walk = np.maximum(m.matrix > SUPPORT_CUTOFF, np.eye(n))
+    for _ in range((n - 1).bit_length()):
+        walk = np.minimum(walk @ walk, 1.0)
+    reach = walk > 0
+    same = reach & reach.T
+    closed = ~np.any(reach & ~same, axis=1)
+    heads = np.flatnonzero(same.argmax(axis=1) == np.arange(n))
+    return ClassDecomposition(
+        classes=tuple(
+            ChainClass(states=tuple(np.flatnonzero(same[h]).tolist()), closed=bool(closed[h]))
+            for h in heads
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -365,53 +323,45 @@ def _censor(a: np.ndarray, k: int, where) -> None:
     a[:k, :k] += np.outer(a[:k, k], a[k, :k])
 
 
-def _stationary_of_class(
-    m: NumericChain, states: Sequence[int]
-) -> np.ndarray:
-    """Unique stationary distribution of one closed class (equals its Cesaro
-    limit also when the class is periodic)."""
-    idx = np.asarray(states, dtype=int)
-    a = m.matrix[np.ix_(idx, idx)]
-
-    def where(k):
-        return f"state {idx[k]} of closed class {list(states)} at point {m.point}"
-
-    for k in range(len(idx) - 1, 0, -1):
-        _censor(a, k, where)
-    pi = np.ones(len(idx))
-    for k in range(1, len(idx)):
-        pi[k] = pi[:k] @ a[:k, k]
-    return pi / pi.sum()
-
-
 def limit_distribution(m: NumericChain) -> LimitDistribution:
     """Limiting state distribution: absorption probability of each closed
     class from the initial distribution, times the stationary distribution
-    within the class.
+    within the class (its Cesaro limit also when the class is periodic).
 
-    The absorption probabilities come from one flow matrix over [start,
-    closed classes (lumped), transient states]: the start row is the initial
-    distribution, and eliminating the transient states leaves it holding the
-    absorption probabilities.
+    One GTH pass over a flow matrix ordered [start, the head (first state)
+    of each closed class, the other closed-class states, the transient
+    states] does both solves.  The start row is the initial distribution and
+    a closed-class row keeps only its own class's entries, so flow below
+    SUPPORT_CUTOFF cannot leak between classes.  Eliminating every state
+    after the heads leaves the start row holding the absorption
+    probabilities; back-substituting from head weight 1, with the start row
+    left out, gives each class's stationary vector.
     """
+    n = m.n_states
     decomposition = closed_classes(m)
     closed = decomposition.closed_classes()
-    transient = decomposition.transient_states()
-
     c = len(closed)
-    sources = np.vstack([m.init, m.matrix[transient]])
-    flow = np.zeros((1 + c + len(transient),) * 2)
-    rows = np.r_[0, 1 + c : len(flow)]
+    others = [s for cls in closed for s in cls.states[1:]]
+    order = np.array(
+        [cls.states[0] for cls in closed] + others + decomposition.transient_states()
+    )
+    label = np.full(n, -1)  # closed class of each state, -1 if transient
     for j, cls in enumerate(closed):
-        flow[rows, 1 + j] = sources[:, list(cls.states)].sum(axis=1)
-    flow[rows, 1 + c :] = sources[:, transient]
+        label[list(cls.states)] = j
+    label = label[order]
+
+    flow = np.zeros((1 + n, 1 + n))
+    flow[0, 1:] = m.init[order]
+    keep = (label[:, None] == label) | (label[:, None] < 0)
+    flow[1:, 1:] = np.where(keep, m.matrix[np.ix_(order, order)], 0.0)
 
     def where(k):
-        state = transient[k - 1 - c]
-        cls = next(cl.states for cl in decomposition.classes if state in cl.states)
-        return f"transient state {state} of class {list(cls)} at point {m.point}"
+        state = int(order[k - 1])
+        cls = next(cl for cl in decomposition.classes if state in cl.states)
+        kind = "closed" if cls.closed else "transient"
+        return f"state {state} of {kind} class {list(cls.states)} at point {m.point}"
 
-    for k in range(len(flow) - 1, c, -1):
+    for k in range(n, c, -1):
         _censor(flow, k, where)
     absorption = flow[0, 1 : 1 + c]
 
@@ -422,11 +372,16 @@ def limit_distribution(m: NumericChain) -> LimitDistribution:
         )
     absorption /= total
 
-    pi = np.zeros(m.n_states)
-    for j, cls in enumerate(closed):
-        if absorption[j] == 0.0:
-            continue
-        pi[list(cls.states)] = absorption[j] * _stationary_of_class(m, cls.states)
+    size = c + len(others)
+    weight = np.zeros(1 + size)
+    weight[1 : 1 + c] = 1.0
+    for k in range(1 + c, 1 + size):
+        weight[k] = weight[:k] @ flow[:k, k]
+    weight = weight[1:]
+    label = label[:size]
+    mass = np.bincount(label, weights=weight, minlength=c)
+    pi = np.zeros(n)
+    pi[order[:size]] = absorption[label] * (weight / mass[label])
 
     residual = np.max(np.abs(pi @ m.matrix - pi))
     if not residual <= RESIDUAL_TOL:
@@ -457,4 +412,6 @@ def expected_payoff_exact(
 
 
 def expected_payoff(pi: LimitDistribution, payoff: Sequence[Fraction]) -> float:
-    return float(expected_payoff_exact(pi, payoff))
+    if len(pi.pi) != len(payoff):
+        raise ValueError("payoff vector length does not match chain")
+    return float(pi.pi @ np.array([float(p) for p in payoff]))

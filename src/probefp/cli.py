@@ -72,7 +72,6 @@ class RunConfig:
     rounds: int = 100_000
     burn_in: int | None = None
     replicates: int = 16
-    verbosity: int = 0
 
     def __post_init__(self):
         if self.grid_n < 1 or self.quad_n < 1:
@@ -151,7 +150,6 @@ def _resolve_config(args) -> RunConfig:
         rounds=pick(getattr(args, "rounds", None), "rounds", 100_000),
         burn_in=pick(getattr(args, "burn_in", None), "burn-in", None),
         replicates=pick(getattr(args, "replicates", None), "replicates", 16),
-        verbosity=getattr(args, "verbose", 0) or 0,
     )
 
 
@@ -193,14 +191,12 @@ def _load_probe_spec(probe_path: str | None, joss_ann_path: str | None):
     return probe, meta
 
 
-def _write_output(text: str, out: str | None, verbosity: int = 0) -> None:
+def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", newline="\n") as handle:
             handle.write(text)
-        if verbosity:
-            print(f"wrote {out}", file=sys.stderr)
 
 
 def _base_meta(config: RunConfig, payoff: PayoffMatrix) -> dict:
@@ -262,9 +258,9 @@ def _cmd_fingerprint(args) -> int:
         "boundary_mode": config.boundary_mode,
     }
     if config.fmt == "json":
-        _write_output(grid.to_json(meta), config.out, config.verbosity)
+        _write_output(grid.to_json(meta), config.out)
     else:
-        _write_output(grid.to_csv(meta), config.out, config.verbosity)
+        _write_output(grid.to_csv(meta), config.out)
     return EXIT_OK
 
 
@@ -288,7 +284,7 @@ def _cmd_symbolic(args) -> int:
         "agreement: max |closed form - numeric| = "
         f"{result.agreement_max_error:.3e} over interior lattice nodes",
     ]
-    _write_output("\n".join(lines) + "\n", config.out, config.verbosity)
+    _write_output("\n".join(lines) + "\n", config.out)
     return EXIT_OK
 
 
@@ -356,9 +352,9 @@ def _cmd_distance(args) -> int:
             "names": list(matrix.names),
             "distances": [[float(v) for v in row] for row in matrix.d],
         }
-        _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out, config.verbosity)
+        _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
     else:
-        _write_output(matrix.to_csv(meta), config.out, config.verbosity)
+        _write_output(matrix.to_csv(meta), config.out)
     return EXIT_OK
 
 
@@ -409,7 +405,7 @@ def _cmd_simulate(args) -> int:
         "exact_fingerprint": exact,
         "z_score": z,
     }
-    _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out, config.verbosity)
+    _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
     return EXIT_OK
 
 
@@ -418,7 +414,21 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+# Flags that only some commands read, by config-file key.
+_OPTIONAL_FLAGS = {
+    "n": (("-n",), {"type": int, "help": "grid resolution"}),
+    "boundary": (
+        ("--boundary",),
+        {"choices": ("cesaro", "offset"), "help": "boundary convention"},
+    ),
+    "quad-n": (("--quad-n",), {"type": int, "help": "quadrature resolution"}),
+    "format": (("--format",), {"choices": ("csv", "json")}),
+    "seed": (("--seed",), {"type": int}),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *optional: str) -> None:
+    """The flags every computing command reads, plus the named optional ones."""
     parser.add_argument(
         "--payoff",
         nargs=3,
@@ -427,16 +437,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="override one payoff entry (repeatable)",
     )
     parser.add_argument("--config", help="config file (flags take precedence)")
-    parser.add_argument("-n", type=int, default=None, help="grid resolution")
-    parser.add_argument(
-        "--boundary", choices=("cesaro", "offset"), default=None,
-        help="boundary convention",
-    )
-    parser.add_argument("--quad-n", type=int, default=None, help="quadrature resolution")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("-v", "--verbose", action="count", default=0)
+    for key in optional:
+        flags, kwargs = _OPTIONAL_FLAGS[key]
+        parser.add_argument(*flags, default=None, **kwargs)
 
 
 def build_parser() -> _Parser:
@@ -452,7 +456,7 @@ def build_parser() -> _Parser:
     p.add_argument("player")
     p.add_argument("probe", nargs="?", default=None)
     p.add_argument("--joss-ann", metavar="BASE", help="build the probe from a base player")
-    _add_common(p)
+    _add_common(p, "n", "boundary", "format")
     p.set_defaults(func=_cmd_fingerprint)
 
     p = subparsers.add_parser("symbolic", help="closed-form fingerprint")
@@ -468,7 +472,7 @@ def build_parser() -> _Parser:
         nargs="*",
         help="grid files or PLAYER:PROBE / PLAYER:ja / PLAYER:ja:BASE pairs",
     )
-    _add_common(p)
+    _add_common(p, "boundary", "quad-n", "format")
     p.set_defaults(func=_cmd_distance)
 
     p = subparsers.add_parser("simulate", help="Monte Carlo estimate at a point")
@@ -480,7 +484,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--burn-in", type=int, default=None)
     p.add_argument("--replicates", type=int, default=None)
-    _add_common(p)
+    _add_common(p, "boundary", "seed")
     p.set_defaults(func=_cmd_simulate)
 
     return parser

@@ -57,19 +57,14 @@ class _GameTable:
         boundaries: list[float] = []
         successors: list[int] = []
         for s, row in enumerate(chain.trans):
-            weights = np.array([w.evaluate(x, y) for w in row.values()])
-            np.clip(weights, 0.0, None, out=weights)
-            weights /= weights.sum()
-            cumulative = np.cumsum(weights)
+            cumulative = np.cumsum(numeric.matrix[s, list(row)])
             cumulative[-1] = 1.0
             boundaries.extend(s + cumulative)
             successors.extend(row)
         self.boundaries = np.array(boundaries)
         self.successors = np.array(successors, dtype=np.int64)
 
-        init_weights = np.clip(numeric.init, 0.0, None)
-        init_weights /= init_weights.sum()
-        self.init_cdf = np.cumsum(init_weights)
+        self.init_cdf = np.cumsum(numeric.init)
         self.init_cdf[-1] = 1.0
         self.payoff = numeric.payoff
 

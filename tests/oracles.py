@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,39 @@ def cesaro_average(matrix: np.ndarray, init: np.ndarray, n: int) -> np.ndarray:
             power = power @ p
             total = total + power
     return (np.asarray(init, dtype=float) @ total) / n
+
+
+# ---------------------------------------------------------------------------
+# Class structure by breadth-first reachability
+# ---------------------------------------------------------------------------
+
+
+def support_classes(support) -> list[tuple[tuple[int, ...], bool]]:
+    """(states, closed) for each strongly connected class of a boolean
+    support graph, ordered by smallest state: one breadth-first search per
+    state gives its reachable set, mutual reachability gives the classes,
+    and a class is closed when its states reach nothing outside it."""
+    n = len(support)
+    reach = []
+    for s in range(n):
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in range(n):
+                if support[u][v] and v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        reach.append(seen)
+    classes = []
+    assigned: set[int] = set()
+    for s in range(n):
+        if s in assigned:
+            continue
+        members = tuple(t for t in range(n) if t in reach[s] and s in reach[t])
+        assigned.update(members)
+        classes.append((members, reach[s] <= set(members)))
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,20 @@ from oracles import (
     random_player,
     random_probe,
     strongly_connected_player,
+    support_classes,
 )
 from probefp.automata import joss_ann
+import probefp.chain as chain_module
 from probefp.chain import (
+    SUPPORT_CUTOFF,
+    ChainClass,
+    ClassDecomposition,
     NumericChain,
     closed_classes,
     compose,
     evaluate,
     expected_payoff,
     expected_payoff_exact,
-    _stationary_of_class,
     limit_distribution,
 )
 from probefp.errors import (
@@ -166,6 +170,34 @@ def test_closed_classes_transient():
     ]
 
 
+def _random_support_chain(rng):
+    """A random row-stochastic matrix of 1-9 states whose support is a random
+    digraph; some off-support entries carry flow below SUPPORT_CUTOFF."""
+    n = int(rng.integers(1, 10))
+    support = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+    support[~support.any(axis=1), 0] = True
+    matrix = np.where(support, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    noise = (rng.random((n, n)) < 0.1) & ~support
+    matrix[noise] = SUPPORT_CUTOFF / 4
+    return matrix
+
+
+def test_closed_classes_match_reachability_oracle():
+    matrices = [
+        np.array([[1.0, 0], [0, 1]]),
+        np.array([[0.0, 1], [1, 0]]),
+        np.array([[0.5, 0.5], [0, 1]]),
+    ]
+    rng = np.random.default_rng(2024)
+    matrices += [_random_support_chain(rng) for _ in range(1000)]
+    for matrix in matrices:
+        n = len(matrix)
+        decomp = closed_classes(_numeric(matrix, np.full(n, 1 / n)))
+        expected = support_classes((matrix > SUPPORT_CUTOFF).tolist())
+        assert [(c.states, c.closed) for c in decomp.classes] == expected
+
+
 # -- limit distributions -------------------------------------------------------
 
 
@@ -254,12 +286,83 @@ def test_gth_stationary_weakly_coupled():
         np.testing.assert_allclose(limit_distribution(m).pi, exact, rtol=1e-14, atol=0)
 
 
-def test_gth_zero_out_flow_raises():
+def test_gth_zero_out_flow_raises(monkeypatch):
+    # two absorbing states misreported as one closed class: state 1 has no
+    # out-flow to state 0, so its elimination must refuse
     m = _numeric([[1, 0], [0, 1]], [0.5, 0.5])
+    merged = ClassDecomposition(classes=(ChainClass(states=(0, 1), closed=True),))
+    monkeypatch.setattr(chain_module, "closed_classes", lambda _: merged)
     with pytest.raises(SingularSystemError) as err:
-        _stationary_of_class(m, (0, 1))
+        limit_distribution(m)
     message = str(err.value)
     assert "state 1" in message and "[0, 1]" in message and "(0.0, 0.0)" in message
+
+
+def test_sub_cutoff_flow_does_not_leak_between_classes():
+    # 0 <-> 1 at eps (above the cutoff) is one closed class; 2 -> 1 at lam
+    # (below it) is not an edge, so {2, 3} is a second closed class.  Each
+    # class holds half the mass, spread evenly; letting the lam entry take
+    # part in the class-{2, 3} solve would shift mass from 0 to 1.
+    eps, lam = 1.2e-14, 0.9e-14
+    m = _numeric(
+        [
+            [1 - eps, eps, 0, 0],
+            [eps, 1 - eps, 0, 0],
+            [0, lam, 0.5, 0.5 - lam],
+            [0, 0, 0.5, 0.5],
+        ],
+        [0.5, 0, 0.5, 0],
+    )
+    np.testing.assert_allclose(limit_distribution(m).pi, [0.25] * 4, rtol=0, atol=1e-14)
+
+
+def _reducible_block_chain(rng):
+    """2-3 closed classes (the first a deterministic cycle, so periodic) and
+    1-3 transient states, under a random relabelling of the states."""
+    extra = int(rng.integers(1, 3))
+    sizes = [int(rng.integers(2, 4))] + [int(rng.integers(1, 4)) for _ in range(extra)]
+    n_closed = sum(sizes)
+    n = n_closed + int(rng.integers(1, 4))
+    matrix = np.zeros((n, n))
+    blocks, start = [], 0
+    for j, size in enumerate(sizes):
+        block = np.arange(start, start + size)
+        if j == 0:
+            matrix[block, np.roll(block, -1)] = 1.0
+        else:
+            matrix[np.ix_(block, block)] = rng.uniform(0.1, 1.0, (size, size))
+        blocks.append(block)
+        start += size
+    transient = np.arange(n_closed, n)
+    shape = (len(transient), n)
+    matrix[transient] = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.6)
+    matrix[transient, rng.integers(0, n_closed, len(transient))] += 0.2
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    init = rng.uniform(0.0, 1.0, n)
+    init /= init.sum()
+
+    perm = rng.permutation(n)  # old state s becomes perm[s]
+    relabelled = np.zeros_like(matrix)
+    relabelled[np.ix_(perm, perm)] = matrix
+    placed = np.zeros(n)
+    placed[perm] = init
+    return relabelled, placed, [perm[b] for b in blocks], perm[transient]
+
+
+def test_reducible_block_chains_match_cesaro_and_absorption():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        matrix, init, blocks, transient = _reducible_block_chain(rng)
+        pi = limit_distribution(_numeric(matrix, init)).pi
+        oracle = cesaro_average(matrix, init, 10**6)
+        np.testing.assert_allclose(pi, oracle, rtol=0, atol=1e-5)
+
+        q = matrix[np.ix_(transient, transient)]
+        for block in blocks:
+            into = matrix[np.ix_(transient, block)].sum(axis=1)
+            absorbed = np.linalg.solve(np.eye(len(transient)) - q, into)
+            mass = init[block].sum() + init[transient] @ absorbed
+            assert pi[block].sum() == pytest.approx(mass, rel=1e-12, abs=1e-15)
 
 
 def test_cesaro_splitting_matches_literal_loop():

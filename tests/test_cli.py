@@ -7,7 +7,7 @@ import pytest
 
 import probefp.fingerprint as fingerprint_module
 from probefp import bundled_strategy_path
-from probefp.cli import main
+from probefp.cli import build_parser, main
 
 BAD_PROBE = """probe BADSUM
 alphabet C D
@@ -293,6 +293,40 @@ def test_config_file_and_flag_precedence(workdir):
 
 def test_unknown_flag_is_usage_error(workdir):
     assert main(["fingerprint", str(workdir / "allc.player"), "--bogus"]) == 64
+
+
+_COMMAND_ARGS = {
+    "fingerprint": ["fingerprint", "p.player", "--joss-ann", "b.player"],
+    "symbolic": ["symbolic", "p.player", "--joss-ann", "b.player"],
+    "distance": ["distance", "p.player:ja", "q.player:ja"],
+    "simulate": ["simulate", "p.player", "0.2", "0.3", "--joss-ann", "b.player"],
+}
+_FLAG_ARGS = {
+    "-n": ["-n", "4"],
+    "--boundary": ["--boundary", "offset"],
+    "--quad-n": ["--quad-n", "10"],
+    "--format": ["--format", "json"],
+    "--seed": ["--seed", "3"],
+    "-v": ["-v"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("fingerprint", "--quad-n"), ("fingerprint", "--seed"), ("fingerprint", "-v"),
+        ("symbolic", "-n"), ("symbolic", "--boundary"), ("symbolic", "--quad-n"),
+        ("symbolic", "--format"), ("symbolic", "--seed"), ("symbolic", "-v"),
+        ("distance", "-n"), ("distance", "--seed"), ("distance", "-v"),
+        ("simulate", "-n"), ("simulate", "--quad-n"), ("simulate", "--format"),
+        ("simulate", "-v"),
+    ],
+)
+def test_command_rejects_flags_it_does_not_read(command, flag, capsys):
+    base = _COMMAND_ARGS[command]
+    build_parser().parse_args(base)  # the command line is valid without the flag
+    assert main(base + _FLAG_ARGS[flag]) == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_numeric_failure_exit_3(workdir, capsys):

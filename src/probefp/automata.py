@@ -88,6 +88,10 @@ class PayoffMatrix:
         values = list(self.entries.values())
         return min(values), max(values)
 
+    def render(self) -> str:
+        """Entries as "a,b=v; ..." in sorted move order, for output metadata."""
+        return "; ".join(f"{a},{b}={v}" for (a, b), v in sorted(self.entries.items()))
+
 
 @dataclass
 class PlayerMachine:

@@ -86,12 +86,6 @@ class ParamChain:
             total = total + weight
         return ParamExpr.one() - total
 
-    def dense_symbolic(self) -> list[list[ParamExpr]]:
-        zero = ParamExpr.zero()
-        return [
-            [row.get(j, zero) for j in range(self.n_states)] for row in self.trans
-        ]
-
 
 @dataclass
 class NumericChain:

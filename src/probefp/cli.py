@@ -199,14 +199,8 @@ def _write_output(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _base_meta(config: RunConfig, payoff: PayoffMatrix) -> dict:
-    return {
-        "tool": "probefp",
-        "version": __version__,
-        "payoff": "; ".join(
-            f"{a},{b}={v}" for (a, b), v in sorted(payoff.entries.items())
-        ),
-    }
+def _base_meta(payoff: PayoffMatrix) -> dict:
+    return {"tool": "probefp", "version": __version__, "payoff": payoff.render()}
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +244,7 @@ def _cmd_fingerprint(args) -> int:
 
     grid = fingerprint_grid(player, probe, payoff, config.grid_n, config.boundary_mode)
     meta = {
-        **_base_meta(config, payoff),
+        **_base_meta(payoff),
         "player": player.name,
         "player_sha256": player_digest,
         **probe_meta,
@@ -272,7 +266,7 @@ def _cmd_symbolic(args) -> int:
 
     result = symbolic_fingerprint(player, probe, payoff)
     meta = {
-        **_base_meta(config, payoff),
+        **_base_meta(payoff),
         "player": player.name,
         "player_sha256": player_digest,
         **probe_meta,
@@ -342,7 +336,7 @@ def _cmd_distance(args) -> int:
 
     matrix = distance_matrix(corpus, config.quad_n)
     meta = {
-        **_base_meta(config, payoff),
+        **_base_meta(payoff),
         "quadrature_n": config.quad_n,
         "input_sha256": ";".join(digests),
     }
@@ -387,7 +381,7 @@ def _cmd_simulate(args) -> int:
         z = 0.0 if result.mean == exact else float("inf")
     doc = {
         "meta": {
-            **_base_meta(config, payoff),
+            **_base_meta(payoff),
             "player": player.name,
             "player_sha256": player_digest,
             **probe_meta,

@@ -174,11 +174,6 @@ class FingerprintGrid:
         return cls(resolution=n, boundary_mode=mode, values=values, meta=meta)
 
 
-def _payoff_meta(payoff: PayoffMatrix) -> str:
-    parts = [f"{a},{b}={v}" for (a, b), v in sorted(payoff.entries.items())]
-    return "; ".join(parts)
-
-
 def fingerprint_grid(
     player: PlayerMachine,
     probe: Probe,
@@ -205,7 +200,7 @@ def fingerprint_grid(
         meta={
             "player": player.name,
             "probe": probe.name,
-            "payoff": _payoff_meta(payoff),
+            "payoff": payoff.render(),
         },
     )
 
@@ -233,33 +228,37 @@ def _capped(e: ParamExpr) -> ParamExpr:
     return e
 
 
-def _bareiss_det(matrix: list[list[ParamExpr]]) -> ParamExpr:
-    """Determinant over the polynomial ring by fraction-free (Bareiss)
-    elimination; every division by the previous pivot is exact."""
-    n = len(matrix)
-    if n == 0:
-        return ParamExpr.one()
-    a = [row[:] for row in matrix]
+def _bareiss_last_rows(
+    system: list[list[ParamExpr]], last_rows: list[list[ParamExpr]]
+) -> list[ParamExpr]:
+    """Determinants of `system` completed by each of `last_rows`, from one
+    fraction-free (Bareiss) elimination over the polynomial ring that
+    pivots on the system rows and carries every last row along.
+
+    The k-th pivot is the leading minor det(I - P_SS) over the states
+    S = {0..k}.  S is a proper subset, so for an irreducible chain I - P_SS
+    is a nonsingular M-matrix and the minor is a nonzero polynomial: no
+    pivot search or row exchange is needed, and every division by the
+    previous pivot is exact.  A zero pivot means the system is singular.
+    """
+    a = [row[:] for row in system]
+    tails = [row[:] for row in last_rows]
     previous = ParamExpr.one()
-    sign = 1
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if not a[r][k].is_zero()), None)
-        if pivot_row is None:
-            return ParamExpr.zero()
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            factor = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = _capped(
-                    exact_div(pivot * a[i][j] - factor * a[k][j], previous)
+    for k, pivot_row in enumerate(a):
+        pivot = pivot_row[k]
+        if pivot.is_zero():
+            raise ReducibleChainError(
+                "stationary system is singular over the polynomial ring; "
+                "use grid mode instead"
+            )
+        for row in a[k + 1 :] + tails:
+            factor = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = _capped(
+                    exact_div(pivot * row[j] - factor * pivot_row[j], previous)
                 )
-            a[i][k] = ParamExpr.zero()
         previous = pivot
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return [row[-1] for row in tails]
 
 
 def symbolic_fingerprint(
@@ -286,7 +285,6 @@ def symbolic_fingerprint(
         )
 
     n = chain.n_states
-    p = chain.dense_symbolic()
     # Stationary equations pi (I - P) = 0, transposed to columns; the last
     # equation is replaced by the normalization sum(pi) = 1.  By Cramer's
     # rule and cofactor expansion along that last row, the payoff-weighted
@@ -294,26 +292,14 @@ def symbolic_fingerprint(
     # system's, and the system's with the normalization row replaced by the
     # payoff vector.  Both share the same minimal denominator, so no spurious
     # factors appear.
-    system: list[list[ParamExpr]] = []
-    one = ParamExpr.one()
-    for j in range(n - 1):
-        row = []
-        for i in range(n):
-            entry = -p[i][j]
-            if i == j:
-                entry = entry + one
-            row.append(entry)
-        system.append(row)
-    norm_row = [one for _ in range(n)]
+    zero, one = ParamExpr.zero(), ParamExpr.one()
+    system = [
+        [(one if i == j else zero) - chain.trans[i].get(j, zero) for i in range(n)]
+        for j in range(n - 1)
+    ]
+    norm_row = [one] * n
     payoff_row = [ParamExpr.const(w) for w in chain.payoff]
-
-    den = _bareiss_det(system + [norm_row])
-    if den.is_zero():
-        raise ReducibleChainError(
-            "stationary system is singular over the polynomial ring; "
-            "use grid mode instead"
-        )
-    num = _bareiss_det(system + [payoff_row])
+    den, num = _bareiss_last_rows(system, [norm_row, payoff_row])
     result = RationalFn(num, den)
 
     fp = SymbolicFingerprint(
@@ -321,7 +307,7 @@ def symbolic_fingerprint(
         meta={
             "player": player.name,
             "probe": probe.name,
-            "payoff": _payoff_meta(payoff),
+            "payoff": payoff.render(),
         },
     )
     if validate:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import warnings
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Mapping
 
 from .errors import ExactDivisionError, ExprSyntaxError, SingularPointError
@@ -63,7 +63,7 @@ class ParamExpr:
                 if coeff != 0:
                     canonical[(int(i), int(j))] = coeff
         self._terms = canonical
-        self._eval_cache: list[tuple[float, int, int]] | None = None
+        self._eval_cache: tuple[list[tuple[float, int, int]], float] | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -197,23 +197,46 @@ class ParamExpr:
         """Evaluate in binary floating point; the zero polynomial gives 0.0.
 
         Terms are summed in descending graded-lex order so results are
-        bit-reproducible across runs.
+        bit-reproducible across runs.  Where terms of both signs cancel, the
+        value is computed exactly instead and rounded once.
         """
         if self._eval_cache is None:
             ordered = sorted(self._terms, key=_grlex, reverse=True)
-            self._eval_cache = [(float(self._terms[k]), k[0], k[1]) for k in ordered]
+            terms = [(float(self._terms[k]), k[0], k[1]) for k in ordered]
+            # Terms of one sign cannot cancel for x, y >= 0: a zero bound
+            # skips the test below.
+            mixed = len({coeff > 0 for coeff, _, _ in terms}) == 2
+            bound = sum(abs(coeff) for coeff, _, _ in terms) / 16 if mixed else 0.0
+            self._eval_cache = (terms, bound)
+        terms, bound = self._eval_cache
         total = 0.0
-        for coeff, i, j in self._eval_cache:
+        for coeff, i, j in terms:
             total += coeff * x**i * y**j
+        # Float summation errs by a few ulps of the summed term magnitudes,
+        # so the total's relative error is that times magnitude / |total|.
+        # Past 16 the value is computed exactly instead: floats convert to
+        # Fraction losslessly, so this is the correctly rounded value at the
+        # point.  On the unit square no term exceeds its coefficient, so
+        # `bound` caps magnitude / 16 and most points skip summing it.
+        if -bound < total < bound:
+            magnitude = sum(abs(coeff * x**i * y**j) for coeff, i, j in terms)
+            if abs(total) < magnitude / 16:
+                return float(self.evaluate_exact(x, y))
         return total
 
     def evaluate_exact(self, x: Fraction, y: Fraction) -> Fraction:
-        x = Fraction(x)
-        y = Fraction(y)
-        total = Fraction(0)
+        # Over the common denominator of the coefficients, x**d and y**d
+        # (d the total degree) every term is an integer, so only the sum
+        # is normalised.
+        xn, xd = Fraction(x).as_integer_ratio()
+        yn, yd = Fraction(y).as_integer_ratio()
+        d = self.degree()
+        scale = lcm(*(coeff.denominator for coeff in self._terms.values()))
+        total = 0
         for (i, j), coeff in self._terms.items():
-            total += coeff * x**i * y**j
-        return total
+            weight = coeff.numerator * (scale // coeff.denominator)
+            total += weight * xn**i * xd ** (d - i) * yn**j * yd ** (d - j)
+        return Fraction(total, scale * xd**d * yd**d)
 
     # -- comparison / rendering --------------------------------------------
 
@@ -531,21 +554,19 @@ def ratfn_eval(f: RationalFn, x: float, y: float) -> float:
     return f.num.evaluate(x, y) / den_value
 
 
-def ratfn_equiv(f: RationalFn, g: RationalFn, samples: int = 8) -> bool:
+def ratfn_equiv(f: RationalFn, g: RationalFn) -> bool:
     """Exact equivalence test via cross-multiplication.
 
     The verdict is purely symbolic: f == g iff f.num*g.den - g.num*f.den is
-    the zero polynomial.  `samples` random interior points are additionally
+    the zero polynomial.  Eight random interior points are additionally
     evaluated as a sanity check; a disagreement emits a warning but never
     changes the verdict.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     cross = f.num * g.den - g.num * f.den
     verdict = cross.is_zero()
 
     rng = random.Random(0x5EED)
-    for _ in range(samples):
+    for _ in range(8):
         px = rng.uniform(0.0, 1.0)
         py = rng.uniform(0.0, 1.0 - px)
         lhs = f.num.evaluate(px, py) * g.den.evaluate(px, py)

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the production solvers: the Cesaro
 oracle uses matrix powers, the corner oracle walks deterministic cycles with
-exact rationals, and the integration oracle uses closed-form monomial
-integrals over the triangle.
+exact rationals, the integration oracle uses closed-form monomial integrals
+over the triangle, and the determinant oracle is a general pivoting Bareiss
+elimination.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from probefp.automata import PayoffMatrix, PlayerMachine, Probe, validate_probe
-from probefp.polyexpr import ParamExpr
+from probefp.polyexpr import ParamExpr, exact_div
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +87,39 @@ def support_classes(support) -> list[tuple[tuple[int, ...], bool]]:
         assigned.update(members)
         classes.append((members, reach[s] <= set(members)))
     return classes
+
+
+# ---------------------------------------------------------------------------
+# Determinants over the polynomial ring
+# ---------------------------------------------------------------------------
+
+
+def bareiss_det(matrix: list[list[ParamExpr]]) -> ParamExpr:
+    """Determinant of any square polynomial matrix by fraction-free (Bareiss)
+    elimination with pivot search and row exchange; every division by the
+    previous pivot is exact."""
+    n = len(matrix)
+    if n == 0:
+        return ParamExpr.one()
+    a = [row[:] for row in matrix]
+    previous = ParamExpr.one()
+    sign = 1
+    for k in range(n - 1):
+        pivot_row = next((r for r in range(k, n) if not a[r][k].is_zero()), None)
+        if pivot_row is None:
+            return ParamExpr.zero()
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            factor = a[i][k]
+            for j in range(k + 1, n):
+                a[i][j] = exact_div(pivot * a[i][j] - factor * a[k][j], previous)
+            a[i][k] = ParamExpr.zero()
+        previous = pivot
+    det = a[n - 1][n - 1]
+    return det if sign == 1 else -det
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +266,12 @@ def random_probe(rng: random.Random, max_states: int = 4) -> Probe:
             continue  # resample rather than rebuild around dead states
         assert report.ok, "generator produced an invalid probe"
         return probe
+
+
+def random_oracle_pairs() -> list[tuple[PlayerMachine, Probe]]:
+    """A fixed corpus of 40 random player/probe pairs (at most 4 states each)."""
+    rng = random.Random(2024)
+    return [(random_player(rng, 4), random_probe(rng, 4)) for _ in range(40)]
 
 
 def random_interior_point(rng: random.Random, margin: float = 0.05):

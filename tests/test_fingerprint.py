@@ -1,11 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import probefp.fingerprint as fingerprint_module
-from oracles import cycle_average_payoff
+from oracles import (
+    bareiss_det,
+    cycle_average_payoff,
+    random_oracle_pairs,
+    random_player,
+    strongly_connected_player,
+)
 from probefp.automata import joss_ann, parse_probe
-from probefp.chain import compose
+from probefp.chain import ChainClass, ClassDecomposition, compose
 from probefp.errors import ExpressionSwellError, ReducibleChainError
 from probefp.fingerprint import (
     CESARO,
@@ -17,7 +24,7 @@ from probefp.fingerprint import (
     fingerprint_grid,
     symbolic_fingerprint,
 )
-from probefp.polyexpr import RationalFn, expr_parse, ratfn_equiv, ratfn_eval
+from probefp.polyexpr import ParamExpr, RationalFn, expr_parse, ratfn_equiv, ratfn_eval
 
 # Probe with a bridging transition of weight x: for x > 0 the chain is
 # absorbed into permanent defection, on the x = 0 edge it stays cooperative.
@@ -31,6 +38,21 @@ init C 0 : 1
 1 C -> D 1 : 1
 1 D -> D 1 : 1
 """
+
+# Probe that starts in one of two absorbing states with weight 1/2 each.
+SPLIT_PROBE = """probe SPLIT
+alphabet C D
+init C 0 : 1/2
+init D 1 : 1/2
+0 C -> C 0 : 1
+0 D -> C 0 : 1
+1 C -> D 1 : 1
+1 D -> D 1 : 1
+"""
+
+
+def bundled_pairs(players):
+    return [(p, joss_ann(base)) for base in players.values() for p in players.values()]
 
 
 # -- pointwise values ----------------------------------------------------------
@@ -134,6 +156,54 @@ def test_symbolic_reducible_chain_raises(players, ja_tft, payoff):
     assert "closed" in str(err.value)
 
 
+def _reference_closed_form(player, probe, payoff) -> RationalFn:
+    """F = det(A with the payoff row) / det(A with a row of ones), where A is
+    (I - P) transposed with its last row replaced, by the pivoting oracle."""
+    chain = compose(player, probe, payoff)
+    n = chain.n_states
+    zero, one = ParamExpr.zero(), ParamExpr.one()
+    p = [[row.get(j, zero) for j in range(n)] for row in chain.trans]
+    a = [[(one if i == j else zero) - p[i][j] for i in range(n)] for j in range(n)]
+    payoff_row = [ParamExpr.const(w) for w in chain.payoff]
+    num = bareiss_det(a[:-1] + [payoff_row])
+    return RationalFn(num, bareiss_det(a[:-1] + [[one] * n]))
+
+
+def test_closed_forms_match_pivoting_determinant_oracle(players, payoff):
+    pairs = bundled_pairs(players) + random_oracle_pairs()
+    # strongly connected players against JA of a random base: 16, 18 and
+    # 24 joint states
+    for seed in (33, 213, 23):
+        rng = random.Random(seed)
+        pairs.append((strongly_connected_player(rng, 6), joss_ann(random_player(rng, 6))))
+    checked = 0
+    for player, probe in pairs:
+        try:
+            fn = symbolic_fingerprint(player, probe, payoff, validate=False).fn
+        except ReducibleChainError:
+            continue
+        assert fn == _reference_closed_form(player, probe, payoff)
+        checked += 1
+    assert checked == 17 + 8 + 3
+
+
+def test_symbolic_singular_system_raises(players, payoff, monkeypatch):
+    # the probe's two absorbing states make the stationary system singular;
+    # the class check is bypassed so that elimination meets the zero pivot
+    probe = parse_probe(SPLIT_PROBE)
+    assert compose(players["tft"], probe, payoff).n_states == 3
+    monkeypatch.setattr(
+        fingerprint_module,
+        "closed_classes",
+        lambda numeric: ClassDecomposition((ChainClass((0, 1, 2), closed=True),)),
+    )
+    with pytest.raises(ReducibleChainError) as err:
+        symbolic_fingerprint(players["tft"], probe, payoff)
+    assert str(err.value) == (
+        "stationary system is singular over the polynomial ring; use grid mode instead"
+    )
+
+
 def test_symbolic_swell_abort(players, ja_tft, payoff, monkeypatch):
     monkeypatch.setattr(fingerprint_module, "TERM_CAP", 2)
     with pytest.raises(ExpressionSwellError):
@@ -191,29 +261,28 @@ def test_offset_grids_succeed_for_bundled_pairs(players, payoff):
 
 def test_offset_boundary_matches_exact_closed_form(players, payoff):
     # the offset point is a float pair, so the closed form is evaluated
-    # exactly there and compared at relative 1e-14
+    # exactly there and compared at relative 1e-14; the random pairs carry
+    # weights such as 1/3 - x/3 - 2y/15 that cancel near the hypotenuse
     n = 20
     checked = 0
-    for base in players.values():
-        probe = joss_ann(base)
-        for player in players.values():
-            try:
-                fn = symbolic_fingerprint(player, probe, payoff, validate=False).fn
-            except ReducibleChainError:
-                continue
-            chain = compose(player, probe, payoff)
-            for i in range(n + 1):
-                for j in range(n + 1 - i):
-                    if i and j and i + j != n:
-                        continue
-                    x, y = _offset_toward_centroid(i / n, j / n)
-                    exact = fn.num.evaluate_exact(x, y) / fn.den.evaluate_exact(x, y)
-                    value = fingerprint_module.value_at(
-                        chain, i / n, j / n, INTERIOR_OFFSET
-                    )
-                    assert abs(Fraction(value) - exact) <= Fraction(1, 10**14) * abs(exact)
-            checked += 1
-    assert checked == 17
+    for player, probe in bundled_pairs(players) + random_oracle_pairs():
+        try:
+            fn = symbolic_fingerprint(player, probe, payoff, validate=False).fn
+        except ReducibleChainError:
+            continue
+        chain = compose(player, probe, payoff)
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                if i and j and i + j != n:
+                    continue
+                x, y = _offset_toward_centroid(i / n, j / n)
+                exact = fn.num.evaluate_exact(x, y) / fn.den.evaluate_exact(x, y)
+                value = fingerprint_module.value_at(
+                    chain, i / n, j / n, INTERIOR_OFFSET
+                )
+                assert abs(Fraction(value) - exact) <= Fraction(1, 10**14) * abs(exact)
+        checked += 1
+    assert checked == 17 + 8
 
 
 # -- corner consistency ------------------------------------------------------------

@@ -114,6 +114,25 @@ def test_evaluation_homomorphism(a, b, x, y):
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+@given(
+    _polys,
+    st.one_of(st.floats(-2, 2), st.fractions(max_denominator=50)),
+    st.one_of(st.floats(-2, 2), st.fractions(max_denominator=50)),
+)
+@settings(max_examples=100, deadline=None)
+def test_evaluate_exact_matches_term_by_term_fractions(e, x, y):
+    expected = sum(c * F(x) ** i * F(y) ** j for (i, j), c in e.terms.items())
+    assert e.evaluate_exact(x, y) == expected
+
+
+def test_evaluate_rounds_cancelling_terms_once():
+    # about 2.4e-7 at the offset point next to the (1, 0) corner; summed in
+    # float the three terms leave it off by 1e-10 relative
+    weight = expr_parse("1/3 - 1/3*x - 2/15*y")
+    x, y = 0.999999105572809, 4.472135954999578e-07
+    assert weight.evaluate(x, y) == float(weight.evaluate_exact(x, y))
+
+
 @given(_polys)
 @settings(max_examples=100, deadline=None)
 def test_render_parse_round_trip(e):

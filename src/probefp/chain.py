@@ -1,18 +1,22 @@
 """Joint player-probe Markov chains and their limiting distributions.
 
 `compose` builds the parametrized chain over joint states (player state,
-probe state, last player move, last probe move); `evaluate` instantiates it
-at a parameter point; `limit_distribution` computes the limiting (Cesaro)
-state distribution, handling reducible and periodic chains via closed-class
-decomposition: absorption probabilities into each closed class times the
-unique stationary distribution inside it.
+probe state, last player move, last probe move); `evaluate_points`
+instantiates it at many parameter points at once; `limit_distributions`
+computes the limiting (Cesaro) state distribution at each, handling
+reducible and periodic chains via closed-class decomposition: absorption
+probabilities into each closed class times the unique stationary
+distribution inside it.  `evaluate` and `limit_distribution` are the batch
+of one.
 
-The classes come from the reachability closure of the support graph.  One
-GTH elimination (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985) over a
-class-ordered flow matrix gives both the absorption probabilities and the
-stationary distributions: each eliminated state's diagonal is the sum of its
-off-diagonal out-flow rather than 1 - p_ii, so nothing is subtracted and the
-results keep entrywise relative accuracy even when escape rates are tiny.
+The classes come from the reachability closure of the support graph, worked
+out once per support pattern among the points.  One GTH elimination
+(Grassmann, Taksar & Heyman, Oper. Res. 33, 1985) over a class-ordered flow
+matrix, run for all points of a pattern together, gives both the absorption
+probabilities and the stationary distributions: each eliminated state's
+diagonal is the sum of its off-diagonal out-flow rather than 1 - p_ii, so
+nothing is subtracted and the results keep entrywise relative accuracy even
+when escape rates are tiny.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +37,7 @@ from .errors import (
     ProbeValidationError,
     SingularSystemError,
 )
-from .polyexpr import ParamExpr
+from .polyexpr import ParamExpr, PolyTable
 
 # Evaluated probabilities above this count as support edges; identically-zero
 # polynomials evaluate to exact 0.0, so this separates structure from roundoff.
@@ -86,6 +91,18 @@ class ParamChain:
             total = total + weight
         return ParamExpr.one() - total
 
+    @cached_property
+    def weights(self) -> PolyTable:
+        """Every transition weight P[s, t] in row-major order (the zero
+        polynomial where there is no edge), then every init weight, compiled
+        once for evaluation at many points."""
+        zero = ParamExpr.zero()
+        cells = [row.get(t, zero) for row in self.trans for t in range(self.n_states)]
+        return PolyTable(cells + list(self.init))
+
+    def payoff_vector(self) -> np.ndarray:
+        return np.array([float(p) for p in self.payoff])
+
 
 @dataclass
 class NumericChain:
@@ -100,9 +117,6 @@ class NumericChain:
         self.matrix = np.asarray(self.matrix, dtype=float)
         self.init = np.asarray(self.init, dtype=float)
         self.payoff = np.asarray(self.payoff, dtype=float)
-        rows = self.matrix.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-10):
-            raise ValueError("transition rows must sum to 1")
 
     @property
     def n_states(self) -> int:
@@ -226,43 +240,50 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
     return chain
 
 
-def evaluate(chain: ParamChain, x: float, y: float) -> NumericChain:
-    """Instantiate the chain at a parameter point inside the closed triangle."""
-    if x < -SIMPLEX_TOL or y < -SIMPLEX_TOL or x + y > 1 + SIMPLEX_TOL:
-        raise OutOfSimplexError(x, y)
+def evaluate_points(chain: ParamChain, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Transition matrices (N, n, n) and initial distributions (N, n) of the
+    chain at the N points (xs[p], ys[p]) of the closed triangle.
+
+    Entries within ENTRY_TOL below zero are clipped to zero and every row is
+    divided by its sum; an error names the first point that fails a check.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    outside = (xs < -SIMPLEX_TOL) | (ys < -SIMPLEX_TOL) | (xs + ys > 1 + SIMPLEX_TOL)
+    if outside.any():
+        p = int(np.argmax(outside))
+        raise OutOfSimplexError(float(xs[p]), float(ys[p]))
     n = chain.n_states
-    matrix = np.zeros((n, n))
-    for s, row in enumerate(chain.trans):
-        for t, weight in row.items():
-            matrix[s, t] = weight.evaluate(x, y)
-    init = np.array([w.evaluate(x, y) for w in chain.init])
-
-    for label, arr in (("transition", matrix), ("initial", init)):
-        low = arr.min()
-        if low < -ENTRY_TOL:
+    values = chain.weights.evaluate(xs, ys)
+    # the init weights form row n, after the n transition rows
+    rows = np.maximum(values, 0.0).reshape(-1, n + 1, n)
+    sums = rows.sum(axis=2)
+    negative = values < -ENTRY_TOL
+    failed = negative.any(axis=1) | (np.abs(sums - 1.0) > ROW_SUM_TOL).any(axis=1)
+    if failed.any():
+        p = int(np.argmax(failed))
+        point = (float(xs[p]), float(ys[p]))
+        if negative[p].any():
+            s, t = divmod(int(np.argmax(negative[p])), n)
+            value = float(values[p, s * n + t])
             raise NegativeWeightError(
-                f"{label} probability {low} below tolerance", (x, y)
+                f"transition probability {value!r} in row {s} (to state {t}) below tolerance"
+                if s < n
+                else f"initial probability {value!r} of state {t} below tolerance",
+                point,
             )
-    np.clip(matrix, 0.0, None, out=matrix)
-    np.clip(init, 0.0, None, out=init)
+        s = int(np.argmax(np.abs(sums[p] - 1.0)))
+        what = f"transition row {s}" if s < n else "initial distribution"
+        raise NegativeWeightError(f"{what} sums to {float(sums[p, s])!r}", point)
+    rows /= sums[:, :, None]
+    return rows[:, :n], rows[:, n]
 
-    row_sums = matrix.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-        worst = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise NegativeWeightError(
-            f"transition row {worst} sums to {row_sums[worst]!r}", (x, y)
-        )
-    matrix /= row_sums[:, None]
-    init_sum = init.sum()
-    if abs(init_sum - 1.0) > ROW_SUM_TOL:
-        raise NegativeWeightError(f"initial distribution sums to {init_sum!r}", (x, y))
-    init /= init_sum
 
+def evaluate(chain: ParamChain, x: float, y: float) -> NumericChain:
+    """Instantiate the chain at one parameter point inside the closed triangle."""
+    matrix, init = evaluate_points(chain, [x], [y])
     return NumericChain(
-        point=(x, y),
-        matrix=matrix,
-        init=init,
-        payoff=np.array([float(p) for p in chain.payoff]),
+        point=(x, y), matrix=matrix[0], init=init[0], payoff=chain.payoff_vector()
     )
 
 
@@ -297,42 +318,54 @@ def closed_classes(m: NumericChain) -> ClassDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Subtraction-free (GTH) elimination
+# Subtraction-free (GTH) elimination, batched by support pattern
 # ---------------------------------------------------------------------------
 
 
-def _censor(a: np.ndarray, k: int, where) -> None:
-    """One GTH step: remove state k from the flow matrix a[:k+1, :k+1] and
-    reroute the flow into k along k's out-flows to the states 0..k-1.
+def limit_distributions(matrix: np.ndarray, init: np.ndarray, points) -> np.ndarray:
+    """Limiting state distributions (N, n) of N evaluated chains over the
+    same states, with transition matrices `matrix` (N, n, n), initial
+    distributions `init` (N, n) and parameter points `points` (N, 2).
 
-    The out-flow is the sum of k's off-diagonal entries, never 1 - a[k, k],
-    so the step only adds, multiplies and divides nonnegative numbers.
-    Column k is left holding the in-flow per unit out-flow, which is what
-    back-substitution needs.  `where(k)` describes state k for the error.
+    The points are grouped by support pattern (matrix > SUPPORT_CUTOFF).
+    Each pattern's classes are worked out once, from its first point, and
+    its points are solved together by `_solve_pattern`.  An error names a
+    failing point.
     """
-    out = a[k, :k].sum()
-    if not out > 0:
-        raise SingularSystemError(f"zero out-flow from {where(k)}")
-    a[:k, k] /= out
-    a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    matrix = np.asarray(matrix, dtype=float)
+    init = np.asarray(init, dtype=float)
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    support = np.packbits((matrix > SUPPORT_CUTOFF).reshape(len(matrix), -1), axis=1)
+    # one opaque byte string per point, so that np.unique sorts rows as scalars
+    keys = support.view(np.dtype((np.void, support.shape[1]))).ravel()
+    _, first, pattern = np.unique(keys, return_index=True, return_inverse=True)
+    pi = np.empty_like(init)
+    for k in np.argsort(first):
+        group = np.flatnonzero(pattern == k)
+        pi[group] = _solve_pattern(matrix[group], init[group], points[group])
+    return pi
 
 
-def limit_distribution(m: NumericChain) -> LimitDistribution:
-    """Limiting state distribution: absorption probability of each closed
-    class from the initial distribution, times the stationary distribution
-    within the class (its Cesaro limit also when the class is periodic).
+def _solve_pattern(matrix: np.ndarray, init: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Limit distributions of chains that share one support pattern.
 
-    One GTH pass over a flow matrix ordered [start, the head (first state)
+    One GTH pass over flow matrices ordered [start, the head (first state)
     of each closed class, the other closed-class states, the transient
-    states] does both solves.  The start row is the initial distribution and
-    a closed-class row keeps only its own class's entries, so flow below
-    SUPPORT_CUTOFF cannot leak between classes.  Eliminating every state
-    after the heads leaves the start row holding the absorption
-    probabilities; back-substituting from head weight 1, with the start row
-    left out, gives each class's stationary vector.
+    states] does both solves, with a leading point axis.  The start row is
+    the initial distribution and a closed-class row keeps only its own
+    class's entries, so flow below SUPPORT_CUTOFF cannot leak between
+    classes.  Eliminating every state after the heads leaves the start row
+    holding the absorption probabilities; back-substituting from head weight
+    1, with the start row left out, gives each class's stationary vector.
+    Each elimination takes the out-flow of state k as the sum of its
+    off-diagonal entries, never 1 - p_kk, so the pass only adds, multiplies
+    and divides nonnegative numbers, and leaves column k holding the in-flow
+    per unit out-flow, which is what back-substitution needs.
     """
-    n = m.n_states
-    decomposition = closed_classes(m)
+    count, n = init.shape
+    decomposition = closed_classes(
+        NumericChain(tuple(points[0]), matrix[0], init[0], np.zeros(n))
+    )
     closed = decomposition.closed_classes()
     c = len(closed)
     others = [s for cls in closed for s in cls.states[1:]]
@@ -344,48 +377,66 @@ def limit_distribution(m: NumericChain) -> LimitDistribution:
         label[list(cls.states)] = j
     label = label[order]
 
-    flow = np.zeros((1 + n, 1 + n))
-    flow[0, 1:] = m.init[order]
-    keep = (label[:, None] == label) | (label[:, None] < 0)
-    flow[1:, 1:] = np.where(keep, m.matrix[np.ix_(order, order)], 0.0)
+    def check(ok: np.ndarray, fault) -> None:
+        """Raise at the first point where `ok` is false; fault(p) says why."""
+        if not ok.all():
+            p = int(np.argmin(ok))
+            point = tuple(float(v) for v in points[p])
+            raise SingularSystemError(f"{fault(p)} at point {point}")
 
-    def where(k):
-        state = int(order[k - 1])
+    def describe(state: int) -> str:
         cls = next(cl for cl in decomposition.classes if state in cl.states)
         kind = "closed" if cls.closed else "transient"
-        return f"state {state} of {kind} class {list(cls.states)} at point {m.point}"
+        return f"state {state} of {kind} class {list(cls.states)}"
 
+    flow = np.zeros((count, 1 + n, 1 + n))
+    flow[:, 0, 1:] = init[:, order]
+    keep = (label[:, None] == label) | (label[:, None] < 0)
+    flow[:, 1:, 1:] = np.where(keep, matrix[:, order[:, None], order], 0.0)
     for k in range(n, c, -1):
-        _censor(flow, k, where)
-    absorption = flow[0, 1 : 1 + c]
-
-    total = absorption.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise SingularSystemError(
-            f"absorption probabilities sum to {total!r} at point {m.point}"
-        )
-    absorption /= total
+        out = flow[:, k, :k].sum(axis=1)
+        check(out > 0, lambda p: f"zero out-flow from {describe(int(order[k - 1]))}")
+        flow[:, :k, k] /= out[:, None]
+        flow[:, :k, :k] += flow[:, :k, k, None] * flow[:, None, k, :k]
+    absorption = flow[:, 0, 1 : 1 + c]
+    total = absorption.sum(axis=1)
+    check(
+        np.abs(total - 1.0) <= 1e-10,
+        lambda p: f"absorption probabilities sum to {float(total[p])!r}",
+    )
+    absorption = absorption / total[:, None]
 
     size = c + len(others)
-    weight = np.zeros(1 + size)
-    weight[1 : 1 + c] = 1.0
+    weight = np.zeros((count, 1 + size))
+    weight[:, 1 : 1 + c] = 1.0
     for k in range(1 + c, 1 + size):
-        weight[k] = weight[:k] @ flow[:k, k]
-    weight = weight[1:]
+        weight[:, k] = np.einsum("pi,pi->p", weight[:, :k], flow[:, :k, k])
+    weight = weight[:, 1:]
     label = label[:size]
-    mass = np.bincount(label, weights=weight, minlength=c)
-    pi = np.zeros(n)
-    pi[order[:size]] = absorption[label] * (weight / mass[label])
+    mass = weight @ (label[:, None] == np.arange(c))
+    pi = np.zeros((count, n))
+    pi[:, order[:size]] = absorption[:, label] * (weight / mass[:, label])
 
-    residual = np.max(np.abs(pi @ m.matrix - pi))
-    if not residual <= RESIDUAL_TOL:
-        raise SingularSystemError(
-            f"limit distribution residual {residual!r} exceeds tolerance at {m.point}"
-        )
-    total = pi.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise SingularSystemError(f"limit distribution sums to {total!r} at {m.point}")
-    return LimitDistribution(pi=pi / total)
+    residual = np.abs(np.einsum("pi,pij->pj", pi, matrix) - pi).max(axis=1)
+    check(
+        residual <= RESIDUAL_TOL,
+        lambda p: f"limit distribution residual {float(residual[p])!r} exceeds tolerance",
+    )
+    total = pi.sum(axis=1)
+    check(
+        np.abs(total - 1.0) <= 1e-10,
+        lambda p: f"limit distribution sums to {float(total[p])!r}",
+    )
+    return pi / total[:, None]
+
+
+def limit_distribution(m: NumericChain) -> LimitDistribution:
+    """Limiting state distribution of one evaluated chain: absorption
+    probability of each closed class from the initial distribution, times
+    the stationary distribution within the class (its Cesaro limit also
+    when the class is periodic).  The batch of one of `limit_distributions`."""
+    pi = limit_distributions(m.matrix[None], m.init[None], [m.point])
+    return LimitDistribution(pi=pi[0])
 
 
 def expected_payoff_exact(

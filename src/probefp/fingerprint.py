@@ -15,17 +15,19 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .automata import PayoffMatrix, PlayerMachine, Probe
 from .chain import (
     ParamChain,
     closed_classes,
     compose,
     evaluate,
-    expected_payoff,
-    limit_distribution,
+    evaluate_points,
+    limit_distributions,
 )
 from .errors import ExpressionSwellError, ReducibleChainError
-from .polyexpr import ParamExpr, RationalFn, exact_div, ratfn_eval
+from .polyexpr import ParamExpr, RationalFn, exact_div, ratfn_eval, ratfn_values
 
 CESARO = "cesaro"
 INTERIOR_OFFSET = "interior_offset"
@@ -46,26 +48,49 @@ AGREEMENT_TOL = 1e-8
 
 GENERIC_POINT = (1.0 / 3.0, 1.0 / 3.0)
 
+# Largest number of transition-matrix cells (points x states^2) solved in
+# one batch; this caps the memory of a batch at a few times 16 MB.
+BATCH_CELLS = 2**21
 
-def _offset_toward_centroid(x: float, y: float) -> tuple[float, float]:
-    on_boundary = x <= BOUNDARY_TOL or y <= BOUNDARY_TOL or x + y >= 1 - BOUNDARY_TOL
-    if not on_boundary:
-        return x, y
+
+def _offset_toward_centroid(x, y):
+    """Points on the triangle's boundary moved OFFSET_EPS toward the centroid
+    (1/3, 1/3); other points unchanged.  Takes floats or arrays."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    on_boundary = (x <= BOUNDARY_TOL) | (y <= BOUNDARY_TOL) | (x + y >= 1 - BOUNDARY_TOL)
     dx = 1.0 / 3.0 - x
     dy = 1.0 / 3.0 - y
-    norm = math.hypot(dx, dy)
-    return x + OFFSET_EPS * dx / norm, y + OFFSET_EPS * dy / norm
+    norm = np.where(on_boundary, np.hypot(dx, dy), 1.0)
+    return (
+        np.where(on_boundary, x + OFFSET_EPS * dx / norm, x)[()],
+        np.where(on_boundary, y + OFFSET_EPS * dy / norm, y)[()],
+    )
+
+
+def _values(chain: ParamChain, xs, ys, boundary_mode: str = CESARO) -> np.ndarray:
+    """Fingerprint values of a composed chain at the points (xs[p], ys[p]),
+    evaluated and solved together, BATCH_CELLS at a time."""
+    if boundary_mode not in BOUNDARY_MODES:
+        raise ValueError(f"unknown boundary mode {boundary_mode!r}")
+    if boundary_mode == INTERIOR_OFFSET:
+        xs, ys = _offset_toward_centroid(xs, ys)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    payoff = chain.payoff_vector()
+    values = np.empty(len(xs))
+    step = max(1, BATCH_CELLS // chain.n_states**2)
+    for start in range(0, len(xs), step):
+        batch = slice(start, start + step)
+        matrix, init = evaluate_points(chain, xs[batch], ys[batch])
+        pi = limit_distributions(matrix, init, np.column_stack((xs[batch], ys[batch])))
+        values[batch] = pi @ payoff
+    return values
 
 
 def value_at(chain: ParamChain, x: float, y: float, boundary_mode: str = CESARO) -> float:
     """Fingerprint value of a composed chain at one parameter point."""
-    if boundary_mode not in BOUNDARY_MODES:
-        raise ValueError(f"unknown boundary mode {boundary_mode!r}")
-    if boundary_mode == INTERIOR_OFFSET:
-        x, y = _offset_toward_centroid(x, y)
-    numeric = evaluate(chain, x, y)
-    pi = limit_distribution(numeric)
-    return expected_payoff(pi, chain.payoff)
+    return float(_values(chain, [x], [y], boundary_mode)[0])
 
 
 def fingerprint_at(
@@ -79,15 +104,29 @@ def fingerprint_at(
     return value_at(compose(player, probe, payoff), x, y, boundary_mode)
 
 
+@dataclass(frozen=True)
+class PointwiseFingerprint:
+    """The fingerprint of one composed chain, solved where it is asked for:
+    at one point by calling it, or at many at once by `values_at`."""
+
+    chain: ParamChain
+    boundary_mode: str = CESARO
+
+    def __call__(self, x: float, y: float) -> float:
+        return value_at(self.chain, x, y, self.boundary_mode)
+
+    def values_at(self, xs, ys) -> np.ndarray:
+        return _values(self.chain, xs, ys, self.boundary_mode)
+
+
 def pointwise_fingerprint(
     player: PlayerMachine,
     probe: Probe,
     payoff: PayoffMatrix,
     boundary_mode: str = CESARO,
-):
-    """A callable (x, y) -> value over one composed chain, for metrics use."""
-    chain = compose(player, probe, payoff)
-    return lambda x, y: value_at(chain, x, y, boundary_mode)
+) -> PointwiseFingerprint:
+    """The fingerprint over one composed chain, for metrics use."""
+    return PointwiseFingerprint(compose(player, probe, payoff), boundary_mode)
 
 
 @dataclass
@@ -174,6 +213,11 @@ class FingerprintGrid:
         return cls(resolution=n, boundary_mode=mode, values=values, meta=meta)
 
 
+def _lattice(n: int) -> np.ndarray:
+    """Nodes (i, j) with i + j <= n, in lexicographic order, as rows."""
+    return np.argwhere(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
+
+
 def fingerprint_grid(
     player: PlayerMachine,
     probe: Probe,
@@ -185,18 +229,19 @@ def fingerprint_grid(
     if n < 1:
         raise ValueError("grid resolution must be >= 1")
     chain = compose(player, probe, payoff)
-    values: dict[tuple[int, int], float] = {}
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            values[(i, j)] = value_at(chain, i / n, j / n, boundary_mode)
+    nodes = _lattice(n)
+    values = _values(chain, nodes[:, 0] / n, nodes[:, 1] / n, boundary_mode)
     low, high = payoff.bounds()
-    for key, v in values.items():
-        if not (float(low) - 1e-9 <= v <= float(high) + 1e-9):
-            raise AssertionError(f"grid value {v} at {key} outside payoff bounds")
+    outside = ~((float(low) - 1e-9 <= values) & (values <= float(high) + 1e-9))
+    if outside.any():
+        p = int(np.argmax(outside))
+        raise AssertionError(
+            f"grid value {values[p]} at {tuple(nodes[p].tolist())} outside payoff bounds"
+        )
     return FingerprintGrid(
         resolution=n,
         boundary_mode=boundary_mode,
-        values=values,
+        values=dict(zip(map(tuple, nodes.tolist()), values.tolist())),
         meta={
             "player": player.name,
             "probe": probe.name,
@@ -220,6 +265,9 @@ class SymbolicFingerprint:
 
     def __call__(self, x: float, y: float) -> float:
         return ratfn_eval(self.fn, x, y)
+
+    def values_at(self, xs, ys) -> np.ndarray:
+        return ratfn_values(self.fn, xs, ys)
 
 
 def _capped(e: ParamExpr) -> ParamExpr:
@@ -318,13 +366,10 @@ def symbolic_fingerprint(
 def _check_agreement(chain: ParamChain, fn: RationalFn) -> float:
     """Max |closed form - numeric| over interior nodes of the validation lattice."""
     n = VALIDATION_N
-    worst = 0.0
-    for i in range(1, n):
-        for j in range(1, n - i):
-            x, y = i / n, j / n
-            symbolic = ratfn_eval(fn, x, y)
-            numeric = value_at(chain, x, y, CESARO)
-            worst = max(worst, abs(symbolic - numeric))
+    nodes = _lattice(n)
+    nodes = nodes[(nodes[:, 0] > 0) & (nodes[:, 1] > 0) & (nodes.sum(axis=1) < n)]
+    xs, ys = nodes[:, 0] / n, nodes[:, 1] / n
+    worst = float(np.max(np.abs(ratfn_values(fn, xs, ys) - _values(chain, xs, ys))))
     if worst > AGREEMENT_TOL:
         raise AssertionError(
             f"closed form disagrees with numeric path by {worst} (tol {AGREEMENT_TOL})"
@@ -354,16 +399,13 @@ def boundary_discrepancy(
     if n < 2:
         raise ValueError("boundary discrepancy needs resolution >= 2")
     chain = compose(player, probe, payoff)
-    per_point: dict[tuple[int, int], float] = {}
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            if i != 0 and j != 0 and i + j != n:
-                continue
-            x, y = i / n, j / n
-            gap = abs(
-                value_at(chain, x, y, CESARO) - value_at(chain, x, y, INTERIOR_OFFSET)
-            )
-            per_point[(i, j)] = gap
+    nodes = _lattice(n)
+    nodes = nodes[(nodes[:, 0] == 0) | (nodes[:, 1] == 0) | (nodes.sum(axis=1) == n)]
+    xs, ys = nodes[:, 0] / n, nodes[:, 1] / n
+    offset_xs, offset_ys = _offset_toward_centroid(xs, ys)
+    values = _values(chain, np.concatenate((xs, offset_xs)), np.concatenate((ys, offset_ys)))
+    gaps = np.abs(values[: len(nodes)] - values[len(nodes) :])
+    per_point = dict(zip(map(tuple, nodes.tolist()), gaps.tolist()))
     max_point = max(per_point, key=lambda k: (per_point[k], -k[0], -k[1]))
     return BoundaryDiscrepancyReport(
         per_point=per_point,

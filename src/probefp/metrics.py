@@ -21,57 +21,82 @@ Evaluable = Callable[[float, float], float]
 DEFAULT_QUADRATURE_N = 200
 
 
-def make_grid_evaluator(grid: FingerprintGrid) -> Evaluable:
-    """Extend a lattice fingerprint to arbitrary triangle points by
-    barycentric interpolation on its own subtriangles."""
-    n = grid.resolution
-    values = grid.values
+class _GridEvaluator:
+    """A lattice fingerprint extended to arbitrary triangle points by
+    barycentric interpolation on its own subtriangles: at one point by
+    calling it, or at many at once by `values_at`."""
 
-    def interpolate(x: float, y: float) -> float:
-        u = x * n
-        v = y * n
-        i = min(int(u), n - 1)
-        j = min(int(v), n - 1)
-        if i + j > n - 1:
-            # point sits on (or within roundoff of) the hypotenuse; use the
-            # boundary cell that contains it
-            j = n - 1 - i
+    def __init__(self, grid: FingerprintGrid):
+        n = self.resolution = grid.resolution
+        # nodes outside the triangle stay 0; they are read but never used
+        self.table = np.zeros((n + 1, n + 1))
+        for i, j in grid.node_points():
+            self.table[i, j] = grid.values[(i, j)]
+
+    def __call__(self, x: float, y: float) -> float:
+        return float(self.values_at([x], [y])[0])
+
+    def values_at(self, xs, ys) -> np.ndarray:
+        n, table = self.resolution, self.table
+        u = np.asarray(xs, dtype=float) * n
+        v = np.asarray(ys, dtype=float) * n
+        i = np.minimum(u.astype(int), n - 1)
+        j = np.minimum(v.astype(int), n - 1)
+        # a point on (or within roundoff of) the hypotenuse uses the
+        # boundary cell that contains it
+        j = np.where(i + j > n - 1, n - 1 - i, j)
         fu = u - i
         fv = v - j
-        if fu + fv <= 1.0 or i + j == n - 1:
-            return (
-                (1.0 - fu - fv) * values[(i, j)]
-                + fu * values[(i + 1, j)]
-                + fv * values[(i, j + 1)]
-            )
-        return (
-            (1.0 - fv) * values[(i + 1, j)]
-            + (1.0 - fu) * values[(i, j + 1)]
-            + (fu + fv - 1.0) * values[(i + 1, j + 1)]
+        lower = (1.0 - fu - fv) * table[i, j] + fu * table[i + 1, j] + fv * table[i, j + 1]
+        upper = (
+            (1.0 - fv) * table[i + 1, j]
+            + (1.0 - fu) * table[i, j + 1]
+            + (fu + fv - 1.0) * table[i + 1, j + 1]
         )
+        return np.where((fu + fv <= 1.0) | (i + j == n - 1), lower, upper)
 
-    return interpolate
+
+def make_grid_evaluator(grid: FingerprintGrid) -> _GridEvaluator:
+    """Extend a lattice fingerprint to arbitrary triangle points by
+    barycentric interpolation on its own subtriangles."""
+    return _GridEvaluator(grid)
 
 
-def _centroids(n: int):
-    """Centroids of the n-subdivision, upward then downward per cell."""
-    for i in range(n):
-        for j in range(n - i):
-            yield (3 * i + 1) / (3 * n), (3 * j + 1) / (3 * n)
-            if i + j < n - 1:
-                yield (3 * i + 2) / (3 * n), (3 * j + 2) / (3 * n)
+def _centroids(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centroids of the n-subdivision: the upward subtriangle of every cell
+    (i, j), i + j < n, then the downward ones, each in lexicographic order."""
+    i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
+    down = i + j < n - 1
+    xs = np.concatenate(((3 * i + 1) / (3 * n), (3 * i[down] + 2) / (3 * n)))
+    ys = np.concatenate(((3 * j + 1) / (3 * n), (3 * j[down] + 2) / (3 * n)))
+    return xs, ys
+
+
+def _sample(f: Evaluable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """f at every point: one `values_at` call where f has one, else one call
+    per point."""
+    if hasattr(f, "values_at"):
+        return np.asarray(f.values_at(xs, ys), dtype=float)
+    return np.array([f(x, y) for x, y in zip(xs.tolist(), ys.tolist())], dtype=float)
+
+
+def _distance(a: np.ndarray, b: np.ndarray, n: int) -> float:
+    """Centroid-rule L2 distance between two sample rows; (a - b)^2 equals
+    (b - a)^2 exactly, so the result is symmetric and zero for equal rows."""
+    diff = a - b
+    return float(np.sqrt(np.sum(diff * diff) * (1.0 / (2.0 * n * n))))
+
+
+def _check_resolution(n: int) -> None:
+    if n < 1:
+        raise ValueError("quadrature resolution must be >= 1")
 
 
 def l2_distance(f: Evaluable, g: Evaluable, n: int = DEFAULT_QUADRATURE_N) -> float:
     """Quadrature approximation of the L2 distance between two fingerprints."""
-    if n < 1:
-        raise ValueError("quadrature resolution must be >= 1")
-    cell_area = 1.0 / (2.0 * n * n)
-    total = 0.0
-    for cx, cy in _centroids(n):
-        diff = f(cx, cy) - g(cx, cy)
-        total += diff * diff
-    return float(np.sqrt(total * cell_area))
+    _check_resolution(n)
+    xs, ys = _centroids(n)
+    return _distance(_sample(f, xs, ys), _sample(g, xs, ys), n)
 
 
 @dataclass
@@ -97,20 +122,24 @@ class DistanceMatrix:
 def distance_matrix(
     corpus: Sequence[tuple[str, Evaluable]], n: int = DEFAULT_QUADRATURE_N
 ) -> DistanceMatrix:
-    """Pairwise distances; the upper triangle is computed once and mirrored."""
+    """Pairwise distances.  Each source is sampled once at every centroid;
+    the upper triangle is computed from those samples and mirrored."""
     names = tuple(name for name, _ in corpus)
     if len(set(names)) != len(names):
         raise ValueError("fingerprint names must be unique")
+    _check_resolution(n)
+    xs, ys = _centroids(n)
+    samples = []
+    for name, f in corpus:
+        try:
+            samples.append(_sample(f, xs, ys))
+        except Exception as exc:
+            # annotate with the offending source, keeping the exception type
+            exc.args = (f"fingerprint {name}: {exc}",)
+            raise
     size = len(corpus)
     d = np.zeros((size, size))
     for i in range(size):
         for j in range(i + 1, size):
-            try:
-                value = l2_distance(corpus[i][1], corpus[j][1], n)
-            except Exception as exc:
-                # annotate with the offending pair, keeping the exception type
-                exc.args = (f"distance({names[i]}, {names[j]}): {exc}",)
-                raise
-            d[i, j] = value
-            d[j, i] = value
+            d[i, j] = d[j, i] = _distance(samples[i], samples[j], n)
     return DistanceMatrix(names=names, d=d, meta={"quadrature_n": n})

@@ -28,7 +28,9 @@ import random
 import warnings
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ExactDivisionError, ExprSyntaxError, SingularPointError
 
@@ -279,6 +281,45 @@ def _wrap(terms: dict[Exponents, Fraction]) -> ParamExpr:
     out._terms = terms
     out._eval_cache = None
     return out
+
+
+class PolyTable:
+    """Polynomials compiled for evaluation at many points at once.
+
+    The monomials of all the polynomials form one basis, and column e of the
+    coefficient matrix holds polynomial e's coefficients in it, so the values
+    at N points are one (N x K) @ (K x E) product.  The cancellation rule of
+    `ParamExpr.evaluate` carries over: for the polynomials whose terms have
+    both signs, |monomials| @ |coefficients| gives the summed term
+    magnitudes, and a value below 1/16 of its magnitude is computed exactly
+    and rounded once.
+    """
+
+    def __init__(self, exprs: Sequence[ParamExpr]):
+        self.exprs = tuple(exprs)
+        basis = sorted({key for e in self.exprs for key in e._terms}, key=_grlex, reverse=True)
+        row = {key: k for k, key in enumerate(basis)}
+        self.coeffs = np.zeros((len(basis), len(self.exprs)))
+        for col, e in enumerate(self.exprs):
+            for key, coeff in e._terms.items():
+                self.coeffs[row[key], col] = float(coeff)
+        self.powers = np.array(basis, dtype=float).reshape(-1, 2).T
+        self.mixed = np.flatnonzero(
+            (self.coeffs > 0).any(axis=0) & (self.coeffs < 0).any(axis=0)
+        )
+
+    def evaluate(self, xs, ys) -> np.ndarray:
+        """Values (N, E) of every polynomial at the points (xs[p], ys[p])."""
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        monomials = xs[:, None] ** self.powers[0] * ys[:, None] ** self.powers[1]
+        values = monomials @ self.coeffs
+        if self.mixed.size:
+            magnitude = np.abs(monomials) @ np.abs(self.coeffs[:, self.mixed])
+            points, cols = np.nonzero(np.abs(values[:, self.mixed]) < magnitude / 16)
+            for p, e in zip(points.tolist(), self.mixed[cols].tolist()):
+                values[p, e] = float(self.exprs[e].evaluate_exact(float(xs[p]), float(ys[p])))
+        return values
 
 
 def _render_term(coeff: Fraction, key: Exponents) -> str:
@@ -552,6 +593,17 @@ def ratfn_eval(f: RationalFn, x: float, y: float) -> float:
     if abs(den_value) < threshold:
         raise SingularPointError(x, y)
     return f.num.evaluate(x, y) / den_value
+
+
+def ratfn_values(f: RationalFn, xs, ys) -> np.ndarray:
+    """`ratfn_eval` at many points at once; a SingularPointError names the
+    first point where the denominator vanishes."""
+    num, den = PolyTable([f.num, f.den]).evaluate(xs, ys).T
+    vanishes = np.abs(den) < DEN_ZERO_RTOL * (1.0 + float(f.den.max_abs_coeff()))
+    if vanishes.any():
+        p = int(np.argmax(vanishes))
+        raise SingularPointError(float(np.asarray(xs)[p]), float(np.asarray(ys)[p]))
+    return num / den
 
 
 def ratfn_equiv(f: RationalFn, g: RationalFn) -> bool:

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the production solvers: the Cesaro
 oracle uses matrix powers, the corner oracle walks deterministic cycles with
 exact rationals, the integration oracle uses closed-form monomial integrals
-over the triangle, and the determinant oracle is a general pivoting Bareiss
-elimination.
+over the triangle, the determinant oracle is a general pivoting Bareiss
+elimination, and the fingerprint oracle solves one point at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +17,17 @@ from fractions import Fraction
 import numpy as np
 
 from probefp.automata import PayoffMatrix, PlayerMachine, Probe, validate_probe
+from probefp.chain import (
+    ENTRY_TOL,
+    RESIDUAL_TOL,
+    ROW_SUM_TOL,
+    SIMPLEX_TOL,
+    SUPPORT_CUTOFF,
+    NumericChain,
+    ParamChain,
+)
+from probefp.errors import NegativeWeightError, OutOfSimplexError, SingularSystemError
+from probefp.fingerprint import BOUNDARY_TOL, OFFSET_EPS
 from probefp.polyexpr import ParamExpr, exact_div
 
 
@@ -87,6 +98,104 @@ def support_classes(support) -> list[tuple[tuple[int, ...], bool]]:
         assigned.update(members)
         classes.append((members, reach[s] <= set(members)))
     return classes
+
+
+# ---------------------------------------------------------------------------
+# Fingerprints one point at a time
+# ---------------------------------------------------------------------------
+
+
+def evaluate_point(chain: ParamChain, x: float, y: float) -> NumericChain:
+    """The chain at one point, one `ParamExpr.evaluate` call per weight,
+    checked, clipped and normalised row by row."""
+    if x < -SIMPLEX_TOL or y < -SIMPLEX_TOL or x + y > 1 + SIMPLEX_TOL:
+        raise OutOfSimplexError(x, y)
+    n = chain.n_states
+    matrix = np.zeros((n, n))
+    for s, row in enumerate(chain.trans):
+        for t, weight in row.items():
+            matrix[s, t] = weight.evaluate(x, y)
+    init = np.array([w.evaluate(x, y) for w in chain.init])
+    for label, arr in (("transition", matrix), ("initial", init)):
+        if arr.min() < -ENTRY_TOL:
+            raise NegativeWeightError(f"{label} probability {arr.min()} below tolerance", (x, y))
+    np.clip(matrix, 0.0, None, out=matrix)
+    np.clip(init, 0.0, None, out=init)
+    row_sums = matrix.sum(axis=1)
+    if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
+        raise NegativeWeightError("transition row sum off", (x, y))
+    if abs(init.sum() - 1.0) > ROW_SUM_TOL:
+        raise NegativeWeightError("initial distribution sum off", (x, y))
+    payoff = np.array([float(p) for p in chain.payoff])
+    return NumericChain((x, y), matrix / row_sums[:, None], init / init.sum(), payoff)
+
+
+def _censor(a: np.ndarray, k: int) -> None:
+    """One GTH step: remove state k from the flow matrix a[:k+1, :k+1],
+    taking its out-flow as the sum of its off-diagonal entries."""
+    out = a[k, :k].sum()
+    if not out > 0:
+        raise SingularSystemError(f"zero out-flow from flow state {k}")
+    a[:k, k] /= out
+    a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+
+
+def limit_distribution_point(m: NumericChain) -> np.ndarray:
+    """Limit distribution of one evaluated chain: classes by breadth-first
+    search, then one GTH pass over [start, class heads, other closed-class
+    states, transient states] whose start row ends up holding the
+    absorption probabilities, then back-substitution for each class's
+    stationary vector."""
+    n = m.n_states
+    classes = support_classes((m.matrix > SUPPORT_CUTOFF).tolist())
+    closed = [states for states, is_closed in classes if is_closed]
+    c = len(closed)
+    others = [s for states in closed for s in states[1:]]
+    transient = sorted(s for states, is_closed in classes if not is_closed for s in states)
+    order = np.array([states[0] for states in closed] + others + transient)
+    label = np.full(n, -1)
+    for j, states in enumerate(closed):
+        label[list(states)] = j
+    label = label[order]
+
+    flow = np.zeros((1 + n, 1 + n))
+    flow[0, 1:] = m.init[order]
+    keep = (label[:, None] == label) | (label[:, None] < 0)
+    flow[1:, 1:] = np.where(keep, m.matrix[np.ix_(order, order)], 0.0)
+    for k in range(n, c, -1):
+        _censor(flow, k)
+    absorption = flow[0, 1 : 1 + c] / flow[0, 1 : 1 + c].sum()
+
+    size = c + len(others)
+    weight = np.zeros(1 + size)
+    weight[1 : 1 + c] = 1.0
+    for k in range(1 + c, 1 + size):
+        weight[k] = weight[:k] @ flow[:k, k]
+    weight = weight[1:]
+    label = label[:size]
+    mass = np.bincount(label, weights=weight, minlength=c)
+    pi = np.zeros(n)
+    pi[order[:size]] = absorption[label] * (weight / mass[label])
+    if not np.max(np.abs(pi @ m.matrix - pi)) <= RESIDUAL_TOL:
+        raise SingularSystemError("limit distribution residual exceeds tolerance")
+    return pi / pi.sum()
+
+
+def offset_point(x: float, y: float) -> tuple[float, float]:
+    """A boundary point moved OFFSET_EPS toward the centroid (1/3, 1/3)."""
+    if x > BOUNDARY_TOL and y > BOUNDARY_TOL and x + y < 1 - BOUNDARY_TOL:
+        return x, y
+    dx, dy = 1.0 / 3.0 - x, 1.0 / 3.0 - y
+    norm = math.hypot(dx, dy)
+    return x + OFFSET_EPS * dx / norm, y + OFFSET_EPS * dy / norm
+
+
+def value_at_point(chain: ParamChain, x: float, y: float, offset: bool = False) -> float:
+    """The fingerprint at one point, solved on its own."""
+    if offset:
+        x, y = offset_point(x, y)
+    m = evaluate_point(chain, x, y)
+    return float(limit_distribution_point(m) @ m.payoff)
 
 
 # ---------------------------------------------------------------------------

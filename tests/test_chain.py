@@ -27,6 +27,7 @@ from probefp.chain import (
     expected_payoff,
     expected_payoff_exact,
     limit_distribution,
+    limit_distributions,
 )
 from probefp.errors import (
     AlphabetMismatchError,
@@ -296,6 +297,23 @@ def test_gth_zero_out_flow_raises(monkeypatch):
         limit_distribution(m)
     message = str(err.value)
     assert "state 1" in message and "[0, 1]" in message and "(0.0, 0.0)" in message
+
+
+def test_batched_zero_out_flow_names_the_failing_point(monkeypatch):
+    # three points, two support patterns; the misreported single class is
+    # right for the mixing points and leaves the absorbing one stuck
+    mixing = [[0.5, 0.5], [0.25, 0.75]]
+    absorbing = [[1.0, 0.0], [0.0, 1.0]]
+    merged = ClassDecomposition(classes=(ChainClass(states=(0, 1), closed=True),))
+    monkeypatch.setattr(chain_module, "closed_classes", lambda _: merged)
+    with pytest.raises(SingularSystemError) as err:
+        limit_distributions(
+            np.array([mixing, mixing, absorbing]),
+            np.full((3, 2), 0.5),
+            [(0.1, 0.2), (0.3, 0.4), (0.5, 0.25)],
+        )
+    message = str(err.value)
+    assert "state 1" in message and "[0, 1]" in message and "(0.5, 0.25)" in message
 
 
 def test_sub_cutoff_flow_does_not_leak_between_classes():

@@ -3,17 +3,25 @@ from fractions import Fraction
 
 import pytest
 
+import probefp.chain as chain_module
 import probefp.fingerprint as fingerprint_module
 from oracles import (
     bareiss_det,
     cycle_average_payoff,
+    evaluate_point,
     random_oracle_pairs,
     random_player,
     strongly_connected_player,
+    value_at_point,
 )
-from probefp.automata import joss_ann, parse_probe
-from probefp.chain import ChainClass, ClassDecomposition, compose
-from probefp.errors import ExpressionSwellError, ReducibleChainError
+from probefp.automata import joss_ann, parse_probe, validate_probe
+from probefp.chain import SUPPORT_CUTOFF, ChainClass, ClassDecomposition, compose
+from probefp.errors import (
+    ExpressionSwellError,
+    NegativeWeightError,
+    NumericError,
+    ReducibleChainError,
+)
 from probefp.fingerprint import (
     CESARO,
     INTERIOR_OFFSET,
@@ -48,6 +56,18 @@ init D 1 : 1/2
 0 D -> C 0 : 1
 1 C -> D 1 : 1
 1 D -> D 1 : 1
+"""
+
+
+# Probe whose C-outcome weight (x - 1/40)^2 - 1/6400 is negative only for
+# 1/80 < x < 3/80, strictly between the nodes of validate_probe's lattice.
+DIP_PROBE = """probe DIP
+alphabet C D
+init C 0 : 1
+0 C -> C 0 : (x - 1/40)^2 - 1/6400
+0 C -> D 0 : 1 - (x - 1/40)^2 + 1/6400
+0 D -> C 0 : 1 - y
+0 D -> D 0 : y
 """
 
 
@@ -301,3 +321,100 @@ def test_cycle_oracle_pavlov_values(players, payoff):
     assert cycle_average_payoff(players["pavlov"], "D", payoff) == Fraction(1, 2)
     assert cycle_average_payoff(players["grim"], "D", payoff) == 1
     assert cycle_average_payoff(players["alld"], "C", payoff) == 5
+
+
+# -- batched solves against the per-point oracle --------------------------------
+
+
+def _oracle_grid(chain, n, offset):
+    return {
+        (i, j): value_at_point(chain, i / n, j / n, offset)
+        for i in range(n + 1)
+        for j in range(n + 1 - i)
+    }
+
+
+def test_grids_match_per_point_oracle(players, payoff):
+    for player, probe in bundled_pairs(players) + random_oracle_pairs():
+        chain = compose(player, probe, payoff)
+        for mode in (CESARO, INTERIOR_OFFSET):
+            for n in (14, 20):
+                try:
+                    expected = _oracle_grid(chain, n, mode == INTERIOR_OFFSET)
+                except NumericError as exc:
+                    with pytest.raises(type(exc)):
+                        fingerprint_grid(player, probe, payoff, n, mode)
+                    continue
+                grid = fingerprint_grid(player, probe, payoff, n, mode)
+                for node, value in expected.items():
+                    assert abs(grid.values[node] - value) <= 1e-12
+
+
+def test_grim_grid_classifies_once_per_support_pattern(players, ja_tft, payoff, monkeypatch):
+    n = 100
+    chain = compose(players["grim"], ja_tft, payoff)
+    patterns = {
+        (evaluate_point(chain, i / n, j / n).matrix > SUPPORT_CUTOFF).tobytes()
+        for i in range(n + 1)
+        for j in range(n + 1 - i)
+    }
+    calls = []
+    classify = chain_module.closed_classes
+
+    def counting(m):
+        calls.append(m.point)
+        return classify(m)
+
+    monkeypatch.setattr(chain_module, "closed_classes", counting)
+    grid = fingerprint_grid(players["grim"], ja_tft, payoff, n)
+    assert len(calls) == len(patterns) < 10
+    for node, value in _oracle_grid(chain, n, False).items():
+        assert abs(grid.values[node] - value) <= 1e-12
+
+
+def test_boundary_discrepancy_matches_per_point_oracle(players, payoff):
+    n = 10
+    for player, probe in bundled_pairs(players):
+        chain = compose(player, probe, payoff)
+        report = boundary_discrepancy(player, probe, payoff, n)
+        for (i, j), gap in report.per_point.items():
+            x, y = i / n, j / n
+            expected = abs(value_at_point(chain, x, y) - value_at_point(chain, x, y, True))
+            assert abs(gap - expected) <= 1e-12
+
+
+def test_agreement_check_matches_per_point_oracle(players, payoff):
+    n = fingerprint_module.VALIDATION_N
+    for player, probe in bundled_pairs(players):
+        try:
+            result = symbolic_fingerprint(player, probe, payoff)
+        except ReducibleChainError:
+            continue
+        chain = compose(player, probe, payoff)
+        worst = max(
+            abs(ratfn_eval(result.fn, i / n, j / n) - value_at_point(chain, i / n, j / n))
+            for i in range(1, n)
+            for j in range(1, n - i)
+        )
+        assert abs(result.agreement_max_error - worst) <= 1e-12
+
+
+def test_negative_weight_between_validation_nodes_names_point_and_row(players, payoff):
+    probe = parse_probe(DIP_PROBE)
+    assert validate_probe(probe).ok
+    with pytest.raises(NegativeWeightError) as err:
+        fingerprint_grid(players["tft"], probe, payoff, 40)
+    assert err.value.point == (0.025, 0.0)
+    message = str(err.value)
+    assert "transition probability -0.0001562" in message and "in row 0 " in message
+
+
+def test_batch_error_names_the_failing_point(players, payoff):
+    chain = compose(players["tft"], parse_probe(DIP_PROBE), payoff)
+    xs = [0.5, 0.1, 0.025, 0.03, 0.2]
+    ys = [0.25, 0.3, 0.4, 0.1, 0.0]
+    with pytest.raises(NegativeWeightError) as err:
+        chain_module.evaluate_points(chain, xs, ys)
+    assert err.value.point == (0.025, 0.4)
+    matrix, _ = chain_module.evaluate_points(chain, xs[:2] + xs[4:], ys[:2] + ys[4:])
+    assert matrix.shape == (3, chain.n_states, chain.n_states)

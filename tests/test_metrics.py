@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from oracles import exact_l2_distance, random_polynomial
+from probefp.automata import joss_ann
 from probefp.fingerprint import fingerprint_grid, pointwise_fingerprint, symbolic_fingerprint
 from probefp.metrics import (
     DistanceMatrix,
+    _centroids,
     distance_matrix,
     l2_distance,
     make_grid_evaluator,
@@ -136,3 +138,62 @@ def test_distance_matrix_csv_layout():
     assert lines[0] == "name,A,B"
     assert lines[1] == "A,0,1.5"
     assert lines[2] == "B,1.5,0"
+
+
+class CountingSource:
+    """A pointwise source that counts the points it is evaluated at."""
+
+    def __init__(self, source):
+        self.source = source
+        self.points = 0
+
+    def __call__(self, x, y):
+        self.points += 1
+        return self.source(x, y)
+
+    def values_at(self, xs, ys):
+        self.points += len(xs)
+        return self.source.values_at(xs, ys)
+
+
+def test_distance_matrix_samples_each_source_once_per_centroid(players, ja_tft, payoff):
+    n = 12
+    sources = [
+        (name, CountingSource(pointwise_fingerprint(players[name], ja_tft, payoff)))
+        for name in ("allc", "tft", "grim", "pavlov")
+    ]
+    matrix = distance_matrix(sources, n)
+    for _, source in sources:
+        assert source.points == n * n
+    for i, (_, f) in enumerate(sources):
+        for j, (_, g) in enumerate(sources):
+            assert matrix.d[i, j] == pytest.approx(l2_distance(f.source, g.source, n), abs=1e-15)
+
+
+def test_mixed_corpus_is_symmetric_with_zero_diagonal(players, ja_tft, payoff):
+    grid = fingerprint_grid(players["pavlov"], ja_tft, payoff, 10)
+    corpus = [
+        ("tft", pointwise_fingerprint(players["tft"], ja_tft, payoff)),
+        ("grim", pointwise_fingerprint(players["grim"], joss_ann(players["pavlov"]), payoff)),
+        ("pavlov grid", make_grid_evaluator(grid)),
+        ("allc closed", symbolic_fingerprint(players["allc"], ja_tft, payoff)),
+        ("alld plain", lambda x, y: 1 + 4 * x),
+    ]
+    matrix = distance_matrix(corpus, 30)
+    assert np.array_equal(matrix.d, matrix.d.T)
+    assert np.all(np.diag(matrix.d) == 0.0)
+    for _, f in corpus:
+        assert l2_distance(f, f, 30) == 0.0
+    xs, ys = _centroids(30)
+    for _, f in corpus[:4]:
+        expected = [f(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        np.testing.assert_allclose(f.values_at(xs, ys), expected, rtol=1e-13, atol=1e-13)
+
+
+def test_distance_matrix_rejects_resolution_below_one():
+    corpus = [("A", lambda x, y: 0.0), ("B", lambda x, y: 1.0)]
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="quadrature resolution must be >= 1"):
+            distance_matrix(corpus, n)
+        with pytest.raises(ValueError, match="quadrature resolution must be >= 1"):
+            l2_distance(*(f for _, f in corpus), n)

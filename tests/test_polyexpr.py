@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from probefp.errors import ExactDivisionError, ExprSyntaxError, SingularPointError
 from probefp.polyexpr import (
     ParamExpr,
+    PolyTable,
     RationalFn,
     exact_div,
     expr_eval,
     expr_parse,
     ratfn_equiv,
     ratfn_eval,
+    ratfn_values,
 )
 
 F = Fraction
@@ -131,6 +133,26 @@ def test_evaluate_rounds_cancelling_terms_once():
     weight = expr_parse("1/3 - 1/3*x - 2/15*y")
     x, y = 0.999999105572809, 4.472135954999578e-07
     assert weight.evaluate(x, y) == float(weight.evaluate_exact(x, y))
+    assert PolyTable([weight]).evaluate([x], [y])[0, 0] == float(weight.evaluate_exact(x, y))
+
+
+@given(
+    st.lists(_polys, min_size=1, max_size=4),
+    st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=5),
+)
+@settings(max_examples=100, deadline=None)
+def test_poly_table_keeps_the_cancellation_bound(polys, points):
+    # unflagged values have |value| >= magnitude / 16 and a float sum errs by
+    # a few ulps of the magnitude per term; flagged values are rounded once;
+    # products that underflow lose relative accuracy, hence the 1e-290
+    xs, ys = (list(axis) for axis in zip(*points))
+    values = PolyTable(polys).evaluate(xs, ys)
+    for p, (x, y) in enumerate(points):
+        for e, poly in enumerate(polys):
+            exact = poly.evaluate_exact(x, y)
+            bound = 16 * (poly.term_count() + 3) * 2.0**-53 * abs(exact) + F(1e-290)
+            assert abs(F(values[p, e]) - exact) <= bound
+            assert abs(values[p, e] - poly.evaluate(x, y)) <= 2 * float(bound)
 
 
 @given(_polys)
@@ -166,6 +188,10 @@ def test_ratfn_eval_examples():
     with pytest.raises(SingularPointError) as err:
         ratfn_eval(g, 0.0, 0.0)
     assert err.value.point == (0.0, 0.0)
+    assert ratfn_values(f, [0.5, 0.25], [0.1, 0.5]).tolist() == [3.0, 2.0]
+    with pytest.raises(SingularPointError) as err:
+        ratfn_values(g, [0.5, 0.0, 0.0], [0.0, 0.25, 0.0])
+    assert err.value.point == (0.0, 0.25)
 
 
 def test_ratfn_zero_denominator_rejected():

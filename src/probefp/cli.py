@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .automata import PayoffMatrix, joss_ann, parse_player, parse_probe
+from .chain import compose
 from .errors import (
     ExpressionSwellError,
     InputError,
@@ -31,10 +32,10 @@ from .fingerprint import (
     CESARO,
     INTERIOR_OFFSET,
     FingerprintGrid,
-    fingerprint_at,
     fingerprint_grid,
     pointwise_fingerprint,
     symbolic_fingerprint,
+    value_at,
 )
 from .metrics import distance_matrix, make_grid_evaluator
 from .simulate import RNG_ID, default_burn_in, estimate
@@ -363,6 +364,7 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"point ({x}, {y}) is outside the parameter triangle")
 
     burn_in = config.burn_in if config.burn_in is not None else default_burn_in(config.rounds)
+    chain = compose(player, probe, payoff)
     result = estimate(
         player,
         probe,
@@ -373,8 +375,9 @@ def _cmd_simulate(args) -> int:
         burn_in=burn_in,
         replicates=config.replicates,
         seed=config.seed,
+        chain=chain,
     )
-    exact = fingerprint_at(player, probe, payoff, x, y, config.boundary_mode)
+    exact = value_at(chain, x, y, config.boundary_mode)
     if result.stderr > 0:
         z = (result.mean - exact) / result.stderr
     else:

@@ -27,7 +27,17 @@ from .chain import (
     limit_distributions,
 )
 from .errors import ExpressionSwellError, ReducibleChainError
-from .polyexpr import ParamExpr, RationalFn, exact_div, ratfn_eval, ratfn_values
+from .polyexpr import (
+    IntTerms,
+    ParamExpr,
+    RationalFn,
+    _from_integer,
+    _int_cross,
+    _int_exact_div,
+    _integer_row,
+    ratfn_eval,
+    ratfn_values,
+)
 
 CESARO = "cesaro"
 INTERIOR_OFFSET = "interior_offset"
@@ -270,10 +280,10 @@ class SymbolicFingerprint:
         return ratfn_values(self.fn, xs, ys)
 
 
-def _capped(e: ParamExpr) -> ParamExpr:
-    if e.term_count() > TERM_CAP:
-        raise ExpressionSwellError(e.term_count(), TERM_CAP)
-    return e
+def _capped(terms: IntTerms) -> IntTerms:
+    if len(terms) > TERM_CAP:
+        raise ExpressionSwellError(len(terms), TERM_CAP)
+    return terms
 
 
 def _bareiss_last_rows(
@@ -288,25 +298,31 @@ def _bareiss_last_rows(
     is a nonsingular M-matrix and the minor is a nonzero polynomial: no
     pivot search or row exchange is needed, and every division by the
     previous pivot is exact.  A zero pivot means the system is singular.
+
+    Every row is first scaled to integer coefficients.  That multiplies each
+    determinant by the product of the scales of its rows and leaves the
+    support of every intermediate entry as it is; the elimination then runs
+    in integer arithmetic, and each result is divided by its last row's
+    scale, so the two determinants share the factor of the system rows.
     """
-    a = [row[:] for row in system]
-    tails = [row[:] for row in last_rows]
-    previous = ParamExpr.one()
+    a = [_integer_row(row)[0] for row in system]
+    tails, scales = zip(*map(_integer_row, last_rows))
+    previous = {(0, 0): 1}
     for k, pivot_row in enumerate(a):
         pivot = pivot_row[k]
-        if pivot.is_zero():
+        if not pivot:
             raise ReducibleChainError(
                 "stationary system is singular over the polynomial ring; "
                 "use grid mode instead"
             )
-        for row in a[k + 1 :] + tails:
+        for row in [*a[k + 1 :], *tails]:
             factor = row[k]
             for j in range(k + 1, len(row)):
                 row[j] = _capped(
-                    exact_div(pivot * row[j] - factor * pivot_row[j], previous)
+                    _int_exact_div(_int_cross(pivot, row[j], factor, pivot_row[j]), previous)
                 )
         previous = pivot
-    return [row[-1] for row in tails]
+    return [_from_integer(row[-1], scale) for row, scale in zip(tails, scales)]
 
 
 def symbolic_fingerprint(

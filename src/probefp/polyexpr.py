@@ -24,6 +24,7 @@ Decimal literals are exact rationals (``0.25`` means 25/100).
 
 from __future__ import annotations
 
+import heapq
 import random
 import warnings
 from fractions import Fraction
@@ -502,39 +503,89 @@ def expr_eval(e: ParamExpr, x: float, y: float) -> float:
     return e.evaluate(x, y)
 
 
-def exact_div(a: ParamExpr, b: ParamExpr) -> ParamExpr:
-    """Divide a by b, raising ExactDivisionError unless the division is exact.
+# ---------------------------------------------------------------------------
+# Integer term maps
+# ---------------------------------------------------------------------------
 
-    Leading-term reduction in graded-lex order; used by the fraction-free
-    elimination, where divisions are exact by construction.
+# The closed-form elimination runs on term maps with integer coefficients,
+# {(i, j): int}, after scaling each row of its system to integers: int
+# products and sums cost a fraction of their Fraction counterparts.
+IntTerms = dict[Exponents, int]
+
+
+def _integer_row(row: Sequence[ParamExpr]) -> tuple[list[IntTerms], int]:
+    """The row's polynomials times the lcm of all their coefficient
+    denominators, as integer term maps, and that lcm."""
+    scale = lcm(*(c.denominator for e in row for c in e._terms.values()))
+    return [
+        {key: c.numerator * (scale // c.denominator) for key, c in e._terms.items()}
+        for e in row
+    ], scale
+
+
+def _from_integer(terms: IntTerms, divisor: int) -> ParamExpr:
+    """The polynomial terms / divisor."""
+    return _wrap({key: Fraction(c, divisor) for key, c in terms.items()})
+
+
+def _int_cross(a: IntTerms, b: IntTerms, c: IntTerms, d: IntTerms) -> IntTerms:
+    """a*b - c*d."""
+    out: IntTerms = {}
+    get = out.get
+    for sign, left, right in ((1, a, b), (-1, c, d)):
+        for (i1, j1), c1 in left.items():
+            c1 *= sign
+            for (i2, j2), c2 in right.items():
+                key = (i1 + i2, j1 + j2)
+                out[key] = get(key, 0) + c1 * c2
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def _int_exact_div(a: IntTerms, b: IntTerms) -> IntTerms:
+    """a / b over the integers, raising ExactDivisionError unless the
+    division is exact.
+
+    Leading-term reduction in graded-lex order.  Every reduction step only
+    changes terms below the current leading term, so a heap of the
+    remainder's exponents yields the leading terms in order.
     """
-    if b.is_zero():
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return ParamExpr()
-    lead_b = max(b._terms, key=_grlex)
-    coeff_b = b._terms[lead_b]
-    remainder = dict(a._terms)
-    quotient: dict[Exponents, Fraction] = {}
-    while remainder:
-        lead_r = max(remainder, key=_grlex)
-        qi = lead_r[0] - lead_b[0]
-        qj = lead_r[1] - lead_b[1]
-        if qi < 0 or qj < 0:
+    lead_b = max(b, key=_grlex)
+    coeff_b = b[lead_b]
+    bi, bj = lead_b
+    rest_b = [(i, j, c) for (i, j), c in b.items() if (i, j) != lead_b]
+    remainder = dict(a)
+    # max-heap on (total degree, power of x)
+    heap = [(-i - j, -i) for i, j in remainder]
+    heapq.heapify(heap)
+    quotient: IntTerms = {}
+    while heap:
+        neg_degree, neg_i = heapq.heappop(heap)
+        i = -neg_i
+        j = -neg_degree - i
+        coeff = remainder.pop((i, j))
+        if not coeff:
+            continue
+        qi, qj = i - bi, j - bj
+        qc, rem = divmod(coeff, coeff_b)
+        if qi < 0 or qj < 0 or rem:
+            remainder[(i, j)] = coeff
+            shown = {key: Fraction(c) for key, c in remainder.items() if c}
             raise ExactDivisionError(
-                f"{_wrap(dict(remainder)).render()!r} is not divisible by {b.render()!r}"
+                f"{_wrap(shown).render()!r} is not divisible by "
+                f"{_from_integer(b, 1).render()!r}"
             )
-        qc = remainder[lead_r] / coeff_b
-        key = (qi, qj)
-        quotient[key] = quotient.get(key, Fraction(0)) + qc
-        for (bi, bj), bc in b._terms.items():
-            tkey = (bi + qi, bj + qj)
-            new = remainder.get(tkey, Fraction(0)) - qc * bc
-            if new:
-                remainder[tkey] = new
+        quotient[(qi, qj)] = qc
+        for ri, rj, rc in rest_b:
+            key = (ri + qi, rj + qj)
+            old = remainder.get(key)
+            if old is None:
+                remainder[key] = -qc * rc
+                heapq.heappush(heap, (-key[0] - key[1], -key[0]))
             else:
-                remainder.pop(tkey, None)
-    return _wrap({k: c for k, c in quotient.items() if c})
+                remainder[key] = old - qc * rc
+    return quotient
 
 
 # ---------------------------------------------------------------------------

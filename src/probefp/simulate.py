@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import PayoffMatrix, PlayerMachine, Probe
-from .chain import compose, evaluate
+from .chain import ParamChain, compose, evaluate
 from .errors import OutOfSimplexError
 
 RNG_ID = "numpy-pcg64"
@@ -47,9 +47,7 @@ class _GameTable:
     selection into one searchsorted call.
     """
 
-    def __init__(self, player: PlayerMachine, probe: Probe, payoff: PayoffMatrix,
-                 x: float, y: float):
-        chain = compose(player, probe, payoff)
+    def __init__(self, chain: ParamChain, x: float, y: float):
         numeric = evaluate(chain, x, y)
 
         # Each row of the composed chain lists the probe's outcomes with
@@ -97,9 +95,7 @@ def _run_lanes(
         for lane, gen in enumerate(generators):
             uniforms[lane] = gen.random(span)
         for t in range(span):
-            picks = np.searchsorted(
-                table.boundaries, states + uniforms[:, t], side="right"
-            )
+            picks = table.boundaries.searchsorted(states + uniforms[:, t], side="right")
             states = table.successors[picks]
             traj[:, t] = states
         start = max(burn_in - done, 0)
@@ -130,7 +126,7 @@ def play_once(
     """Mean payoff of one seeded game of `rounds` rounds, skipping the first
     `burn_in` rounds.  Identical inputs give identical output."""
     _check_args(x, y, rounds, burn_in)
-    table = _GameTable(player, probe, payoff, x, y)
+    table = _GameTable(compose(player, probe, payoff), x, y)
     return float(_run_lanes(table, rounds, burn_in, np.array([seed]))[0])
 
 
@@ -144,16 +140,21 @@ def estimate(
     burn_in: int | None = None,
     replicates: int = 16,
     seed: int = 0,
+    *,
+    chain: ParamChain | None = None,
 ) -> SimEstimate:
     """Replicated play_once runs with seeds seed, seed+1, ...; the standard
     error is the sample standard deviation of the replicate means divided by
-    sqrt(replicates)."""
+    sqrt(replicates).  `chain` is the composed joint chain of player, probe
+    and payoff, for a caller that has composed it already."""
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
     if burn_in is None:
         burn_in = default_burn_in(rounds)
     _check_args(x, y, rounds, burn_in)
-    table = _GameTable(player, probe, payoff, x, y)
+    if chain is None:
+        chain = compose(player, probe, payoff)
+    table = _GameTable(chain, x, y)
     seeds = np.array([seed + k for k in range(replicates)])
     means = _run_lanes(table, rounds, burn_in, seeds)
     return SimEstimate(

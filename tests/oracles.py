@@ -26,9 +26,14 @@ from probefp.chain import (
     NumericChain,
     ParamChain,
 )
-from probefp.errors import NegativeWeightError, OutOfSimplexError, SingularSystemError
+from probefp.errors import (
+    ExactDivisionError,
+    NegativeWeightError,
+    OutOfSimplexError,
+    SingularSystemError,
+)
 from probefp.fingerprint import BOUNDARY_TOL, OFFSET_EPS
-from probefp.polyexpr import ParamExpr, exact_div
+from probefp.polyexpr import ParamExpr
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +206,40 @@ def value_at_point(chain: ParamChain, x: float, y: float, offset: bool = False) 
 # ---------------------------------------------------------------------------
 # Determinants over the polynomial ring
 # ---------------------------------------------------------------------------
+
+
+def _grlex(key: tuple[int, int]) -> tuple[int, int]:
+    return (key[0] + key[1], key[0])
+
+
+def exact_div(a: ParamExpr, b: ParamExpr) -> ParamExpr:
+    """Divide a by b over the rationals by leading-term reduction in
+    graded-lex order, raising ExactDivisionError unless the division is
+    exact."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    divisor = b.terms
+    lead_b = max(divisor, key=_grlex)
+    remainder = a.terms
+    quotient: dict[tuple[int, int], Fraction] = {}
+    while remainder:
+        lead_r = max(remainder, key=_grlex)
+        qi = lead_r[0] - lead_b[0]
+        qj = lead_r[1] - lead_b[1]
+        if qi < 0 or qj < 0:
+            raise ExactDivisionError(
+                f"{ParamExpr(remainder).render()!r} is not divisible by {b.render()!r}"
+            )
+        qc = remainder[lead_r] / divisor[lead_b]
+        quotient[(qi, qj)] = quotient.get((qi, qj), Fraction(0)) + qc
+        for (bi, bj), bc in divisor.items():
+            key = (bi + qi, bj + qj)
+            new = remainder.get(key, Fraction(0)) - qc * bc
+            if new:
+                remainder[key] = new
+            else:
+                remainder.pop(key, None)
+    return ParamExpr(quotient)
 
 
 def bareiss_det(matrix: list[list[ParamExpr]]) -> ParamExpr:

@@ -5,8 +5,11 @@ import shutil
 
 import pytest
 
+import probefp.cli as cli_module
 import probefp.fingerprint as fingerprint_module
+import probefp.simulate as simulate_module
 from probefp import bundled_strategy_path
+from probefp.chain import compose
 from probefp.cli import build_parser, main
 
 BAD_PROBE = """probe BADSUM
@@ -198,6 +201,24 @@ def test_simulate_report(workdir):
     assert doc["exact_fingerprint"] == pytest.approx(2.25, abs=1e-12)
     assert abs(doc["z_score"]) <= 4
     assert doc["estimate"]["seed"] == 42
+
+
+def test_simulate_composes_the_chain_once(workdir, monkeypatch):
+    calls = []
+
+    def counting(player, probe, payoff):
+        calls.append(player.name)
+        return compose(player, probe, payoff)
+
+    for module in (cli_module, fingerprint_module, simulate_module):
+        monkeypatch.setattr(module, "compose", counting, raising=False)
+    code = main([
+        "simulate", str(workdir / "tft.player"), "0.3", "0.2",
+        "--joss-ann", str(workdir / "tft.player"), "--rounds", "2000",
+        "-o", str(workdir / "sim.json"),
+    ])
+    assert code == 0
+    assert calls == ["TFT"]
 
 
 def test_simulate_deterministic_pair_reports_zero_stderr(workdir):

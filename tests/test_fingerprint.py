@@ -207,6 +207,47 @@ def test_closed_forms_match_pivoting_determinant_oracle(players, payoff):
     assert checked == 17 + 8 + 3
 
 
+# Probe whose weights mix denominators (3, 7, 4, 5, 6) within and across
+# rows, so that every row of the stationary system has its own integer scale.
+MIXED_DENOMINATOR_PROBE = """probe MIXED
+alphabet C D
+init C 0 : 0.25
+init D 1 : 3/4
+0 C -> C 0 : 1/3 - 1/3*x
+0 C -> D 1 : 2/3 + 1/3*x - 2/7*y
+0 C -> C 1 : 2/7*y
+0 D -> D 0 : 0.25
+0 D -> C 1 : 3/4 - 1/2*x
+0 D -> D 1 : 1/2*x
+1 C -> C 0 : 1/5 + 2/5*y
+1 C -> D 1 : 4/5 - 2/5*y
+1 D -> C 1 : 1/6 + 1/6*x
+1 D -> D 0 : 5/6 - 1/6*x
+"""
+
+
+def test_closed_forms_with_mixed_denominators_match_oracle(players, payoff):
+    # a rational payoff row scales separately from the normalisation row
+    probe = parse_probe(MIXED_DENOMINATOR_PROBE)
+    rational = payoff.with_overrides([("C", "C", Fraction(7, 2)), ("D", "C", Fraction(16, 3))])
+    for game_payoff in (payoff, rational):
+        for name in ("tft", "pavlov", "allc"):
+            fn = symbolic_fingerprint(players[name], probe, game_payoff).fn
+            assert fn == _reference_closed_form(players[name], probe, game_payoff)
+
+
+def test_symbolic_swell_reports_the_first_entry_over_the_cap(payoff, monkeypatch):
+    # a 34-state chain whose largest intermediate entry has 53 terms; 42 is
+    # the count that elimination over rational coefficients reports, since
+    # scaling rows to integers keeps the support of every entry
+    monkeypatch.setattr(fingerprint_module, "TERM_CAP", 40)
+    rng = random.Random(48)
+    player, probe = strongly_connected_player(rng, 4), joss_ann(random_player(rng, 4))
+    with pytest.raises(ExpressionSwellError) as err:
+        symbolic_fingerprint(player, probe, payoff)
+    assert (err.value.terms, err.value.cap) == (42, 40)
+
+
 def test_symbolic_singular_system_raises(players, payoff, monkeypatch):
     # the probe's two absorbing states make the stationary system singular;
     # the class check is bypassed so that elimination meets the zero pivot

@@ -9,7 +9,7 @@ from probefp.polyexpr import (
     ParamExpr,
     PolyTable,
     RationalFn,
-    exact_div,
+    _int_exact_div,
     expr_eval,
     expr_parse,
     ratfn_equiv,
@@ -170,11 +170,19 @@ def test_render_is_reparseable_text():
 # -- exact division -----------------------------------------------------------
 
 
+def _int(text: str) -> dict:
+    return {key: int(coeff) for key, coeff in expr_parse(text).terms.items()}
+
+
 def test_exact_div():
-    q = exact_div(expr_parse("x^2 - y^2"), expr_parse("x - y"))
-    assert q == expr_parse("x + y")
+    q = _int_exact_div(_int("x^2 - y^2"), _int("x - y"))
+    assert q == _int("x + y")
+    assert _int_exact_div(_int("6*x^2*y - 4*y + 2"), _int("-2")) == _int("-3*x^2*y + 2*y - 1")
     with pytest.raises(ExactDivisionError):
-        exact_div(expr_parse("x^2 + 1"), expr_parse("x - y"))
+        _int_exact_div(_int("x^2 + 1"), _int("x - y"))
+    # exact over the rationals but not over the integers
+    with pytest.raises(ExactDivisionError):
+        _int_exact_div(_int("2*x + 3*y"), _int("2"))
 
 
 # -- rational functions -------------------------------------------------------

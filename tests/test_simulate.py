@@ -5,6 +5,7 @@ import pytest
 
 from oracles import random_player, random_probe
 from probefp.automata import joss_ann
+from probefp.chain import compose
 from probefp.errors import OutOfSimplexError
 from probefp.fingerprint import fingerprint_at
 from probefp.simulate import (
@@ -34,7 +35,7 @@ def test_play_once_is_deterministic(players, ja_tft, payoff):
 
 
 def test_estimate_replicates_match_standalone_runs(players, ja_tft, payoff):
-    table = _GameTable(players["allc"], ja_tft, payoff, 0.25, 0.25)
+    table = _GameTable(compose(players["allc"], ja_tft, payoff), 0.25, 0.25)
     means = _run_lanes(table, 5000, 500, np.array([42, 43, 44]))
     for offset in range(3):
         alone = play_once(players["allc"], ja_tft, payoff, 0.25, 0.25, 5000, 500, 42 + offset)

@@ -23,13 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     PayoffError,
     PlayerFormatError,
     ProbeFormatError,
     ProbeValidationError,
 )
-from .polyexpr import ExprSyntaxError, ParamExpr, expr_parse
+from .polyexpr import ExprSyntaxError, ParamExpr, PolyTable, expr_parse
 
 # Nonnegativity of probe weights is sampled on this lattice over the
 # parameter triangle; affine weights are additionally checked exactly at the
@@ -218,21 +220,25 @@ def validate_probe(probe: Probe) -> ProbeValidationReport:
         report.sum_residuals[key] = one - total
 
     n = VALIDATION_LATTICE_N
-    for key, outcomes in groups:
-        for _, _, weight in outcomes:
-            for i, j in _lattice_points(n):
-                px, py = i / n, j / n
-                value = weight.evaluate(px, py)
-                if value < report.min_weight:
-                    report.min_weight = value
-                    report.min_weight_point = (px, py)
-                if not (-WEIGHT_TOL <= value <= 1 + WEIGHT_TOL):
-                    report.negativity_violations.append((key, (px, py), value))
-            if weight.is_affine():
-                for vx, vy in ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
-                    exact = weight.evaluate_exact(vx, vy)
-                    if exact < 0:
-                        report.vertex_violations.append((key, (vx, vy), exact))
+    points = [(i / n, j / n) for i, j in _lattice_points(n)]
+    weighted = [(key, weight) for key, outcomes in groups for _, _, weight in outcomes]
+    if weighted:
+        # values[e, p] is weight e at lattice point p; row-major order is the
+        # order of the weights, then of the points, as the report lists them.
+        xs, ys = zip(*points)
+        values = PolyTable([weight for _, weight in weighted]).evaluate(xs, ys).T
+        lowest = int(values.argmin())
+        report.min_weight = float(values.flat[lowest])
+        report.min_weight_point = points[lowest % len(points)]
+        outside = ~((-WEIGHT_TOL <= values) & (values <= 1 + WEIGHT_TOL))
+        for e, p in zip(*np.nonzero(outside)):
+            report.negativity_violations.append((weighted[e][0], points[p], float(values[e, p])))
+    for key, weight in weighted:
+        if weight.is_affine():
+            for vx, vy in ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
+                exact = weight.evaluate_exact(vx, vy)
+                if exact < 0:
+                    report.vertex_violations.append((key, (vx, vy), exact))
 
     # Reachability under generic interior parameters: any outcome with a
     # nonzero weight polynomial counts as a support edge.

@@ -194,9 +194,11 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
         js = JointState(player.initial_state, probe_state, player.initial_action, action)
         was_new = js not in index
         s = intern(js)
-        init_weights[s] = init_weights[s] + weight
         if was_new:
+            init_weights[s] = weight
             queue.append(s)
+        else:
+            init_weights[s] = init_weights[s] + weight
 
     rows: list[dict[int, ParamExpr]] = [dict() for _ in states]
     while queue:
@@ -215,7 +217,7 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
                 rows.append(dict())
                 queue.append(t)
             row = rows[s]
-            row[t] = row.get(t, ParamExpr.zero()) + weight
+            row[t] = row[t] + weight if t in row else weight
 
     chain = ParamChain(
         states=tuple(states),

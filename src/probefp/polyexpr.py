@@ -53,7 +53,7 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 class ParamExpr:
     """Immutable exact polynomial in the two probe parameters."""
 
-    __slots__ = ("_terms", "_eval_cache")
+    __slots__ = ("_terms", "_eval_cache", "_int_cache")
 
     def __init__(self, terms: Mapping[Exponents, Fraction] | None = None):
         canonical: dict[Exponents, Fraction] = {}
@@ -67,6 +67,7 @@ class ParamExpr:
                     canonical[(int(i), int(j))] = coeff
         self._terms = canonical
         self._eval_cache: tuple[list[tuple[float, int, int]], float] | None = None
+        self._int_cache: tuple[int, int, list[tuple[int, int, int]]] | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -224,22 +225,36 @@ class ParamExpr:
         if -bound < total < bound:
             magnitude = sum(abs(coeff * x**i * y**j) for coeff, i, j in terms)
             if abs(total) < magnitude / 16:
-                return float(self.evaluate_exact(x, y))
+                return self._evaluate_rounded(x, y)
         return total
 
     def evaluate_exact(self, x: Fraction, y: Fraction) -> Fraction:
+        return Fraction(*self._exact_ratio(Fraction(x), Fraction(y)))
+
+    def _evaluate_rounded(self, x: float, y: float) -> float:
+        """The exact value at a float point, rounded once: equal to
+        float(evaluate_exact(x, y)), since int / int is correctly rounded."""
+        num, den = self._exact_ratio(float(x), float(y))
+        return num / den
+
+    def _exact_ratio(self, x, y) -> tuple[int, int]:
         # Over the common denominator of the coefficients, x**d and y**d
         # (d the total degree) every term is an integer, so only the sum
         # is normalised.
-        xn, xd = Fraction(x).as_integer_ratio()
-        yn, yd = Fraction(y).as_integer_ratio()
-        d = self.degree()
-        scale = lcm(*(coeff.denominator for coeff in self._terms.values()))
+        if self._int_cache is None:
+            scale = lcm(*(coeff.denominator for coeff in self._terms.values()))
+            self._int_cache = (
+                self.degree(),
+                scale,
+                [(c.numerator * (scale // c.denominator), i, j) for (i, j), c in self._terms.items()],
+            )
+        d, scale, weights = self._int_cache
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
         total = 0
-        for (i, j), coeff in self._terms.items():
-            weight = coeff.numerator * (scale // coeff.denominator)
+        for weight, i, j in weights:
             total += weight * xn**i * xd ** (d - i) * yn**j * yd ** (d - j)
-        return Fraction(total, scale * xd**d * yd**d)
+        return total, scale * xd**d * yd**d
 
     # -- comparison / rendering --------------------------------------------
 
@@ -281,6 +296,7 @@ def _wrap(terms: dict[Exponents, Fraction]) -> ParamExpr:
     out = ParamExpr.__new__(ParamExpr)
     out._terms = terms
     out._eval_cache = None
+    out._int_cache = None
     return out
 
 
@@ -319,7 +335,7 @@ class PolyTable:
             magnitude = np.abs(monomials) @ np.abs(self.coeffs[:, self.mixed])
             points, cols = np.nonzero(np.abs(values[:, self.mixed]) < magnitude / 16)
             for p, e in zip(points.tolist(), self.mixed[cols].tolist()):
-                values[p, e] = float(self.exprs[e].evaluate_exact(float(xs[p]), float(ys[p])))
+                values[p, e] = self.exprs[e]._evaluate_rounded(xs[p], ys[p])
         return values
 
 

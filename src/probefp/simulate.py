@@ -5,6 +5,12 @@ finite Markov chain, so each trajectory is driven purely by inverse-CDF
 draws over the probe's outcome distributions, taken in canonical outcome
 order.  Replicates run in vectorized lockstep, each on its own seeded PCG64
 stream, so a replicate inside `estimate` reproduces `play_once` bit for bit.
+
+The draws go through a rank table built once per call (`_GameTable`): each
+uniform is reduced to the index of the interval of [0, 1) it falls in, and
+a round of every lane is one `take` from a table indexed by interval and
+state.  Uniforms are drawn and ranked in blocks of `_BLOCK` (512) rounds,
+and payoffs are summed per chunk of `_CHUNK` (4096) rounds.
 """
 
 from __future__ import annotations
@@ -19,7 +25,12 @@ from .errors import OutOfSimplexError
 
 RNG_ID = "numpy-pcg64"
 
+# Each chunk's payoffs are summed as one (lanes, rounds) array, an order the
+# estimates depend on under a non-integer payoff; the block size bounds the
+# memory of the per-round arrays.
 _CHUNK = 4096
+_BLOCK = 512
+_BUCKETS = 4096
 
 
 @dataclass
@@ -39,32 +50,78 @@ def default_burn_in(rounds: int) -> int:
 
 
 class _GameTable:
-    """Flattened sampling tables for the joint chain at one point.
+    """Rank table of the joint chain at one point.
 
-    For each joint state, the outcomes of the probe's (state, input)
-    distribution are laid out in canonical order as a cumulative block in
-    `boundaries`; offsetting a uniform draw by the state index turns outcome
-    selection into one searchsorted call.
+    Outcome selection is inverse-CDF sampling: state s takes the first
+    outcome whose cumulative boundary b = fl(s + c) exceeds fl(s + u), with
+    the outcomes of each row of `chain.trans` in canonical order.  Since
+    fl(s + u) rises with u, the test fl(s + u) >= b is u >= theta(s, b) for
+    one threshold theta, the least float u in [0, 1] that passes it; bisection
+    on the bit patterns of [0, 1] finds it under the kernel's own rounding.
+    The distinct thresholds in (0, 1), `cuts`, split [0, 1) into
+    len(cuts) + 1 intervals, and `step[r * n + s]` is the successor of state
+    s for every u in interval r, so a round of play is one `take`.
     """
 
     def __init__(self, chain: ParamChain, x: float, y: float):
         numeric = evaluate(chain, x, y)
+        n = len(chain.trans)
 
         # Each row of the composed chain lists the probe's outcomes with
-        # nonzero weight polynomials in canonical order, one successor each.
-        boundaries: list[float] = []
-        successors: list[int] = []
+        # nonzero weight polynomials in canonical order, one successor each;
+        # the boundaries of state s are s + its cumulative probabilities.
+        cumulative = []
         for s, row in enumerate(chain.trans):
-            cumulative = np.cumsum(numeric.matrix[s, list(row)])
-            cumulative[-1] = 1.0
-            boundaries.extend(s + cumulative)
-            successors.extend(row)
-        self.boundaries = np.array(boundaries)
-        self.successors = np.array(successors, dtype=np.int64)
+            cumulative.append(np.cumsum(numeric.matrix[s, list(row)]))
+            cumulative[-1][-1] = 1.0
+        lengths = [len(row) for row in chain.trans]
+        owner = np.repeat(np.arange(n, dtype=float), lengths)
+        bound = owner + np.concatenate(cumulative)
+        firsts = np.cumsum(lengths) - lengths
+        successors = np.array([t for row in chain.trans for t in row], dtype=np.int64)
+
+        # theta(s, b) by bisection; a boundary that no u in [0, 1] reaches
+        # (a partial sum rounded above 1) ends at 1.0 and never counts.
+        lo = np.zeros(len(bound), dtype=np.int64)
+        hi = np.full(len(bound), np.float64(1.0).view(np.int64))
+        while (lo < hi).any():
+            mid = (lo + hi) // 2
+            hit = owner + mid.view(np.float64) >= bound
+            hi = np.where(hit, mid, hi)
+            lo = np.where(hit, lo, mid + 1)
+        theta = lo.view(np.float64)
+        self.cuts = np.array(sorted(set(theta[(theta > 0) & (theta < 1)].tolist())))
+
+        # Outcomes passed at the left end of each interval, per state.  A
+        # draw with fl(s + u) == s + 1 (about 2**-53 per draw, s >= 1) passes
+        # every boundary of row s; it takes the outcome whose interval ends
+        # at s + 1, the last one with positive width, as u just below does.
+        lefts = np.concatenate(([0.0], self.cuts))
+        passed = np.add.reduceat(theta <= lefts[:, None], firsts, axis=1)
+        below = np.add.reduceat(bound < owner + 1, firsts)
+        self.step = successors[firsts + np.minimum(passed, below)].ravel()
+        self.n_states = n
+
+        # Ranks by bucket: in bucket k, [k / B, (k + 1) / B), every uniform
+        # has the rank of the bucket's left end unless a cut lies inside the
+        # bucket; only those few buckets are searched.
+        edges = np.arange(_BUCKETS + 1) / _BUCKETS
+        self._base = self.cuts.searchsorted(edges[:-1], side="right")
+        self._split = self.cuts.searchsorted(edges[1:], side="left") > self._base
 
         self.init_cdf = np.cumsum(numeric.init)
         self.init_cdf[-1] = 1.0
         self.payoff = numeric.payoff
+
+    def ranks(self, uniforms: np.ndarray) -> np.ndarray:
+        """Interval index of each uniform, the number of cuts <= u, as a new
+        C-contiguous array."""
+        bucket = (uniforms * _BUCKETS).astype(np.intp)
+        ranks = self._base.take(bucket)
+        split = np.flatnonzero(self._split.take(bucket))
+        if split.size:
+            ranks.flat[split] = self.cuts.searchsorted(uniforms.flat[split], side="right")
+        return ranks
 
 
 def _run_lanes(
@@ -88,16 +145,22 @@ def _run_lanes(
         counted = 1
     done = 1  # rounds simulated so far (round 1 is the initial draw)
 
+    take = table.step.take
     traj = np.empty((lanes, _CHUNK), dtype=np.int64)
+    uniforms = np.empty((lanes, _BLOCK))
+    path = np.empty((_BLOCK, lanes), dtype=np.int64)
     while done < rounds:
         span = min(_CHUNK, rounds - done)
-        uniforms = np.empty((lanes, span))
-        for lane, gen in enumerate(generators):
-            uniforms[lane] = gen.random(span)
-        for t in range(span):
-            picks = table.boundaries.searchsorted(states + uniforms[:, t], side="right")
-            states = table.successors[picks]
-            traj[:, t] = states
+        for offset in range(0, span, _BLOCK):
+            width = min(_BLOCK, span - offset)
+            for lane, gen in enumerate(generators):
+                gen.random(out=uniforms[lane, :width])
+            steps = table.ranks(uniforms[:, :width].T)
+            steps *= table.n_states
+            # every index is in range; "clip" skips the buffered bounds check
+            for row, out in zip(steps, path):
+                states = take(row + states, out=out, mode="clip")
+            traj[:, offset : offset + width] = path[:width].T
         start = max(burn_in - done, 0)
         if start < span:
             totals += table.payoff[traj[:, start:span]].sum(axis=1)

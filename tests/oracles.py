@@ -4,7 +4,8 @@ Everything here deliberately avoids the production solvers: the Cesaro
 oracle uses matrix powers, the corner oracle walks deterministic cycles with
 exact rationals, the integration oracle uses closed-form monomial integrals
 over the triangle, the determinant oracle is a general pivoting Bareiss
-elimination, and the fingerprint oracle solves one point at a time.
+elimination, the fingerprint oracle solves one point at a time, and the
+Monte Carlo oracle picks each round's outcomes with one searchsorted call.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from probefp.chain import (
     SUPPORT_CUTOFF,
     NumericChain,
     ParamChain,
+    evaluate,
 )
 from probefp.errors import (
     ExactDivisionError,
@@ -201,6 +203,64 @@ def value_at_point(chain: ParamChain, x: float, y: float, offset: bool = False) 
         x, y = offset_point(x, y)
     m = evaluate_point(chain, x, y)
     return float(limit_distribution_point(m) @ m.payoff)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo play by one searchsorted call per round
+# ---------------------------------------------------------------------------
+
+
+def searchsorted_table(chain: ParamChain, x: float, y: float):
+    """Flattened sampling table of the chain at one point: for each joint
+    state, its outcomes' cumulative block offset by the state index in
+    `boundaries`, one successor each in `successors`."""
+    numeric = evaluate(chain, x, y)
+    boundaries: list[float] = []
+    successors: list[int] = []
+    for s, row in enumerate(chain.trans):
+        cumulative = np.cumsum(numeric.matrix[s, list(row)])
+        cumulative[-1] = 1.0
+        boundaries.extend(s + cumulative)
+        successors.extend(row)
+    init_cdf = np.cumsum(numeric.init)
+    init_cdf[-1] = 1.0
+    return np.array(boundaries), np.array(successors, dtype=np.int64), init_cdf, numeric.payoff
+
+
+def run_lanes_searchsorted(
+    chain: ParamChain, x: float, y: float, rounds: int, burn_in: int, seeds
+) -> np.ndarray:
+    """Per-lane mean payoff after burn-in, each round picking every lane's
+    outcome with one searchsorted of state + uniform in the boundaries;
+    payoffs are summed over chunks of 4096 rounds."""
+    boundaries, successors, init_cdf, payoff = searchsorted_table(chain, x, y)
+    chunk = 4096
+    lanes = len(seeds)
+    generators = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
+    first = np.array([g.random() for g in generators])
+    states = np.searchsorted(init_cdf, first, side="right")
+    totals = np.zeros(lanes)
+    counted = 0
+    if burn_in == 0:
+        totals += payoff[states]
+        counted = 1
+    done = 1
+    traj = np.empty((lanes, chunk), dtype=np.int64)
+    while done < rounds:
+        span = min(chunk, rounds - done)
+        uniforms = np.empty((lanes, span))
+        for lane, gen in enumerate(generators):
+            uniforms[lane] = gen.random(span)
+        for t in range(span):
+            picks = boundaries.searchsorted(states + uniforms[:, t], side="right")
+            states = successors[picks]
+            traj[:, t] = states
+        start = max(burn_in - done, 0)
+        if start < span:
+            totals += payoff[traj[:, start:span]].sum(axis=1)
+            counted += span - start
+        done += span
+    return totals / counted
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 
 from oracles import random_player
 from probefp.automata import (
+    VALIDATION_LATTICE_N,
+    WEIGHT_TOL,
     PayoffMatrix,
     Probe,
     joss_ann,
@@ -175,6 +177,39 @@ def test_validate_flags_negative_affine_weight():
     assert report.min_weight == -1.0
     assert report.min_weight_point == (1.0, 0.0)
     assert report.vertex_violations  # affine weights checked exactly at vertices
+
+
+def test_validate_reports_the_lattice_in_weight_then_point_order():
+    # two weights reach -1, at different vertices; the report keeps the
+    # first in group order, and lists every violation weight by weight
+    probe = Probe(
+        name="V",
+        alphabet=("C", "D"),
+        state_names=("0",),
+        init=(("C", 0, ParamExpr.one()),),
+        step={
+            (0, "C"): (("C", 0, expr_parse("1 - 2*y")), ("D", 0, expr_parse("2*y"))),
+            (0, "D"): (("C", 0, expr_parse("2*x")), ("D", 0, expr_parse("1 - 2*x"))),
+        },
+    )
+    report = validate_probe(probe)
+    assert report.min_weight == -1.0
+    assert report.min_weight_point == (0.0, 1.0)
+    n = VALIDATION_LATTICE_N
+    expected = []
+    for key in ("init", (0, "C"), (0, "D")):
+        outcomes = probe.init if key == "init" else probe.step[key]
+        for _, _, weight in outcomes:
+            for i in range(n + 1):
+                for j in range(n + 1 - i):
+                    value = weight.evaluate(i / n, j / n)
+                    if not -WEIGHT_TOL <= value <= 1 + WEIGHT_TOL:
+                        expected.append((key, (i / n, j / n), value))
+    assert len(expected) == 4 * 55
+    got = report.negativity_violations
+    assert [(key, point) for key, point, _ in got] == [(key, point) for key, point, _ in expected]
+    assert all(abs(a[2] - b[2]) <= 1e-15 for a, b in zip(got, expected))
+    assert all(type(value) is float for _, _, value in got)
 
 
 def test_validate_constant_probe_min_weight_one():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,39 @@ def test_evaluate_rounds_cancelling_terms_once():
     x, y = 0.999999105572809, 4.472135954999578e-07
     assert weight.evaluate(x, y) == float(weight.evaluate_exact(x, y))
     assert PolyTable([weight]).evaluate([x], [y])[0, 0] == float(weight.evaluate_exact(x, y))
+
+
+def test_exact_fallback_rounds_like_the_fraction():
+    # the fallback divides two Python ints, which rounds correctly, so it
+    # must equal float(Fraction) bit for bit: at random points, and at the
+    # hypotenuse nodes i/n, (n-i)/n, where a factor 1 - x - y cancels and
+    # evaluate and PolyTable take the fallback; coefficients have mixed
+    # denominators
+    rng = random.Random(3)
+    hyp = expr_parse("1 - x - y")
+    polys = [
+        hyp,
+        expr_parse("1/3 - 1/3*x - 2/15*y"),
+        hyp * expr_parse("2/7 + 5/6*x - 3/11*y^2"),
+    ]
+    for _ in range(20):
+        terms = {
+            (rng.randint(0, 3), rng.randint(0, 3)): F(rng.randint(-9, 9), rng.choice([1, 3, 4, 7, 10]))
+            for _ in range(rng.randint(1, 5))
+        }
+        polys.append(ParamExpr(terms))
+    randoms = [(rng.random(), rng.random()) for _ in range(40)]
+    nodes = [(i / n, (n - i) / n) for n in (3, 7, 10, 20, 49) for i in range(n + 1)]
+    for poly in polys:
+        for x, y in randoms + nodes:
+            assert poly._evaluate_rounded(x, y) == float(poly.evaluate_exact(x, y))
+    for poly in polys[0], polys[2]:
+        xs, ys = zip(*nodes)
+        table = PolyTable([poly]).evaluate(xs, ys)[:, 0]
+        for p, (x, y) in enumerate(nodes):
+            exact = float(poly.evaluate_exact(x, y))
+            assert poly.evaluate(x, y) == exact
+            assert table[p] == exact
 
 
 @given(

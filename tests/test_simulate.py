@@ -1,10 +1,18 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import random_player, random_probe
-from probefp.automata import joss_ann
+from oracles import (
+    mixing_probe,
+    random_player,
+    random_probe,
+    run_lanes_searchsorted,
+    searchsorted_table,
+    strongly_connected_player,
+)
+from probefp.automata import PayoffMatrix, joss_ann
 from probefp.chain import compose
 from probefp.errors import OutOfSimplexError
 from probefp.fingerprint import fingerprint_at
@@ -125,3 +133,92 @@ def test_error_shrinks_with_more_rounds(players, ja_tft, payoff):
         and err_large <= 2 * results[1_000_000].stderr
     )
     assert err_large < err_small or both_tiny
+
+
+SEVENTHS = PayoffMatrix({
+    ("C", "C"): Fraction(22, 7),
+    ("C", "D"): Fraction(1, 7),
+    ("D", "C"): Fraction(36, 7),
+    ("D", "D"): Fraction(8, 7),
+})
+
+# interior, edges, corners and a near-edge point
+POINTS = [
+    (0.25, 0.35), (0.3, 0.0), (0.0, 0.45), (0.6, 0.4),
+    (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.4, 1e-9),
+]
+
+
+def _chains(players, ja_tft):
+    """Bundled strategies vs JA(TFT) and random chains of 6 to 29 states,
+    all with a payoff in sevenths."""
+    chains = [compose(players[name], ja_tft, SEVENTHS) for name in sorted(players)]
+    rng = random.Random(2)
+    for k in range(8):
+        if k % 2:
+            pair = (strongly_connected_player(rng, 5), mixing_probe(rng, 5))
+        else:
+            pair = (random_player(rng, 5), random_probe(rng, 5))
+        chain = compose(*pair, SEVENTHS)
+        if chain.n_states <= 30:
+            chains.append(chain)
+    return chains
+
+
+def test_rank_table_matches_searchsorted_at_every_cut(players, ja_tft):
+    # each cut is a threshold where some state's successor changes, so the
+    # cuts and their float neighbours are where an off-by-one-ulp table errs
+    checked = 0
+    for chain in _chains(players, ja_tft):
+        n = chain.n_states
+        for x, y in POINTS:
+            table = _GameTable(chain, x, y)
+            boundaries, successors, _, _ = searchsorted_table(chain, x, y)
+            cuts = table.cuts
+            us = np.concatenate(([0.0], cuts, np.nextafter(cuts, 0), np.nextafter(cuts, 1)))
+            us = us[us < 1]
+            ranks = table.ranks(us)
+            assert np.array_equal(ranks, cuts.searchsorted(us, side="right"))
+            for u, rank in zip(us.tolist(), ranks.tolist()):
+                for s in range(n):
+                    if s + u == s + 1:
+                        continue  # a draw that rounds up; tested below
+                    picked = boundaries.searchsorted(s + u, side="right")
+                    assert table.step[rank * n + s] == successors[picked]
+                    checked += 1
+    assert checked > 10_000
+
+
+def test_draw_that_rounds_up_to_the_next_state_takes_the_rows_last_outcome(players, ja_tft):
+    # fl(s + u) == s + 1 for u = 1 - 2**-53 and s >= 1; searchsorted would
+    # pick from row s + 1, or index past the table for the last state.  The
+    # draw takes what the largest sum below s + 1 takes: the row's last
+    # outcome, or at y = 0 its last outcome of positive weight.
+    u = 1 - 2.0**-53
+    chain = compose(players["pavlov"], ja_tft, SEVENTHS)
+    n = chain.n_states
+    for x, y in [(0.3, 0.2), (0.3, 0.0)]:
+        table = _GameTable(chain, x, y)
+        boundaries, successors, _, _ = searchsorted_table(chain, x, y)
+        rank = int(table.ranks(np.array([u]))[0])
+        for s in range(1, n):  # middle states, then the last
+            assert s + u == s + 1
+            below = boundaries.searchsorted(np.nextafter(s + 1.0, 0.0), side="right")
+            assert table.step[rank * n + s] == successors[below]
+            if y > 0:
+                assert table.step[rank * n + s] == list(chain.trans[s])[-1]
+
+
+def test_lanes_match_searchsorted_oracle(players, ja_tft):
+    # 4796 rounds span a full and a partial chunk of payoff sums; a payoff in
+    # sevenths makes the sums depend on their order
+    seeds = np.array([5, 6])
+    runs = 0
+    for c, chain in enumerate(_chains(players, ja_tft)):
+        for p, (x, y) in enumerate(POINTS):
+            burn_in = (0, 300, 4500)[(c + p) % 3]
+            expected = run_lanes_searchsorted(chain, x, y, 4796, burn_in, seeds)
+            got = _run_lanes(_GameTable(chain, x, y), 4796, burn_in, seeds)
+            assert np.array_equal(got, expected), (chain.n_states, x, y, burn_in)
+            runs += 1
+    assert runs >= 80

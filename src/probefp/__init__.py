@@ -13,13 +13,12 @@ from .automata import (  # noqa: F401
     validate_probe,
 )
 from .chain import (  # noqa: F401
-    NumericChain,
     ParamChain,
     closed_classes,
     compose,
     evaluate,
-    expected_payoff,
-    limit_distribution,
+    evaluate_points,
+    limit_distributions,
 )
 from .fingerprint import (  # noqa: F401
     CESARO,
@@ -27,7 +26,6 @@ from .fingerprint import (  # noqa: F401
     FingerprintGrid,
     SymbolicFingerprint,
     boundary_discrepancy,
-    fingerprint_at,
     fingerprint_grid,
     pointwise_fingerprint,
     symbolic_fingerprint,
@@ -41,7 +39,6 @@ from .metrics import (  # noqa: F401
 from .polyexpr import (  # noqa: F401
     ParamExpr,
     RationalFn,
-    expr_eval,
     expr_parse,
     ratfn_equiv,
     ratfn_eval,

@@ -6,8 +6,10 @@ instantiates it at many parameter points at once; `limit_distributions`
 computes the limiting (Cesaro) state distribution at each, handling
 reducible and periodic chains via closed-class decomposition: absorption
 probabilities into each closed class times the unique stationary
-distribution inside it.  `evaluate` and `limit_distribution` are the batch
-of one.
+distribution inside it.  An evaluated chain is a pair of arrays, transition
+matrices (N, n, n) and initial distributions (N, n), with one row per point;
+`evaluate` is the batch of one, and a fingerprint value is the limit
+distribution times `ParamChain.payoff_vector()`.
 
 The classes come from the reachability closure of the support graph, worked
 out once per support pattern among the points.  One GTH elimination
@@ -25,7 +27,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -105,25 +106,6 @@ class ParamChain:
 
 
 @dataclass
-class NumericChain:
-    """A ParamChain instantiated at one parameter point."""
-
-    point: tuple[float, float]
-    matrix: np.ndarray
-    init: np.ndarray
-    payoff: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        self.init = np.asarray(self.init, dtype=float)
-        self.payoff = np.asarray(self.payoff, dtype=float)
-
-    @property
-    def n_states(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass
 class ChainClass:
     """A strongly connected component of the support graph."""
 
@@ -151,13 +133,6 @@ class ClassDecomposition:
             kind = "closed" if c.closed else "transient"
             parts.append(f"{kind} {{{', '.join(map(str, c.states))}}}")
         return "; ".join(parts)
-
-
-@dataclass
-class LimitDistribution:
-    """Limiting (Cesaro) state distribution of an evaluated chain."""
-
-    pi: np.ndarray
 
 
 def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamChain:
@@ -251,7 +226,8 @@ def evaluate_points(chain: ParamChain, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    outside = (xs < -SIMPLEX_TOL) | (ys < -SIMPLEX_TOL) | (xs + ys > 1 + SIMPLEX_TOL)
+    # "not inside" rather than "outside", so that NaN coordinates fail too
+    outside = ~((xs >= -SIMPLEX_TOL) & (ys >= -SIMPLEX_TOL) & (xs + ys <= 1 + SIMPLEX_TOL))
     if outside.any():
         p = int(np.argmax(outside))
         raise OutOfSimplexError(float(xs[p]), float(ys[p]))
@@ -281,12 +257,11 @@ def evaluate_points(chain: ParamChain, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, :n], rows[:, n]
 
 
-def evaluate(chain: ParamChain, x: float, y: float) -> NumericChain:
-    """Instantiate the chain at one parameter point inside the closed triangle."""
+def evaluate(chain: ParamChain, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transition matrix (n, n) and initial distribution (n,) of the chain at
+    one point of the closed triangle: the batch of one of `evaluate_points`."""
     matrix, init = evaluate_points(chain, [x], [y])
-    return NumericChain(
-        point=(x, y), matrix=matrix[0], init=init[0], payoff=chain.payoff_vector()
-    )
+    return matrix[0], init[0]
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +269,9 @@ def evaluate(chain: ParamChain, x: float, y: float) -> NumericChain:
 # ---------------------------------------------------------------------------
 
 
-def closed_classes(m: NumericChain) -> ClassDecomposition:
-    """Strongly connected components of the support graph, each flagged
+def closed_classes(matrix: np.ndarray) -> ClassDecomposition:
+    """Strongly connected components of the support graph of an evaluated
+    (n, n) transition matrix, its entries above SUPPORT_CUTOFF, each flagged
     closed (no edges leave it) or transient, ordered by smallest state.
 
     Squaring the 0/1 walk matrix (support plus self-loops) k times covers
@@ -303,8 +279,8 @@ def closed_classes(m: NumericChain) -> ClassDecomposition:
     reachability closure; states that reach each other form one class, and
     a class is closed when nothing it reaches lies outside it.
     """
-    n = m.n_states
-    walk = np.maximum(m.matrix > SUPPORT_CUTOFF, np.eye(n))
+    n = len(matrix)
+    walk = np.maximum(matrix > SUPPORT_CUTOFF, np.eye(n))
     for _ in range((n - 1).bit_length()):
         walk = np.minimum(walk @ walk, 1.0)
     reach = walk > 0
@@ -365,9 +341,7 @@ def _solve_pattern(matrix: np.ndarray, init: np.ndarray, points: np.ndarray) -> 
     per unit out-flow, which is what back-substitution needs.
     """
     count, n = init.shape
-    decomposition = closed_classes(
-        NumericChain(tuple(points[0]), matrix[0], init[0], np.zeros(n))
-    )
+    decomposition = closed_classes(matrix[0])
     closed = decomposition.closed_classes()
     c = len(closed)
     others = [s for cls in closed for s in cls.states[1:]]
@@ -431,34 +405,3 @@ def _solve_pattern(matrix: np.ndarray, init: np.ndarray, points: np.ndarray) -> 
     )
     return pi / total[:, None]
 
-
-def limit_distribution(m: NumericChain) -> LimitDistribution:
-    """Limiting state distribution of one evaluated chain: absorption
-    probability of each closed class from the initial distribution, times
-    the stationary distribution within the class (its Cesaro limit also
-    when the class is periodic).  The batch of one of `limit_distributions`."""
-    pi = limit_distributions(m.matrix[None], m.init[None], [m.point])
-    return LimitDistribution(pi=pi[0])
-
-
-def expected_payoff_exact(
-    pi: LimitDistribution, payoff: Sequence[Fraction]
-) -> Fraction:
-    """Exact dot product of the limit distribution with the payoff vector.
-
-    Float probabilities convert to Fractions losslessly, so scaling the
-    payoff vector by a rational scales the result by exactly that rational.
-    """
-    vec = pi.pi
-    if len(vec) != len(payoff):
-        raise ValueError("payoff vector length does not match chain")
-    total = Fraction(0)
-    for p, value in zip(vec, payoff):
-        total += Fraction(float(p)) * Fraction(value)
-    return total
-
-
-def expected_payoff(pi: LimitDistribution, payoff: Sequence[Fraction]) -> float:
-    if len(pi.pi) != len(payoff):
-        raise ValueError("payoff vector length does not match chain")
-    return float(pi.pi @ np.array([float(p) for p in payoff]))

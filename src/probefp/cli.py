@@ -38,7 +38,7 @@ from .fingerprint import (
     value_at,
 )
 from .metrics import distance_matrix, make_grid_evaluator
-from .simulate import RNG_ID, default_burn_in, estimate
+from .simulate import RNG_ID, estimate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -75,21 +75,27 @@ class RunConfig:
     replicates: int = 16
 
     def __post_init__(self):
+        if self.fmt not in ("csv", "json"):
+            raise UsageError(f"unknown format {self.fmt!r}")
         if self.grid_n < 1 or self.quad_n < 1:
             raise UsageError("resolutions must be >= 1")
         if self.rounds < 1 or self.replicates < 2:
             raise UsageError("need rounds >= 1 and replicates >= 2")
+        if self.burn_in is not None and not 0 <= self.burn_in < self.rounds:
+            raise UsageError("need 0 <= burn-in < rounds")
 
 
+# Config-file key: its type and the RunConfig field it sets.  The command-line
+# flag of a key has the same name, read from args with "_" for "-".
 _CONFIG_KEYS = {
-    "n": int,
-    "boundary": str,
-    "quad-n": int,
-    "format": str,
-    "seed": int,
-    "rounds": int,
-    "burn-in": int,
-    "replicates": int,
+    "n": (int, "grid_n"),
+    "boundary": (str, "boundary_mode"),
+    "quad-n": (int, "quad_n"),
+    "format": (str, "fmt"),
+    "seed": (int, "seed"),
+    "rounds": (int, "rounds"),
+    "burn-in": (int, "burn_in"),
+    "replicates": (int, "replicates"),
 }
 
 
@@ -112,46 +118,33 @@ def _read_config_file(path: str) -> dict:
         elif key in _CONFIG_KEYS:
             if len(tokens) != 2:
                 raise InputError(f"config line {lineno}: expected '{key} VALUE'")
-            values[key] = _CONFIG_KEYS[key](tokens[1])
+            values[key] = _CONFIG_KEYS[key][0](tokens[1])
         else:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
     return values
 
 
 def _resolve_config(args) -> RunConfig:
-    """Precedence: command-line flag > config file > default."""
+    """Precedence: command-line flag > config file > RunConfig's default."""
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
+    chosen = {}
+    for key, (_, field) in _CONFIG_KEYS.items():
+        value = getattr(args, key.replace("-", "_"), None)
+        if value is None:
+            value = file_values.get(key)
+        if value is not None:
+            chosen[field] = value
 
     overrides = list(file_values.get("payoff", []))
     for a, b, v in getattr(args, "payoff", None) or []:
         overrides.append((a, b, Fraction(v)))
 
-    boundary = pick(getattr(args, "boundary", None), "boundary", "cesaro")
-    if boundary not in _BOUNDARY_FLAGS:
-        raise UsageError(f"unknown boundary mode {boundary!r}")
-    fmt = pick(getattr(args, "format", None), "format", "csv")
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"unknown format {fmt!r}")
-
-    return RunConfig(
-        payoff_overrides=overrides,
-        grid_n=pick(getattr(args, "n", None), "n", 20),
-        boundary_mode=_BOUNDARY_FLAGS[boundary],
-        quad_n=pick(getattr(args, "quad_n", None), "quad-n", 200),
-        fmt=fmt,
-        out=getattr(args, "output", None),
-        seed=pick(getattr(args, "seed", None), "seed", 0),
-        rounds=pick(getattr(args, "rounds", None), "rounds", 100_000),
-        burn_in=pick(getattr(args, "burn_in", None), "burn-in", None),
-        replicates=pick(getattr(args, "replicates", None), "replicates", 16),
-    )
+    if "boundary_mode" in chosen:
+        boundary = chosen["boundary_mode"]
+        if boundary not in _BOUNDARY_FLAGS:
+            raise UsageError(f"unknown boundary mode {boundary!r}")
+        chosen["boundary_mode"] = _BOUNDARY_FLAGS[boundary]
+    return RunConfig(payoff_overrides=overrides, out=getattr(args, "output", None), **chosen)
 
 
 def _payoff_matrix(config: RunConfig) -> PayoffMatrix:
@@ -172,6 +165,22 @@ def _read_file(path: str) -> tuple[str, str]:
 def _load_player(path: str):
     text, digest = _read_file(path)
     return parse_player(text), digest
+
+
+def _load_game(args):
+    """Config, payoff matrix, player and probe of a command that plays one
+    player against one probe, and the metadata every such output carries."""
+    config = _resolve_config(args)
+    payoff = _payoff_matrix(config)
+    player, player_digest = _load_player(args.player)
+    probe, probe_meta = _load_probe_spec(args.probe, args.joss_ann)
+    meta = {
+        **_base_meta(payoff),
+        "player": player.name,
+        "player_sha256": player_digest,
+        **probe_meta,
+    }
+    return config, payoff, player, probe, meta
 
 
 def _load_probe_spec(probe_path: str | None, joss_ann_path: str | None):
@@ -238,20 +247,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
-    config = _resolve_config(args)
-    payoff = _payoff_matrix(config)
-    player, player_digest = _load_player(args.player)
-    probe, probe_meta = _load_probe_spec(args.probe, args.joss_ann)
-
+    config, payoff, player, probe, meta = _load_game(args)
     grid = fingerprint_grid(player, probe, payoff, config.grid_n, config.boundary_mode)
-    meta = {
-        **_base_meta(payoff),
-        "player": player.name,
-        "player_sha256": player_digest,
-        **probe_meta,
-        "n": config.grid_n,
-        "boundary_mode": config.boundary_mode,
-    }
+    meta = {**meta, "n": config.grid_n, "boundary_mode": config.boundary_mode}
     if config.fmt == "json":
         _write_output(grid.to_json(meta), config.out)
     else:
@@ -260,18 +258,8 @@ def _cmd_fingerprint(args) -> int:
 
 
 def _cmd_symbolic(args) -> int:
-    config = _resolve_config(args)
-    payoff = _payoff_matrix(config)
-    player, player_digest = _load_player(args.player)
-    probe, probe_meta = _load_probe_spec(args.probe, args.joss_ann)
-
+    config, payoff, player, probe, meta = _load_game(args)
     result = symbolic_fingerprint(player, probe, payoff)
-    meta = {
-        **_base_meta(payoff),
-        "player": player.name,
-        "player_sha256": player_digest,
-        **probe_meta,
-    }
     lines = [f"# {key}: {meta[key]}" for key in sorted(meta)]
     lines += [
         f"num: {result.fn.num.render()}",
@@ -354,16 +342,12 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _resolve_config(args)
-    payoff = _payoff_matrix(config)
-    player, player_digest = _load_player(args.player)
-    probe, probe_meta = _load_probe_spec(args.probe, args.joss_ann)
-
+    config, payoff, player, probe, meta = _load_game(args)
     x, y = args.x, args.y
-    if x < 0 or y < 0 or x + y > 1:
+    # "not inside" rather than "outside", so that NaN is refused too
+    if not (x >= 0 and y >= 0 and x + y <= 1):
         raise UsageError(f"point ({x}, {y}) is outside the parameter triangle")
 
-    burn_in = config.burn_in if config.burn_in is not None else default_burn_in(config.rounds)
     chain = compose(player, probe, payoff)
     result = estimate(
         player,
@@ -372,7 +356,7 @@ def _cmd_simulate(args) -> int:
         x,
         y,
         rounds=config.rounds,
-        burn_in=burn_in,
+        burn_in=config.burn_in,
         replicates=config.replicates,
         seed=config.seed,
         chain=chain,
@@ -383,13 +367,7 @@ def _cmd_simulate(args) -> int:
     else:
         z = 0.0 if result.mean == exact else float("inf")
     doc = {
-        "meta": {
-            **_base_meta(payoff),
-            "player": player.name,
-            "player_sha256": player_digest,
-            **probe_meta,
-            "rng": RNG_ID,
-        },
+        "meta": {**meta, "rng": RNG_ID},
         "point": {"x": x, "y": y},
         "estimate": {
             "mean": result.mean,

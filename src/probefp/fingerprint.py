@@ -26,7 +26,7 @@ from .chain import (
     evaluate_points,
     limit_distributions,
 )
-from .errors import ExpressionSwellError, ReducibleChainError
+from .errors import ExpressionSwellError, InputError, ReducibleChainError
 from .polyexpr import (
     IntTerms,
     ParamExpr,
@@ -103,17 +103,6 @@ def value_at(chain: ParamChain, x: float, y: float, boundary_mode: str = CESARO)
     return float(_values(chain, [x], [y], boundary_mode)[0])
 
 
-def fingerprint_at(
-    player: PlayerMachine,
-    probe: Probe,
-    payoff: PayoffMatrix,
-    x: float,
-    y: float,
-    boundary_mode: str = CESARO,
-) -> float:
-    return value_at(compose(player, probe, payoff), x, y, boundary_mode)
-
-
 @dataclass(frozen=True)
 class PointwiseFingerprint:
     """The fingerprint of one composed chain, solved where it is asked for:
@@ -182,18 +171,15 @@ class FingerprintGrid:
 
     @classmethod
     def from_json(cls, text: str) -> "FingerprintGrid":
-        doc = json.loads(text)
-        meta = doc["meta"]
-        n = int(meta["resolution"])
-        values = {}
-        for px, py, value in doc["values"]:
-            values[(round(px * n), round(py * n))] = float(value)
-        return cls(
-            resolution=n,
-            boundary_mode=meta.get("boundary_mode", CESARO),
-            values=values,
-            meta={k: v for k, v in meta.items() if k not in ("resolution", "boundary_mode")},
-        )
+        try:
+            doc = json.loads(text)
+            meta = dict(doc["meta"])
+            n = int(meta.pop("resolution"))
+            mode = meta.pop("boundary_mode", CESARO)
+            rows = [(float(px), float(py), float(v)) for px, py, v in doc["values"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InputError(f"malformed grid JSON: {exc!r}") from exc
+        return cls(resolution=n, boundary_mode=mode, values=_lattice_values(n, rows), meta=meta)
 
     @classmethod
     def from_csv(cls, text: str) -> "FingerprintGrid":
@@ -209,23 +195,42 @@ class FingerprintGrid:
                 continue
             if line == "x,y,value":
                 continue
-            sx, sy, sv = line.split(",")
-            rows.append((float(sx), float(sy), float(sv)))
+            try:
+                sx, sy, sv = line.split(",")
+                rows.append((float(sx), float(sy), float(sv)))
+            except ValueError as exc:
+                raise InputError(f"malformed grid CSV row {line!r}: {exc}") from exc
         # lattice size (n+1)(n+2)/2 determines the resolution
-        count = len(rows)
-        n = round((math.isqrt(8 * count + 1) - 3) / 2)
-        if (n + 1) * (n + 2) // 2 != count:
-            raise ValueError(f"{count} rows do not form a triangular lattice")
-        values = {(round(px * n), round(py * n)): v for px, py, v in rows}
+        n = round((math.isqrt(8 * len(rows) + 1) - 3) / 2)
         mode = meta.pop("boundary_mode", CESARO)
         if "resolution" in meta:
             meta.pop("resolution")
-        return cls(resolution=n, boundary_mode=mode, values=values, meta=meta)
+        return cls(resolution=n, boundary_mode=mode, values=_lattice_values(n, rows), meta=meta)
 
 
 def _lattice(n: int) -> np.ndarray:
     """Nodes (i, j) with i + j <= n, in lexicographic order, as rows."""
     return np.argwhere(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
+
+
+def _lattice_values(n: int, rows) -> dict[tuple[int, int], float]:
+    """Values of (x, y, value) rows keyed by lattice node (round(x n), round(y n));
+    InputError unless n >= 1 and the rows hold each node of the n-lattice once."""
+    if n < 1:
+        raise InputError(f"grid resolution {n} ({len(rows)} rows) is below 1")
+    count = (n + 1) * (n + 2) // 2
+    if len(rows) != count:
+        raise InputError(
+            f"{len(rows)} grid rows do not form the triangular lattice of resolution {n} "
+            f"({count} nodes)"
+        )
+    try:
+        values = {(round(px * n), round(py * n)): v for px, py, v in rows}
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"grid node coordinate is not finite: {exc}") from exc
+    if len(values) != count or not all(i >= 0 and j >= 0 and i + j <= n for i, j in values):
+        raise InputError(f"grid rows are not the nodes (i/{n}, j/{n}) with i + j <= {n}")
+    return values
 
 
 def fingerprint_grid(
@@ -338,8 +343,7 @@ def symbolic_fingerprint(
     (1/3, 1/3); reducible chains raise ReducibleChainError (use grid mode).
     """
     chain = compose(player, probe, payoff)
-    numeric = evaluate(chain, *GENERIC_POINT)
-    decomposition = closed_classes(numeric)
+    decomposition = closed_classes(evaluate(chain, *GENERIC_POINT)[0])
     classes = decomposition.classes
     if len(classes) != 1 or not classes[0].closed:
         raise ReducibleChainError(

@@ -515,10 +515,6 @@ def expr_parse(text: str) -> ParamExpr:
     return _Parser(text).parse()
 
 
-def expr_eval(e: ParamExpr, x: float, y: float) -> float:
-    return e.evaluate(x, y)
-
-
 # ---------------------------------------------------------------------------
 # Integer term maps
 # ---------------------------------------------------------------------------

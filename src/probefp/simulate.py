@@ -21,7 +21,6 @@ import numpy as np
 
 from .automata import PayoffMatrix, PlayerMachine, Probe
 from .chain import ParamChain, compose, evaluate
-from .errors import OutOfSimplexError
 
 RNG_ID = "numpy-pcg64"
 
@@ -64,7 +63,7 @@ class _GameTable:
     """
 
     def __init__(self, chain: ParamChain, x: float, y: float):
-        numeric = evaluate(chain, x, y)
+        matrix, init = evaluate(chain, x, y)
         n = len(chain.trans)
 
         # Each row of the composed chain lists the probe's outcomes with
@@ -72,7 +71,7 @@ class _GameTable:
         # the boundaries of state s are s + its cumulative probabilities.
         cumulative = []
         for s, row in enumerate(chain.trans):
-            cumulative.append(np.cumsum(numeric.matrix[s, list(row)]))
+            cumulative.append(np.cumsum(matrix[s, list(row)]))
             cumulative[-1][-1] = 1.0
         lengths = [len(row) for row in chain.trans]
         owner = np.repeat(np.arange(n, dtype=float), lengths)
@@ -109,9 +108,9 @@ class _GameTable:
         self._base = self.cuts.searchsorted(edges[:-1], side="right")
         self._split = self.cuts.searchsorted(edges[1:], side="left") > self._base
 
-        self.init_cdf = np.cumsum(numeric.init)
+        self.init_cdf = np.cumsum(init)
         self.init_cdf[-1] = 1.0
-        self.payoff = numeric.payoff
+        self.payoff = chain.payoff_vector()
 
     def ranks(self, uniforms: np.ndarray) -> np.ndarray:
         """Interval index of each uniform, the number of cuts <= u, as a new
@@ -169,9 +168,7 @@ def _run_lanes(
     return totals / counted
 
 
-def _check_args(x: float, y: float, rounds: int, burn_in: int) -> None:
-    if x < 0 or y < 0 or x + y > 1 + 1e-12:
-        raise OutOfSimplexError(x, y)
+def _check_args(rounds: int, burn_in: int) -> None:
     if burn_in < 0 or rounds <= burn_in:
         raise ValueError("need rounds > burn_in >= 0")
 
@@ -188,7 +185,7 @@ def play_once(
 ) -> float:
     """Mean payoff of one seeded game of `rounds` rounds, skipping the first
     `burn_in` rounds.  Identical inputs give identical output."""
-    _check_args(x, y, rounds, burn_in)
+    _check_args(rounds, burn_in)
     table = _GameTable(compose(player, probe, payoff), x, y)
     return float(_run_lanes(table, rounds, burn_in, np.array([seed]))[0])
 
@@ -214,7 +211,7 @@ def estimate(
         raise ValueError("need at least 2 replicates")
     if burn_in is None:
         burn_in = default_burn_in(rounds)
-    _check_args(x, y, rounds, burn_in)
+    _check_args(rounds, burn_in)
     if chain is None:
         chain = compose(player, probe, payoff)
     table = _GameTable(chain, x, y)

@@ -24,7 +24,6 @@ from probefp.chain import (
     ROW_SUM_TOL,
     SIMPLEX_TOL,
     SUPPORT_CUTOFF,
-    NumericChain,
     ParamChain,
     evaluate,
 )
@@ -112,10 +111,11 @@ def support_classes(support) -> list[tuple[tuple[int, ...], bool]]:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_point(chain: ParamChain, x: float, y: float) -> NumericChain:
-    """The chain at one point, one `ParamExpr.evaluate` call per weight,
-    checked, clipped and normalised row by row."""
-    if x < -SIMPLEX_TOL or y < -SIMPLEX_TOL or x + y > 1 + SIMPLEX_TOL:
+def evaluate_point(chain: ParamChain, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transition matrix and initial distribution of the chain at one point,
+    one `ParamExpr.evaluate` call per weight, checked, clipped and normalised
+    row by row."""
+    if not (x >= -SIMPLEX_TOL and y >= -SIMPLEX_TOL and x + y <= 1 + SIMPLEX_TOL):
         raise OutOfSimplexError(x, y)
     n = chain.n_states
     matrix = np.zeros((n, n))
@@ -133,8 +133,7 @@ def evaluate_point(chain: ParamChain, x: float, y: float) -> NumericChain:
         raise NegativeWeightError("transition row sum off", (x, y))
     if abs(init.sum() - 1.0) > ROW_SUM_TOL:
         raise NegativeWeightError("initial distribution sum off", (x, y))
-    payoff = np.array([float(p) for p in chain.payoff])
-    return NumericChain((x, y), matrix / row_sums[:, None], init / init.sum(), payoff)
+    return matrix / row_sums[:, None], init / init.sum()
 
 
 def _censor(a: np.ndarray, k: int) -> None:
@@ -147,14 +146,14 @@ def _censor(a: np.ndarray, k: int) -> None:
     a[:k, :k] += np.outer(a[:k, k], a[k, :k])
 
 
-def limit_distribution_point(m: NumericChain) -> np.ndarray:
+def limit_distribution_point(matrix: np.ndarray, init: np.ndarray) -> np.ndarray:
     """Limit distribution of one evaluated chain: classes by breadth-first
     search, then one GTH pass over [start, class heads, other closed-class
     states, transient states] whose start row ends up holding the
     absorption probabilities, then back-substitution for each class's
     stationary vector."""
-    n = m.n_states
-    classes = support_classes((m.matrix > SUPPORT_CUTOFF).tolist())
+    n = len(matrix)
+    classes = support_classes((matrix > SUPPORT_CUTOFF).tolist())
     closed = [states for states, is_closed in classes if is_closed]
     c = len(closed)
     others = [s for states in closed for s in states[1:]]
@@ -166,9 +165,9 @@ def limit_distribution_point(m: NumericChain) -> np.ndarray:
     label = label[order]
 
     flow = np.zeros((1 + n, 1 + n))
-    flow[0, 1:] = m.init[order]
+    flow[0, 1:] = init[order]
     keep = (label[:, None] == label) | (label[:, None] < 0)
-    flow[1:, 1:] = np.where(keep, m.matrix[np.ix_(order, order)], 0.0)
+    flow[1:, 1:] = np.where(keep, matrix[np.ix_(order, order)], 0.0)
     for k in range(n, c, -1):
         _censor(flow, k)
     absorption = flow[0, 1 : 1 + c] / flow[0, 1 : 1 + c].sum()
@@ -183,7 +182,7 @@ def limit_distribution_point(m: NumericChain) -> np.ndarray:
     mass = np.bincount(label, weights=weight, minlength=c)
     pi = np.zeros(n)
     pi[order[:size]] = absorption[label] * (weight / mass[label])
-    if not np.max(np.abs(pi @ m.matrix - pi)) <= RESIDUAL_TOL:
+    if not np.max(np.abs(pi @ matrix - pi)) <= RESIDUAL_TOL:
         raise SingularSystemError("limit distribution residual exceeds tolerance")
     return pi / pi.sum()
 
@@ -201,8 +200,7 @@ def value_at_point(chain: ParamChain, x: float, y: float, offset: bool = False) 
     """The fingerprint at one point, solved on its own."""
     if offset:
         x, y = offset_point(x, y)
-    m = evaluate_point(chain, x, y)
-    return float(limit_distribution_point(m) @ m.payoff)
+    return float(limit_distribution_point(*evaluate_point(chain, x, y)) @ chain.payoff_vector())
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +212,22 @@ def searchsorted_table(chain: ParamChain, x: float, y: float):
     """Flattened sampling table of the chain at one point: for each joint
     state, its outcomes' cumulative block offset by the state index in
     `boundaries`, one successor each in `successors`."""
-    numeric = evaluate(chain, x, y)
+    matrix, init = evaluate(chain, x, y)
     boundaries: list[float] = []
     successors: list[int] = []
     for s, row in enumerate(chain.trans):
-        cumulative = np.cumsum(numeric.matrix[s, list(row)])
+        cumulative = np.cumsum(matrix[s, list(row)])
         cumulative[-1] = 1.0
         boundaries.extend(s + cumulative)
         successors.extend(row)
-    init_cdf = np.cumsum(numeric.init)
+    init_cdf = np.cumsum(init)
     init_cdf[-1] = 1.0
-    return np.array(boundaries), np.array(successors, dtype=np.int64), init_cdf, numeric.payoff
+    return (
+        np.array(boundaries),
+        np.array(successors, dtype=np.int64),
+        init_cdf,
+        chain.payoff_vector(),
+    )
 
 
 def run_lanes_searchsorted(

@@ -24,7 +24,7 @@ from oracles import (
     strongly_connected_player,
 )
 from probefp import bundled_strategy_path
-from probefp.chain import compose, evaluate, closed_classes, limit_distribution
+from probefp.chain import compose, evaluate, closed_classes, limit_distributions
 from probefp.cli import main
 from probefp.fingerprint import (
     fingerprint_grid,
@@ -90,14 +90,14 @@ def test_criterion_03_stationary_solver_oracle(payoff):
         for chain in chains:
             for _ in range(10):
                 x, y = random_interior_point(rng, margin=0.1)
-                numeric = evaluate(chain, x, y)
-                pi = limit_distribution(numeric).pi
-                oracle = cesaro_average(numeric.matrix, numeric.init, 10**6)
+                matrix, init = evaluate(chain, x, y)
+                pi = limit_distributions(matrix[None], init[None], [(x, y)])[0]
+                oracle = cesaro_average(matrix, init, 10**6)
                 worst = max(worst, float(np.max(np.abs(pi - oracle))))
                 assert np.max(np.abs(pi - oracle)) <= 1e-6
-                for cls in closed_classes(numeric).closed_classes():
+                for cls in closed_classes(matrix).closed_classes():
                     idx = list(cls.states)
-                    sub = numeric.matrix[np.ix_(idx, idx)]
+                    sub = matrix[np.ix_(idx, idx)]
                     residual = np.max(np.abs(pi[idx] @ sub - pi[idx]))
                     assert residual <= 1e-9
         print(f"  worst |pi - oracle| = {worst:.3e}", flush=True)

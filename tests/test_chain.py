@@ -20,13 +20,9 @@ from probefp.chain import (
     SUPPORT_CUTOFF,
     ChainClass,
     ClassDecomposition,
-    NumericChain,
     closed_classes,
     compose,
     evaluate,
-    expected_payoff,
-    expected_payoff_exact,
-    limit_distribution,
     limit_distributions,
 )
 from probefp.errors import (
@@ -116,11 +112,10 @@ def test_row_sum_identity_on_random_corpus(payoff):
 
 def test_evaluate_example(players, ja_tft, payoff):
     chain = compose(players["allc"], ja_tft, payoff)
-    numeric = evaluate(chain, 0.25, 0.25)
-    np.testing.assert_allclose(
-        numeric.matrix, [[0.75, 0.25], [0.75, 0.25]], atol=1e-15
-    )
-    assert numeric.payoff.tolist() == [3.0, 0.0]
+    matrix, init = evaluate(chain, 0.25, 0.25)
+    np.testing.assert_allclose(matrix, [[0.75, 0.25], [0.75, 0.25]], atol=1e-15)
+    np.testing.assert_allclose(init, [0.75, 0.25], atol=1e-15)
+    assert chain.payoff_vector().tolist() == [3.0, 0.0]
 
 
 def test_evaluate_out_of_simplex(players, ja_tft, payoff):
@@ -133,25 +128,22 @@ def test_evaluate_out_of_simplex(players, ja_tft, payoff):
 
 def test_evaluate_constant_chain(players, const_c_probe, payoff):
     chain = compose(players["tft"], const_c_probe, payoff)
-    numeric = evaluate(chain, 0.9, 0.05)
-    assert numeric.matrix.tolist() == [[1.0]]
+    matrix, init = evaluate(chain, 0.9, 0.05)
+    assert matrix.tolist() == [[1.0]]
+    assert init.tolist() == [1.0]
 
 
 # -- closed classes -----------------------------------------------------------
 
 
-def _numeric(matrix, init):
-    n = len(matrix)
-    return NumericChain(
-        point=(0.0, 0.0),
-        matrix=np.array(matrix, dtype=float),
-        init=np.array(init, dtype=float),
-        payoff=np.zeros(n),
-    )
+def _limit(matrix, init, point=(0.0, 0.0)):
+    """Limit distribution of one evaluated chain, as a batch of one."""
+    matrix = np.array([matrix], dtype=float)
+    return limit_distributions(matrix, np.array([init], dtype=float), [point])[0]
 
 
 def test_closed_classes_two_absorbing():
-    decomp = closed_classes(_numeric([[1, 0], [0, 1]], [0.5, 0.5]))
+    decomp = closed_classes(np.array([[1.0, 0], [0, 1]]))
     assert [(c.states, c.closed) for c in decomp.classes] == [
         ((0,), True),
         ((1,), True),
@@ -159,12 +151,12 @@ def test_closed_classes_two_absorbing():
 
 
 def test_closed_classes_cycle():
-    decomp = closed_classes(_numeric([[0, 1], [1, 0]], [1, 0]))
+    decomp = closed_classes(np.array([[0.0, 1], [1, 0]]))
     assert [(c.states, c.closed) for c in decomp.classes] == [((0, 1), True)]
 
 
 def test_closed_classes_transient():
-    decomp = closed_classes(_numeric([[0.5, 0.5], [0, 1]], [1, 0]))
+    decomp = closed_classes(np.array([[0.5, 0.5], [0, 1]]))
     assert [(c.states, c.closed) for c in decomp.classes] == [
         ((0,), False),
         ((1,), True),
@@ -193,8 +185,7 @@ def test_closed_classes_match_reachability_oracle():
     rng = np.random.default_rng(2024)
     matrices += [_random_support_chain(rng) for _ in range(1000)]
     for matrix in matrices:
-        n = len(matrix)
-        decomp = closed_classes(_numeric(matrix, np.full(n, 1 / n)))
+        decomp = closed_classes(matrix)
         expected = support_classes((matrix > SUPPORT_CUTOFF).tolist())
         assert [(c.states, c.closed) for c in decomp.classes] == expected
 
@@ -203,27 +194,24 @@ def test_closed_classes_match_reachability_oracle():
 
 
 def test_limit_identical_rows():
-    m = _numeric([[0.75, 0.25], [0.75, 0.25]], [0.1, 0.9])
-    np.testing.assert_allclose(limit_distribution(m).pi, [0.75, 0.25], atol=1e-12)
+    pi = _limit([[0.75, 0.25], [0.75, 0.25]], [0.1, 0.9])
+    np.testing.assert_allclose(pi, [0.75, 0.25], atol=1e-12)
 
 
 def test_limit_periodic_cycle():
-    m = _numeric([[0, 1], [1, 0]], [1, 0])
-    np.testing.assert_allclose(limit_distribution(m).pi, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(_limit([[0, 1], [1, 0]], [1, 0]), [0.5, 0.5], atol=1e-12)
 
 
 def test_limit_absorbing_preserves_init():
-    m = _numeric([[1, 0], [0, 1]], [0.3, 0.7])
-    np.testing.assert_allclose(limit_distribution(m).pi, [0.3, 0.7], atol=1e-12)
+    np.testing.assert_allclose(_limit([[1, 0], [0, 1]], [0.3, 0.7]), [0.3, 0.7], atol=1e-12)
 
 
 def test_limit_transient_absorption():
-    m = _numeric([[0.5, 0.25, 0.25], [0, 1, 0], [0, 0, 1]], [1, 0, 0])
-    np.testing.assert_allclose(limit_distribution(m).pi, [0, 0.5, 0.5], atol=1e-12)
+    pi = _limit([[0.5, 0.25, 0.25], [0, 1, 0], [0, 0, 1]], [1, 0, 0])
+    np.testing.assert_allclose(pi, [0, 0.5, 0.5], atol=1e-12)
     # a transient state leaking eps and 2 eps splits its mass exactly 1 : 2
     for eps in (1e-3, 1e-8, 1e-13):
-        m = _numeric([[1 - 3 * eps, eps, 2 * eps], [0, 1, 0], [0, 0, 1]], [1, 0, 0])
-        pi = limit_distribution(m).pi
+        pi = _limit([[1 - 3 * eps, eps, 2 * eps], [0, 1, 0], [0, 0, 1]], [1, 0, 0])
         np.testing.assert_allclose(pi, [0, 1 / 3, 2 / 3], rtol=1e-14, atol=0)
 
 
@@ -231,27 +219,9 @@ def test_limit_transient_absorption():
 
 
 def test_expected_payoff_examples():
-    pi = limit_distribution(_numeric([[0.75, 0.25], [0.75, 0.25]], [1, 0]))
-    assert expected_payoff(pi, [Fraction(3), Fraction(0)]) == 2.25
-    pi2 = limit_distribution(_numeric([[0, 1], [1, 0]], [1, 0]))
-    assert expected_payoff(pi2, [Fraction(5), Fraction(1)]) == 3.0
-    pi3 = limit_distribution(_numeric([[1.0]], [1.0]))
-    assert expected_payoff(pi3, [Fraction(3)]) == 3.0
-
-
-def test_expected_payoff_dimension_check():
-    pi = limit_distribution(_numeric([[1.0]], [1.0]))
-    with pytest.raises(ValueError):
-        expected_payoff(pi, [Fraction(1), Fraction(2)])
-
-
-def test_payoff_linearity_is_exact(players, ja_tft, payoff):
-    chain = compose(players["tft"], ja_tft, payoff)
-    pi = limit_distribution(evaluate(chain, 0.3, 0.2))
-    base = expected_payoff_exact(pi, chain.payoff)
-    for c in (Fraction(4), Fraction(1, 2), Fraction(7, 3), Fraction(-2)):
-        scaled = expected_payoff_exact(pi, [c * p for p in chain.payoff])
-        assert scaled == c * base
+    assert _limit([[0.75, 0.25], [0.75, 0.25]], [1, 0]) @ np.array([3.0, 0.0]) == 2.25
+    assert _limit([[0, 1], [1, 0]], [1, 0]) @ np.array([5.0, 1.0]) == 3.0
+    assert _limit([[1.0]], [1.0]) @ np.array([3.0]) == 3.0
 
 
 def test_payoff_bounds_property(payoff):
@@ -261,8 +231,7 @@ def test_payoff_bounds_property(payoff):
         probe = random_probe(rng, 4)
         chain = compose(player, probe, payoff)
         x, y = random_interior_point(rng)
-        pi = limit_distribution(evaluate(chain, x, y))
-        value = expected_payoff(pi, chain.payoff)
+        value = _limit(*evaluate(chain, x, y), (x, y)) @ chain.payoff_vector()
         low, high = payoff.bounds()
         assert float(low) - 1e-12 <= value <= float(high) + 1e-12
 
@@ -275,7 +244,7 @@ def test_gth_stationary_weakly_coupled():
     # detailed balance gives pi proportional to 1, 1/2, 1/4, 1/8 for any eps
     exact = np.array([8, 4, 2, 1]) / 15
     for eps in (1e-3, 1e-8, 1e-13):
-        m = _numeric(
+        pi = _limit(
             [
                 [0.75, 0.25, 0, 0],
                 [0.5, 0.5 - eps, eps, 0],
@@ -284,17 +253,16 @@ def test_gth_stationary_weakly_coupled():
             ],
             [1, 0, 0, 0],
         )
-        np.testing.assert_allclose(limit_distribution(m).pi, exact, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(pi, exact, rtol=1e-14, atol=0)
 
 
 def test_gth_zero_out_flow_raises(monkeypatch):
     # two absorbing states misreported as one closed class: state 1 has no
     # out-flow to state 0, so its elimination must refuse
-    m = _numeric([[1, 0], [0, 1]], [0.5, 0.5])
     merged = ClassDecomposition(classes=(ChainClass(states=(0, 1), closed=True),))
     monkeypatch.setattr(chain_module, "closed_classes", lambda _: merged)
     with pytest.raises(SingularSystemError) as err:
-        limit_distribution(m)
+        _limit([[1, 0], [0, 1]], [0.5, 0.5])
     message = str(err.value)
     assert "state 1" in message and "[0, 1]" in message and "(0.0, 0.0)" in message
 
@@ -322,7 +290,7 @@ def test_sub_cutoff_flow_does_not_leak_between_classes():
     # class holds half the mass, spread evenly; letting the lam entry take
     # part in the class-{2, 3} solve would shift mass from 0 to 1.
     eps, lam = 1.2e-14, 0.9e-14
-    m = _numeric(
+    pi = _limit(
         [
             [1 - eps, eps, 0, 0],
             [eps, 1 - eps, 0, 0],
@@ -331,7 +299,7 @@ def test_sub_cutoff_flow_does_not_leak_between_classes():
         ],
         [0.5, 0, 0.5, 0],
     )
-    np.testing.assert_allclose(limit_distribution(m).pi, [0.25] * 4, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(pi, [0.25] * 4, rtol=0, atol=1e-14)
 
 
 def _reducible_block_chain(rng):
@@ -371,7 +339,7 @@ def test_reducible_block_chains_match_cesaro_and_absorption():
     rng = np.random.default_rng(7)
     for _ in range(40):
         matrix, init, blocks, transient = _reducible_block_chain(rng)
-        pi = limit_distribution(_numeric(matrix, init)).pi
+        pi = _limit(matrix, init)
         oracle = cesaro_average(matrix, init, 10**6)
         np.testing.assert_allclose(pi, oracle, rtol=0, atol=1e-5)
 
@@ -406,10 +374,10 @@ def test_limit_matches_power_iteration_oracle(payoff):
         chain = compose(player, probe, payoff)
         for _ in range(4):
             x, y = random_interior_point(rng, margin=0.1)
-            numeric = evaluate(chain, x, y)
-            pi = limit_distribution(numeric).pi
-            oracle = cesaro_average(numeric.matrix, numeric.init, 10**6)
+            matrix, init = evaluate(chain, x, y)
+            pi = _limit(matrix, init, (x, y))
+            oracle = cesaro_average(matrix, init, 10**6)
             assert np.max(np.abs(pi - oracle)) <= 1e-6
-            assert np.max(np.abs(pi @ numeric.matrix - pi)) <= 1e-9
+            assert np.max(np.abs(pi @ matrix - pi)) <= 1e-9
             assert pi.min() >= 0
             assert abs(pi.sum() - 1) <= 1e-10

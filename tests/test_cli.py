@@ -247,11 +247,60 @@ def test_grim_near_edge_cli(workdir):
     ]) == 0
 
 
-def test_simulate_out_of_simplex_usage(workdir):
+def test_simulate_out_of_simplex_usage(workdir, capsys):
+    # a NaN that got through would be written as "x": NaN, which is not JSON
+    out_file = workdir / "never.json"
+    for x, y in [("0.7", "0.7"), ("nan", "0.2"), ("0.2", "nan"), ("inf", "0"), ("0", "1e309")]:
+        assert main([
+            "simulate", str(workdir / "allc.player"), x, y,
+            "--joss-ann", str(workdir / "tft.player"), "--rounds", "100", "-o", str(out_file),
+        ]) == 64
+        assert "outside the parameter triangle" in capsys.readouterr().err
+        assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--rounds", "10", "--burn-in", "20"], ""),
+        (["--rounds", "10", "--burn-in", "10"], ""),
+        (["--burn-in", "-5"], ""),
+        (["--rounds", "10"], "burn-in 10\n"),
+    ],
+)
+def test_simulate_burn_in_outside_rounds_is_usage_error(workdir, capsys, flags, config):
+    config_file = workdir / "burn.cfg"
+    config_file.write_text(config)
     assert main([
-        "simulate", str(workdir / "allc.player"), "0.7", "0.7",
-        "--joss-ann", str(workdir / "tft.player"),
+        "simulate", str(workdir / "allc.player"), "0.2", "0.3",
+        "--joss-ann", str(workdir / "tft.player"), "--config", str(config_file), *flags,
     ]) == 64
+    assert "burn-in" in capsys.readouterr().err
+
+
+def test_distance_rejects_malformed_grid_files(workdir, capsys):
+    assert main([
+        "fingerprint", str(workdir / "alld.player"), "--joss-ann", str(workdir / "tft.player"),
+        "-n", "2", "-o", str(workdir / "good.csv"),
+    ]) == 0
+    lines = (workdir / "good.csv").read_text().splitlines()
+    body = lines.index("x,y,value") + 1
+    nodes = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]  # (2, 0) is missing
+    doc = {"meta": {"resolution": 2}, "values": [[i / 2, j / 2, 1.0] for i, j in nodes]}
+    malformed = {
+        "two_rows.csv": "\n".join(lines[: body + 2]) + "\n",
+        "one_row.csv": "\n".join(lines[: body + 1]) + "\n",
+        "two_fields.csv": "\n".join(lines[:-1] + ["0.5,0.5"]) + "\n",
+        "missing_node.json": json.dumps(doc),
+        "invalid.json": '{"meta": {"resolution": 2}, "values": [',
+    }
+    source = f"{workdir / 'allc.player'}:ja:{workdir / 'tft.player'}"
+    for name, text in malformed.items():
+        (workdir / name).write_text(text)
+        capsys.readouterr()
+        code = main(["distance", str(workdir / name), source, "--quad-n", "4"])
+        assert code == 2, name
+        assert "invalid input" in capsys.readouterr().err, name
 
 
 def test_reproducible_outputs(workdir):

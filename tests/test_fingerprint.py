@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -18,8 +19,10 @@ from probefp.automata import joss_ann, parse_probe, validate_probe
 from probefp.chain import SUPPORT_CUTOFF, ChainClass, ClassDecomposition, compose
 from probefp.errors import (
     ExpressionSwellError,
+    InputError,
     NegativeWeightError,
     NumericError,
+    OutOfSimplexError,
     ReducibleChainError,
 )
 from probefp.fingerprint import (
@@ -27,10 +30,11 @@ from probefp.fingerprint import (
     INTERIOR_OFFSET,
     FingerprintGrid,
     boundary_discrepancy,
-    fingerprint_at,
     _offset_toward_centroid,
     fingerprint_grid,
+    pointwise_fingerprint,
     symbolic_fingerprint,
+    value_at,
 )
 from probefp.polyexpr import ParamExpr, RationalFn, expr_parse, ratfn_equiv, ratfn_eval
 
@@ -79,15 +83,27 @@ def bundled_pairs(players):
 
 
 def test_fingerprint_at_examples(players, ja_tft, const_c_probe, payoff):
-    assert fingerprint_at(players["allc"], ja_tft, payoff, 0.25, 0.25) == 2.25
-    assert fingerprint_at(players["alld"], ja_tft, payoff, 0.5, 0.25) == 3.0
+    assert pointwise_fingerprint(players["allc"], ja_tft, payoff)(0.25, 0.25) == 2.25
+    assert pointwise_fingerprint(players["alld"], ja_tft, payoff)(0.5, 0.25) == 3.0
+    tft = pointwise_fingerprint(players["tft"], const_c_probe, payoff)
     for point in [(0.0, 0.0), (0.3, 0.3), (1.0, 0.0), (0.25, 0.7)]:
-        assert fingerprint_at(players["tft"], const_c_probe, payoff, *point) == 3.0
+        assert tft(*point) == 3.0
+
+
+@pytest.mark.parametrize("mode", [CESARO, INTERIOR_OFFSET])
+def test_value_at_rejects_non_finite_points(players, ja_tft, payoff, mode):
+    # every comparison with NaN is false, so a test for "outside" lets NaN
+    # through: a NaN x then gives a value, and a NaN y fails in the solver
+    chain = compose(players["allc"], ja_tft, payoff)
+    nan, inf = float("nan"), float("inf")
+    for point in [(nan, 0.2), (0.2, nan), (nan, nan), (inf, 0.0), (0.0, -inf)]:
+        with pytest.raises(OutOfSimplexError):
+            value_at(chain, *point, mode)
 
 
 def test_fingerprint_rejects_unknown_mode(players, ja_tft, payoff):
     with pytest.raises(ValueError):
-        fingerprint_at(players["allc"], ja_tft, payoff, 0.1, 0.1, "nearest")
+        pointwise_fingerprint(players["allc"], ja_tft, payoff, "nearest")(0.1, 0.1)
 
 
 # -- grids ----------------------------------------------------------------------
@@ -131,6 +147,31 @@ def test_grid_serialization_round_trip(players, ja_tft, payoff):
     assert from_csv.meta["player"] == "TFT"
 
 
+def test_grid_files_that_are_not_the_lattice_are_input_errors(players, ja_tft, payoff):
+    grid = fingerprint_grid(players["tft"], ja_tft, payoff, 2)
+    csv_rows = grid.to_csv().splitlines()
+    header = [line for line in csv_rows if line.startswith("#") or line == "x,y,value"]
+    data = csv_rows[len(header):]
+    bad_csv = [
+        header + data[:2],  # no lattice has 2 nodes
+        header + data[:1],  # 1 node would be resolution 0
+        header + data[:-1] + ["0,0"],  # a row with 2 fields
+        header + data[:-1] + ["0,nan,1"],  # a node that is not finite
+        header + data[:-1] + [data[0]],  # a repeated node instead of the last
+    ]
+    for rows in bad_csv:
+        with pytest.raises(InputError):
+            FingerprintGrid.from_csv("\n".join(rows) + "\n")
+    doc = json.loads(grid.to_json())
+    missing = {**doc, "values": doc["values"][:-1]}
+    outside = {**doc, "values": doc["values"][:-1] + [[1.0, 1.0, 3.0]]}
+    zero = {"meta": {**doc["meta"], "resolution": 0}, "values": doc["values"][:1]}
+    huge = {"meta": {**doc["meta"], "resolution": 10**9}, "values": doc["values"]}
+    for text in [json.dumps(d) for d in (missing, outside, zero, huge)] + ["{", "[]", "{}"]:
+        with pytest.raises(InputError):
+            FingerprintGrid.from_json(text)
+
+
 def test_grid_csv_layout(players, ja_tft, payoff):
     text = fingerprint_grid(players["tft"], ja_tft, payoff, 2).to_csv()
     lines = [line for line in text.splitlines() if not line.startswith("#")]
@@ -165,7 +206,7 @@ def test_symbolic_numeric_agreement_on_interior_lattice(players, ja_tft, payoff)
         for i in range(1, 20):
             for j in range(1, 20 - i):
                 x, y = i / 20, j / 20
-                numeric = fingerprint_at(players[name], ja_tft, payoff, x, y)
+                numeric = value_at(chain, x, y)
                 assert abs(ratfn_eval(result.fn, x, y) - numeric) <= 1e-8
 
 
@@ -256,7 +297,7 @@ def test_symbolic_singular_system_raises(players, payoff, monkeypatch):
     monkeypatch.setattr(
         fingerprint_module,
         "closed_classes",
-        lambda numeric: ClassDecomposition((ChainClass((0, 1, 2), closed=True),)),
+        lambda matrix: ClassDecomposition((ChainClass((0, 1, 2), closed=True),)),
     )
     with pytest.raises(ReducibleChainError) as err:
         symbolic_fingerprint(players["tft"], probe, payoff)
@@ -296,18 +337,20 @@ def test_boundary_discrepancy_localized_to_edge(players, payoff):
 
 
 def test_interior_offset_matches_cesaro_inside(players, ja_tft, payoff):
+    chain = compose(players["tft"], ja_tft, payoff)
     for point in [(0.3, 0.3), (0.15, 0.5)]:
-        a = fingerprint_at(players["tft"], ja_tft, payoff, *point, CESARO)
-        b = fingerprint_at(players["tft"], ja_tft, payoff, *point, INTERIOR_OFFSET)
+        a = value_at(chain, *point, CESARO)
+        b = value_at(chain, *point, INTERIOR_OFFSET)
         assert a == b
 
 
 def test_grim_near_edge_keeps_interior_value(players, ja_tft, payoff):
     # Grim is absorbed into defection for every y > 0, where JA(TFT)
     # cooperates with probability x: the value is 1 + 4x however small y is
+    chain = compose(players["grim"], ja_tft, payoff)
     for x in (0.05, 0.3, 0.7):
         for y in (2e-14, 1e-13, 1e-11, 1e-9, 1e-7, 1e-6):
-            value = fingerprint_at(players["grim"], ja_tft, payoff, x, y)
+            value = value_at(chain, x, y)
             assert abs(value - (1 + 4 * x)) <= 1e-12
 
 
@@ -353,8 +396,9 @@ def test_corner_values_match_cycle_oracle(players, ja_tft, payoff):
     for name, player in players.items():
         vs_allc = float(cycle_average_payoff(player, "C", payoff))
         vs_alld = float(cycle_average_payoff(player, "D", payoff))
-        assert abs(fingerprint_at(player, ja_tft, payoff, 1.0, 0.0) - vs_allc) <= 1e-9
-        assert abs(fingerprint_at(player, ja_tft, payoff, 0.0, 1.0) - vs_alld) <= 1e-9
+        chain = compose(player, ja_tft, payoff)
+        assert abs(value_at(chain, 1.0, 0.0) - vs_allc) <= 1e-9
+        assert abs(value_at(chain, 0.0, 1.0) - vs_alld) <= 1e-9
 
 
 def test_cycle_oracle_pavlov_values(players, payoff):
@@ -395,16 +439,16 @@ def test_grim_grid_classifies_once_per_support_pattern(players, ja_tft, payoff, 
     n = 100
     chain = compose(players["grim"], ja_tft, payoff)
     patterns = {
-        (evaluate_point(chain, i / n, j / n).matrix > SUPPORT_CUTOFF).tobytes()
+        (evaluate_point(chain, i / n, j / n)[0] > SUPPORT_CUTOFF).tobytes()
         for i in range(n + 1)
         for j in range(n + 1 - i)
     }
     calls = []
     classify = chain_module.closed_classes
 
-    def counting(m):
-        calls.append(m.point)
-        return classify(m)
+    def counting(matrix):
+        calls.append(matrix)
+        return classify(matrix)
 
     monkeypatch.setattr(chain_module, "closed_classes", counting)
     grid = fingerprint_grid(players["grim"], ja_tft, payoff, n)

@@ -11,7 +11,6 @@ from probefp.polyexpr import (
     PolyTable,
     RationalFn,
     _int_exact_div,
-    expr_eval,
     expr_parse,
     ratfn_equiv,
     ratfn_eval,
@@ -68,9 +67,9 @@ def test_unary_minus_binds_factor():
 
 
 def test_eval_examples():
-    assert expr_eval(expr_parse("1-x-y"), 0.25, 0.25) == 0.5
-    assert expr_eval(expr_parse("x*y"), 0.0, 0.5) == 0.0
-    assert expr_eval(expr_parse("(x+y)^2"), 0.5, 0.5) == 1.0
+    assert expr_parse("1-x-y").evaluate(0.25, 0.25) == 0.5
+    assert expr_parse("x*y").evaluate(0.0, 0.5) == 0.0
+    assert expr_parse("(x+y)^2").evaluate(0.5, 0.5) == 1.0
 
 
 def test_zero_polynomial_evaluates_to_exact_zero():

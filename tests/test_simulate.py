@@ -15,7 +15,7 @@ from oracles import (
 from probefp.automata import PayoffMatrix, joss_ann
 from probefp.chain import compose
 from probefp.errors import OutOfSimplexError
-from probefp.fingerprint import fingerprint_at
+from probefp.fingerprint import value_at
 from probefp.simulate import (
     SimEstimate,
     _GameTable,
@@ -93,8 +93,11 @@ def test_rounds_must_exceed_burn_in(players, ja_tft, payoff):
 
 
 def test_out_of_simplex_rejected(players, ja_tft, payoff):
-    with pytest.raises(OutOfSimplexError):
-        play_once(players["tft"], ja_tft, payoff, 0.7, 0.7, 100, 10, 1)
+    for point in [(0.7, 0.7), (float("nan"), 0.2), (0.2, float("nan")), (float("inf"), 0.0)]:
+        with pytest.raises(OutOfSimplexError):
+            play_once(players["tft"], ja_tft, payoff, *point, 100, 10, 1)
+        with pytest.raises(OutOfSimplexError):
+            estimate(players["tft"], ja_tft, payoff, *point, rounds=100, replicates=2)
 
 
 def test_default_burn_in():
@@ -113,12 +116,12 @@ def test_estimate_agrees_with_exact_fingerprint(players, ja_tft, payoff):
             players[name], ja_tft, payoff, x, y,
             rounds=100_000, burn_in=1_000, replicates=16, seed=7,
         )
-        exact = fingerprint_at(players[name], ja_tft, payoff, x, y)
+        exact = value_at(compose(players[name], ja_tft, payoff), x, y)
         assert abs(result.mean - exact) <= 3 * result.stderr
 
 
 def test_error_shrinks_with_more_rounds(players, ja_tft, payoff):
-    exact = fingerprint_at(players["tft"], ja_tft, payoff, 0.3, 0.25)
+    exact = value_at(compose(players["tft"], ja_tft, payoff), 0.3, 0.25)
     results = {
         rounds: estimate(
             players["tft"], ja_tft, payoff, 0.3, 0.25,

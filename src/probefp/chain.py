@@ -217,6 +217,16 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
     return chain
 
 
+def check_in_simplex(xs: np.ndarray, ys: np.ndarray) -> None:
+    """Raise OutOfSimplexError naming the first point (xs[p], ys[p]) that is
+    not in the closed triangle, within SIMPLEX_TOL."""
+    # "not inside" rather than "outside", so that NaN coordinates fail too
+    outside = ~((xs >= -SIMPLEX_TOL) & (ys >= -SIMPLEX_TOL) & (xs + ys <= 1 + SIMPLEX_TOL))
+    if outside.any():
+        p = int(np.argmax(outside))
+        raise OutOfSimplexError(float(xs[p]), float(ys[p]))
+
+
 def evaluate_points(chain: ParamChain, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrices (N, n, n) and initial distributions (N, n) of the
     chain at the N points (xs[p], ys[p]) of the closed triangle.
@@ -226,11 +236,7 @@ def evaluate_points(chain: ParamChain, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    # "not inside" rather than "outside", so that NaN coordinates fail too
-    outside = ~((xs >= -SIMPLEX_TOL) & (ys >= -SIMPLEX_TOL) & (xs + ys <= 1 + SIMPLEX_TOL))
-    if outside.any():
-        p = int(np.argmax(outside))
-        raise OutOfSimplexError(float(xs[p]), float(ys[p]))
+    check_in_simplex(xs, ys)
     n = chain.n_states
     values = chain.weights.evaluate(xs, ys)
     # the init weights form row n, after the n transition rows

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid input, 3 numeric failure, 4 reducible chain
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -99,6 +100,14 @@ _CONFIG_KEYS = {
 }
 
 
+def _convert(kind, text: str, error: type[Exception], where: str):
+    """kind(text), or `error` naming where the text came from."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise error(f"{where}: {text!r} is not a valid {kind.__name__}") from None
+
+
 def _read_config_file(path: str) -> dict:
     values: dict = {"payoff": []}
     try:
@@ -114,11 +123,13 @@ def _read_config_file(path: str) -> dict:
         if key == "payoff":
             if len(tokens) != 4:
                 raise InputError(f"config line {lineno}: payoff needs 'payoff A B VALUE'")
-            values["payoff"].append((tokens[1], tokens[2], Fraction(tokens[3])))
+            value = _convert(Fraction, tokens[3], InputError, f"config line {lineno}")
+            values["payoff"].append((tokens[1], tokens[2], value))
         elif key in _CONFIG_KEYS:
             if len(tokens) != 2:
                 raise InputError(f"config line {lineno}: expected '{key} VALUE'")
-            values[key] = _CONFIG_KEYS[key][0](tokens[1])
+            kind = _CONFIG_KEYS[key][0]
+            values[key] = _convert(kind, tokens[1], InputError, f"config line {lineno}")
         else:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
     return values
@@ -137,7 +148,7 @@ def _resolve_config(args) -> RunConfig:
 
     overrides = list(file_values.get("payoff", []))
     for a, b, v in getattr(args, "payoff", None) or []:
-        overrides.append((a, b, Fraction(v)))
+        overrides.append((a, b, _convert(Fraction, v, UsageError, "--payoff")))
 
     if "boundary_mode" in chosen:
         boundary = chosen["boundary_mode"]
@@ -418,7 +429,10 @@ def _add_common(parser: argparse.ArgumentParser, *optional: str) -> None:
         parser.add_argument(*flags, default=None, **kwargs)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it."""
     parser = _Parser(prog="probefp", description=__doc__)
     parser.add_argument("--version", action="version", version=f"probefp {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)

@@ -20,6 +20,7 @@ import numpy as np
 from .automata import PayoffMatrix, PlayerMachine, Probe
 from .chain import (
     ParamChain,
+    check_in_simplex,
     closed_classes,
     compose,
     evaluate,
@@ -83,10 +84,12 @@ def _values(chain: ParamChain, xs, ys, boundary_mode: str = CESARO) -> np.ndarra
     evaluated and solved together, BATCH_CELLS at a time."""
     if boundary_mode not in BOUNDARY_MODES:
         raise ValueError(f"unknown boundary mode {boundary_mode!r}")
-    if boundary_mode == INTERIOR_OFFSET:
-        xs, ys = _offset_toward_centroid(xs, ys)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if boundary_mode == INTERIOR_OFFSET:
+        # checked as given: the offset turns an infinite coordinate into NaN
+        check_in_simplex(xs, ys)
+        xs, ys = _offset_toward_centroid(xs, ys)
     payoff = chain.payoff_vector()
     values = np.empty(len(xs))
     step = max(1, BATCH_CELLS // chain.n_states**2)

@@ -6,11 +6,14 @@ draws over the probe's outcome distributions, taken in canonical outcome
 order.  Replicates run in vectorized lockstep, each on its own seeded PCG64
 stream, so a replicate inside `estimate` reproduces `play_once` bit for bit.
 
-The draws go through a rank table built once per call (`_GameTable`): each
-uniform is reduced to the index of the interval of [0, 1) it falls in, and
-a round of every lane is one `take` from a table indexed by interval and
-state.  Uniforms are drawn and ranked in blocks of `_BLOCK` (512) rounds,
-and payoffs are summed per chunk of `_CHUNK` (4096) rounds.
+The draws go through tables built once per call (`_GameTable`).  Each
+uniform is reduced to its rank, the index of the interval of [0, 1) it
+falls in.  Uniforms are drawn and ranked in blocks of `_BLOCK` (512)
+rounds.  The ranks of k consecutive rounds form one index into a table of
+k-round successors, so one `take` advances every lane k rounds, and after
+the block one more `take` fills in the rounds in between.  The trajectory
+is the one a round-by-round walk gives, and payoffs are summed over it per
+chunk of `_CHUNK` (4096) rounds, so estimates do not depend on k.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ RNG_ID = "numpy-pcg64"
 _CHUNK = 4096
 _BLOCK = 512
 _BUCKETS = 4096
+# Entries of each k-round table; larger caps measured no faster and cost
+# memory.
+_TABLE_CAP = 4096
 
 
 @dataclass
@@ -49,7 +55,7 @@ def default_burn_in(rounds: int) -> int:
 
 
 class _GameTable:
-    """Rank table of the joint chain at one point.
+    """Rank tables of the joint chain at one point.
 
     Outcome selection is inverse-CDF sampling: state s takes the first
     outcome whose cumulative boundary b = fl(s + c) exceeds fl(s + u), with
@@ -58,8 +64,15 @@ class _GameTable:
     one threshold theta, the least float u in [0, 1] that passes it; bisection
     on the bit patterns of [0, 1] finds it under the kernel's own rounding.
     The distinct thresholds in (0, 1), `cuts`, split [0, 1) into
-    len(cuts) + 1 intervals, and `step[r * n + s]` is the successor of state
-    s for every u in interval r, so a round of play is one `take`.
+    R = len(cuts) + 1 intervals, and `step[r * n + s]` is the successor of
+    state s for every u in interval r.
+
+    Rounds are played `k` at a time.  A rank tuple (r_0, ..., r_{k-1}) of k
+    consecutive rounds has the index t = sum(r_i * R**i), and
+    `after[j, t * n + s]` is the state after j + 1 of those rounds from
+    state s.  It depends only on `step`, so it is built once per call; k is
+    the largest value, at most `_BLOCK`, with R**k * n <= `_TABLE_CAP`, and
+    k = 1 when R**2 * n exceeds it.
     """
 
     def __init__(self, chain: ParamChain, x: float, y: float):
@@ -99,9 +112,23 @@ class _GameTable:
         passed = np.add.reduceat(theta <= lefts[:, None], firsts, axis=1)
         below = np.add.reduceat(bound < owner + 1, firsts)
         self.step = successors[firsts + np.minimum(passed, below)].ravel()
-        self.n_states = n
 
-        # Ranks by bucket: in bucket k, [k / B, (k + 1) / B), every uniform
+        # after[j, t * n + s] is after[j - 1, t * n + s] advanced one round
+        # at rank r_j, the digit j of t in base R, starting from s at j = 0.
+        n_ranks = len(self.cuts) + 1
+        k = 1
+        while k < _BLOCK and n_ranks ** (k + 1) * n <= _TABLE_CAP:
+            k += 1
+        t = np.arange(n_ranks**k).repeat(n)
+        state = np.tile(np.arange(n), n_ranks**k)
+        self.after = np.empty((k, n_ranks**k * n), dtype=np.int64)
+        for j in range(k):
+            state = self.after[j] = self.step.take(t // n_ranks**j % n_ranks * n + state)
+        self.k = k
+        # t * n from the ranks of a group's k rounds
+        self.tuple_weights = n * n_ranks ** np.arange(k)
+
+        # Ranks by bucket: in bucket i, [i / B, (i + 1) / B), every uniform
         # has the rank of the bucket's left end unless a cut lies inside the
         # bucket; only those few buckets are searched.
         edges = np.arange(_BUCKETS + 1) / _BUCKETS
@@ -144,22 +171,34 @@ def _run_lanes(
         counted = 1
     done = 1  # rounds simulated so far (round 1 is the initial draw)
 
-    take = table.step.take
+    k = table.k
+    groups = -(-_BLOCK // k)
+    add, take = np.add, table.after[-1].take
+    paths = table.after.T.copy()  # row t * n + s: the k states a group visits
     traj = np.empty((lanes, _CHUNK), dtype=np.int64)
-    uniforms = np.empty((lanes, _BLOCK))
-    path = np.empty((_BLOCK, lanes), dtype=np.int64)
+    # columns past a block's width stay 0.0, which has rank 0
+    uniforms = np.zeros((lanes, groups * k))
+    rows = list(uniforms)  # made once: indexing uniforms[lane] costs about a draw
+    # index t * n + s of each group's rank tuple t and entry state s
+    entries = np.empty((groups, lanes), dtype=np.int64)
     while done < rounds:
         span = min(_CHUNK, rounds - done)
         for offset in range(0, span, _BLOCK):
             width = min(_BLOCK, span - offset)
-            for lane, gen in enumerate(generators):
-                gen.random(out=uniforms[lane, :width])
-            steps = table.ranks(uniforms[:, :width].T)
-            steps *= table.n_states
+            used = -(-width // k)
+            uniforms[:, width:] = 0.0
+            for gen, row in zip(generators, rows):
+                gen.random(out=row[:width])
+            ranks = table.ranks(uniforms[:, : used * k]).reshape(lanes, used, k)
+            tuples = np.ascontiguousarray((ranks @ table.tuple_weights).T)
             # every index is in range; "clip" skips the buffered bounds check
-            for row, out in zip(steps, path):
-                states = take(row + states, out=out, mode="clip")
-            traj[:, offset : offset + width] = path[:width].T
+            for tuple_index, entry in zip(tuples, entries):
+                states = take(add(tuple_index, states, out=entry), mode="clip")
+            path = paths.take(entries[:used].T, axis=0).reshape(lanes, -1)
+            traj[:, offset : offset + width] = path[:, :width]
+            # the padded rounds moved the lanes on; their real state is the
+            # block's last
+            states = traj[:, offset + width - 1].copy()
         start = max(burn_in - done, 0)
         if start < span:
             totals += table.payoff[traj[:, start:span]].sum(axis=1)

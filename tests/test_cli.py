@@ -361,6 +361,48 @@ def test_config_file_and_flag_precedence(workdir):
     assert json.loads(out2.read_text())["meta"]["n"] == 3
 
 
+@pytest.mark.parametrize("line", ["n abc", "seed 1.5", "payoff C C abc", "payoff C C 1/0"])
+def test_config_file_value_that_does_not_convert_is_input_error(workdir, capsys, line):
+    config = workdir / "bad.cfg"
+    config.write_text(f"format json\n{line}\n")
+    code = main([
+        "fingerprint", str(workdir / "allc.player"), "--joss-ann", str(workdir / "tft.player"),
+        "--config", str(config), "-o", str(workdir / "never.json"),
+    ])
+    assert code == 2
+    assert "invalid input: config line 2" in capsys.readouterr().err
+    assert not (workdir / "never.json").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", "nan"])
+def test_payoff_flag_value_that_does_not_convert_is_usage_error(workdir, capsys, value):
+    code = main([
+        "symbolic", str(workdir / "allc.player"), "--joss-ann", str(workdir / "tft.player"),
+        "--payoff", "C", "C", value,
+    ])
+    assert code == 64
+    assert "usage error: --payoff" in capsys.readouterr().err
+
+
+def test_consecutive_runs_share_the_parser_but_no_state(workdir, capsys):
+    assert build_parser() is build_parser()
+    symbolic = [
+        "symbolic", str(workdir / "allc.player"), "--joss-ann", str(workdir / "tft.player"),
+    ]
+    simulate = [
+        "simulate", str(workdir / "tft.player"), "0.2", "0.3",
+        "--joss-ann", str(workdir / "tft.player"), "--rounds", "200",
+    ]
+    assert main(symbolic) == 0
+    alone = capsys.readouterr().out
+    assert main([*simulate, "--payoff", "C", "C", "4", "-o", str(workdir / "four.json")]) == 0
+    assert "C,C=4" in json.loads((workdir / "four.json").read_text())["meta"]["payoff"]
+    assert main(symbolic) == 0
+    assert capsys.readouterr().out == alone
+    assert main([*simulate, "-o", str(workdir / "three.json")]) == 0
+    assert "C,C=3" in json.loads((workdir / "three.json").read_text())["meta"]["payoff"]
+
+
 def test_unknown_flag_is_usage_error(workdir):
     assert main(["fingerprint", str(workdir / "allc.player"), "--bogus"]) == 64
 

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import probefp.chain as chain_module
@@ -90,15 +91,27 @@ def test_fingerprint_at_examples(players, ja_tft, const_c_probe, payoff):
         assert tft(*point) == 3.0
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode", [CESARO, INTERIOR_OFFSET])
 def test_value_at_rejects_non_finite_points(players, ja_tft, payoff, mode):
     # every comparison with NaN is false, so a test for "outside" lets NaN
-    # through: a NaN x then gives a value, and a NaN y fails in the solver
+    # through: a NaN x then gives a value, and a NaN y fails in the solver.
+    # The offset step must not see the point: it turns inf into NaN.
     chain = compose(players["allc"], ja_tft, payoff)
     nan, inf = float("nan"), float("inf")
     for point in [(nan, 0.2), (0.2, nan), (nan, nan), (inf, 0.0), (0.0, -inf)]:
-        with pytest.raises(OutOfSimplexError):
+        with pytest.raises(OutOfSimplexError) as caught:
             value_at(chain, *point, mode)
+        assert np.array_equal(caught.value.point, point, equal_nan=True)
+
+
+def test_offset_mode_refuses_a_point_outside_the_triangle(players, ja_tft, payoff):
+    # the offset would move these points inside; the point given is outside
+    chain = compose(players["allc"], ja_tft, payoff)
+    for point in [(-1e-9, 0.5), (0.5, 0.5 + 1e-9)]:
+        with pytest.raises(OutOfSimplexError) as caught:
+            value_at(chain, *point, INTERIOR_OFFSET)
+        assert caught.value.point == point
 
 
 def test_fingerprint_rejects_unknown_mode(players, ja_tft, payoff):

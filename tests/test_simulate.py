@@ -17,6 +17,8 @@ from probefp.chain import compose
 from probefp.errors import OutOfSimplexError
 from probefp.fingerprint import value_at
 from probefp.simulate import (
+    _BLOCK,
+    _TABLE_CAP,
     SimEstimate,
     _GameTable,
     _run_lanes,
@@ -225,3 +227,55 @@ def test_lanes_match_searchsorted_oracle(players, ja_tft):
             assert np.array_equal(got, expected), (chain.n_states, x, y, burn_in)
             runs += 1
     assert runs >= 80
+
+
+def _tables_of_every_k(players, ja_tft, const_c_probe):
+    """A deterministic chain, whose one rank lets k reach _BLOCK; Pavlov vs
+    JA(TFT), with k in between; and random chains whose many cuts put
+    R**2 * n over the cap, so that k = 1."""
+    chains = [
+        compose(players["tft"], const_c_probe, SEVENTHS),
+        compose(players["pavlov"], ja_tft, SEVENTHS),
+    ]
+    chains += [c for c in _chains(players, ja_tft) if c.n_states >= 16]
+    return chains, [_GameTable(chain, 0.25, 0.35) for chain in chains]
+
+
+def test_k_is_the_largest_that_fits_the_cap(players, ja_tft, const_c_probe):
+    chains, tables = _tables_of_every_k(players, ja_tft, const_c_probe)
+    ks = [table.k for table in tables]
+    assert ks[0] == _BLOCK and 1 < ks[1] < _BLOCK and 1 in ks
+    for chain, table in zip(chains, tables):
+        n, n_ranks, k = chain.n_states, len(table.cuts) + 1, table.k
+        assert table.after.shape == (k, n_ranks**k * n)
+        assert k == 1 or table.after.shape[1] <= _TABLE_CAP
+        assert k == _BLOCK or n_ranks ** (k + 1) * n > _TABLE_CAP
+
+
+def test_k_round_table_is_k_single_steps(players, ja_tft, const_c_probe):
+    chains, tables = _tables_of_every_k(players, ja_tft, const_c_probe)
+    for chain, table in zip(chains, tables):
+        n, n_ranks = chain.n_states, len(table.cuts) + 1
+        step, after = table.step.tolist(), table.after.tolist()
+        for t in range(n_ranks**table.k):
+            for s in range(n):
+                state, digits = s, t
+                for j in range(table.k):
+                    state = step[digits % n_ranks * n + state]
+                    digits //= n_ranks
+                    assert after[j][t * n + s] == state
+
+
+def test_lanes_match_searchsorted_oracle_at_group_edges(players, ja_tft, const_c_probe):
+    # rounds that end a block or a chunk one round into a group of k, and
+    # burn-ins that end inside a group
+    seeds = np.array([3, 4, 5])
+    chains, tables = _tables_of_every_k(players, ja_tft, const_c_probe)
+    for chain, table in zip(chains, tables):
+        k = table.k
+        for rounds in (1, 2, k + 1, 513, 4097, 4796):
+            inside = 1 + k // 2 + k * ((rounds - 1) // (2 * k))
+            for burn_in in [0] + [inside] * (inside < rounds):
+                expected = run_lanes_searchsorted(chain, 0.25, 0.35, rounds, burn_in, seeds)
+                got = _run_lanes(table, rounds, burn_in, seeds)
+                assert np.array_equal(got, expected), (chain.n_states, k, rounds, burn_in)

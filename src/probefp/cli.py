@@ -76,12 +76,6 @@ class RunConfig:
     replicates: int = 16
 
     def __post_init__(self):
-        if self.fmt not in ("csv", "json"):
-            raise UsageError(f"unknown format {self.fmt!r}")
-        if self.grid_n < 1 or self.quad_n < 1:
-            raise UsageError("resolutions must be >= 1")
-        if self.rounds < 1 or self.replicates < 2:
-            raise UsageError("need rounds >= 1 and replicates >= 2")
         if self.burn_in is not None and not 0 <= self.burn_in < self.rounds:
             raise UsageError("need 0 <= burn-in < rounds")
 
@@ -98,6 +92,33 @@ _CONFIG_KEYS = {
     "burn-in": (int, "burn_in"),
     "replicates": (int, "replicates"),
 }
+
+
+def _at_least(low: int):
+    return lambda value: value >= low
+
+
+# The values of a key that takes fewer than all of its type: a test and its
+# wording.
+_KEY_RANGES = {
+    "n": (_at_least(1), ">= 1"),
+    "boundary": (_BOUNDARY_FLAGS.__contains__, "cesaro or offset"),
+    "quad-n": (_at_least(1), ">= 1"),
+    "format": (("csv", "json").__contains__, "csv or json"),
+    "seed": (_at_least(0), ">= 0"),
+    "rounds": (_at_least(1), ">= 1"),
+    "burn-in": (_at_least(0), ">= 0"),
+    "replicates": (_at_least(2), ">= 2"),
+}
+
+
+def _check_range(key: str, value, error: type[Exception], where: str):
+    """value, or `error` naming where it came from if `key` does not take it."""
+    if key in _KEY_RANGES:
+        takes, wording = _KEY_RANGES[key]
+        if not takes(value):
+            raise error(f"{where}: {key} must be {wording}, not {value!r}")
+    return value
 
 
 def _convert(kind, text: str, error: type[Exception], where: str):
@@ -128,8 +149,9 @@ def _read_config_file(path: str) -> dict:
         elif key in _CONFIG_KEYS:
             if len(tokens) != 2:
                 raise InputError(f"config line {lineno}: expected '{key} VALUE'")
-            kind = _CONFIG_KEYS[key][0]
-            values[key] = _convert(kind, tokens[1], InputError, f"config line {lineno}")
+            where = f"config line {lineno}"
+            value = _convert(_CONFIG_KEYS[key][0], tokens[1], InputError, where)
+            values[key] = _check_range(key, value, InputError, where)
         else:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
     return values
@@ -141,7 +163,9 @@ def _resolve_config(args) -> RunConfig:
     chosen = {}
     for key, (_, field) in _CONFIG_KEYS.items():
         value = getattr(args, key.replace("-", "_"), None)
-        if value is None:
+        if value is not None:
+            _check_range(key, value, UsageError, "-n" if key == "n" else f"--{key}")
+        else:
             value = file_values.get(key)
         if value is not None:
             chosen[field] = value
@@ -151,10 +175,7 @@ def _resolve_config(args) -> RunConfig:
         overrides.append((a, b, _convert(Fraction, v, UsageError, "--payoff")))
 
     if "boundary_mode" in chosen:
-        boundary = chosen["boundary_mode"]
-        if boundary not in _BOUNDARY_FLAGS:
-            raise UsageError(f"unknown boundary mode {boundary!r}")
-        chosen["boundary_mode"] = _BOUNDARY_FLAGS[boundary]
+        chosen["boundary_mode"] = _BOUNDARY_FLAGS[chosen["boundary_mode"]]
     return RunConfig(payoff_overrides=overrides, out=getattr(args, "output", None), **chosen)
 
 

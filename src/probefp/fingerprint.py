@@ -7,6 +7,16 @@ per-round payoff of their joint chain as a function of the probe parameters
 closed form solves the stationary system symbolically over the polynomial
 ring using fraction-free (Bareiss) elimination, yielding a rational function
 of (x, y).
+
+The elimination scales each row to integer coefficients and packs each
+polynomial into one integer, x -> 2**w and y -> 2**(w * (Dx + 1)).  That
+map is a ring homomorphism, so the Bareiss steps run on Python integers.
+Every value that is tested for zero or unpacked is a minor with at most one
+row besides the system's, and Hadamard's inequality on the unit torus
+bounds its coefficients; w and Dx come from that bound and from degree
+sums, so these values pack without overlap (`_packed_layout`).  TERM_CAP
+caps the number of terms of any intermediate polynomial, counted after
+unpacking.
 """
 
 from __future__ import annotations
@@ -32,10 +42,11 @@ from .polyexpr import (
     IntTerms,
     ParamExpr,
     RationalFn,
+    _exact_quotient,
     _from_integer,
-    _int_cross,
-    _int_exact_div,
     _integer_row,
+    _pack,
+    _unpack,
     ratfn_eval,
     ratfn_values,
 )
@@ -50,7 +61,7 @@ OFFSET_EPS = 1e-6
 BOUNDARY_TOL = 1e-12
 
 # Abort symbolic elimination once any intermediate polynomial grows past this
-# many terms.
+# many terms (nonzero coefficients of the unpacked polynomial).
 TERM_CAP = 200_000
 
 # Lattice used to cross-check closed forms against the numeric path.
@@ -288,18 +299,46 @@ class SymbolicFingerprint:
         return ratfn_values(self.fn, xs, ys)
 
 
-def _capped(terms: IntTerms) -> IntTerms:
-    if len(terms) > TERM_CAP:
-        raise ExpressionSwellError(len(terms), TERM_CAP)
-    return terms
+def _packed_layout(system: list[list[IntTerms]], last_rows: list[list[IntTerms]]):
+    """(width, x_span) of a packing that every minor of the matrix formed
+    by `system` and at most one of `last_rows` survives: every coefficient
+    of such a minor is below 2**(width - 1) in magnitude and every power of
+    x below x_span.
+
+    For a row r let S_r = sum over its cells of (sum of |coefficients|)**2,
+    at least 1.  On the unit torus |x| = |y| = 1 no cell exceeds its sum of
+    |coefficients|, so by Hadamard's inequality no minor exceeds the product
+    of sqrt(S_r) over its rows, and a coefficient of a polynomial is at most
+    its maximum on the torus.  A minor's rows are some system rows and at
+    most one last row, so sqrt(prod S_system * max S_last) bounds every
+    coefficient.  Its x-degree is at most the sum of its rows' x-degrees
+    and at most the sum of its columns'.
+    """
+    n_system = len(system)
+    rows = [*system, *last_rows]
+    column_degrees = [0] * len(rows[0])
+    sizes, degrees = [], []
+    for row in rows:
+        size = degree = 0
+        for col, terms in enumerate(row):
+            if terms:
+                size += sum(map(abs, terms.values())) ** 2
+                cell_degree = max(i for i, _ in terms)
+                degree = max(degree, cell_degree)
+                column_degrees[col] = max(column_degrees[col], cell_degree)
+        sizes.append(max(size, 1))
+        degrees.append(degree)
+    bound = math.prod(sizes[:n_system]) * max(sizes[n_system:])
+    x_degree = min(sum(degrees[:n_system]) + max(degrees[n_system:]), sum(column_degrees))
+    return math.isqrt(bound).bit_length() + 1, x_degree + 1
 
 
 def _bareiss_last_rows(
     system: list[list[ParamExpr]], last_rows: list[list[ParamExpr]]
 ) -> list[ParamExpr]:
     """Determinants of `system` completed by each of `last_rows`, from one
-    fraction-free (Bareiss) elimination over the polynomial ring that
-    pivots on the system rows and carries every last row along.
+    fraction-free (Bareiss) elimination that pivots on the system rows and
+    carries every last row along.
 
     The k-th pivot is the leading minor det(I - P_SS) over the states
     S = {0..k}.  S is a proper subset, so for an irreducible chain I - P_SS
@@ -309,13 +348,27 @@ def _bareiss_last_rows(
 
     Every row is first scaled to integer coefficients.  That multiplies each
     determinant by the product of the scales of its rows and leaves the
-    support of every intermediate entry as it is; the elimination then runs
-    in integer arithmetic, and each result is divided by its last row's
-    scale, so the two determinants share the factor of the system rows.
+    support of every intermediate entry as it is; each result is divided by
+    its last row's scale, so the two determinants share the factor of the
+    system rows.
+
+    Each integer polynomial is then packed into one integer by x -> 2**w,
+    y -> 2**(w * x_span) (`polyexpr._pack`), a ring homomorphism, so the
+    elimination runs on big integers and every step's exact polynomial
+    quotient is the integer quotient.  Every pivot, every intermediate entry
+    and both results are minors with at most one last row, and
+    `_packed_layout` chooses w and x_span from Hadamard's bound so that each
+    such minor packs without overlap: a pivot is zero iff its packed value
+    is, and the two results unpack exactly.  TERM_CAP counts the terms of
+    every intermediate entry, as before packing; an entry is unpacked to
+    count them only when it spans more than TERM_CAP digits.
     """
     a = [_integer_row(row)[0] for row in system]
     tails, scales = zip(*map(_integer_row, last_rows))
-    previous = {(0, 0): 1}
+    width, x_span = _packed_layout(a, tails)
+    a = [[_pack(terms, width, x_span) for terms in row] for row in a]
+    tails = [[_pack(terms, width, x_span) for terms in row] for row in tails]
+    previous = 1
     for k, pivot_row in enumerate(a):
         pivot = pivot_row[k]
         if not pivot:
@@ -326,11 +379,17 @@ def _bareiss_last_rows(
         for row in [*a[k + 1 :], *tails]:
             factor = row[k]
             for j in range(k + 1, len(row)):
-                row[j] = _capped(
-                    _int_exact_div(_int_cross(pivot, row[j], factor, pivot_row[j]), previous)
-                )
+                entry = _exact_quotient(pivot * row[j] - factor * pivot_row[j], previous)
+                if entry.bit_length() // width >= TERM_CAP:
+                    terms = len(_unpack(entry, width, x_span))
+                    if terms > TERM_CAP:
+                        raise ExpressionSwellError(terms, TERM_CAP)
+                row[j] = entry
         previous = pivot
-    return [_from_integer(row[-1], scale) for row, scale in zip(tails, scales)]
+    return [
+        _from_integer(_unpack(row[-1], width, x_span), scale)
+        for row, scale in zip(tails, scales)
+    ]
 
 
 def symbolic_fingerprint(

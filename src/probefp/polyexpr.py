@@ -24,7 +24,6 @@ Decimal literals are exact rationals (``0.25`` means 25/100).
 
 from __future__ import annotations
 
-import heapq
 import random
 import warnings
 from fractions import Fraction
@@ -516,12 +515,15 @@ def expr_parse(text: str) -> ParamExpr:
 
 
 # ---------------------------------------------------------------------------
-# Integer term maps
+# Integer term maps and Kronecker-packed integers
 # ---------------------------------------------------------------------------
 
-# The closed-form elimination runs on term maps with integer coefficients,
-# {(i, j): int}, after scaling each row of its system to integers: int
-# products and sums cost a fraction of their Fraction counterparts.
+# The closed-form elimination scales each row of its system to integer
+# coefficients, {(i, j): int}, and then packs each polynomial into one
+# integer: x -> 2**width and y -> 2**(width * x_span) is a ring homomorphism
+# Z[x, y] -> Z, so products, differences and exact quotients of packed
+# values are the packed products, differences and quotients, computed by
+# Python's big-integer arithmetic.
 IntTerms = dict[Exponents, int]
 
 
@@ -540,63 +542,41 @@ def _from_integer(terms: IntTerms, divisor: int) -> ParamExpr:
     return _wrap({key: Fraction(c, divisor) for key, c in terms.items()})
 
 
-def _int_cross(a: IntTerms, b: IntTerms, c: IntTerms, d: IntTerms) -> IntTerms:
-    """a*b - c*d."""
-    out: IntTerms = {}
-    get = out.get
-    for sign, left, right in ((1, a, b), (-1, c, d)):
-        for (i1, j1), c1 in left.items():
-            c1 *= sign
-            for (i2, j2), c2 in right.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = get(key, 0) + c1 * c2
-    return {key: coeff for key, coeff in out.items() if coeff}
+def _pack(terms: IntTerms, width: int, x_span: int) -> int:
+    """The polynomial's value at x = 2**width, y = 2**(width * x_span)."""
+    return sum(c << width * (i + x_span * j) for (i, j), c in terms.items())
 
 
-def _int_exact_div(a: IntTerms, b: IntTerms) -> IntTerms:
-    """a / b over the integers, raising ExactDivisionError unless the
-    division is exact.
+def _unpack(value: int, width: int, x_span: int) -> IntTerms:
+    """The polynomial whose packed value is `value`, read as balanced base
+    2**width digits: digit k is the coefficient of x**(k % x_span) *
+    y**(k // x_span).
 
-    Leading-term reduction in graded-lex order.  Every reduction step only
-    changes terms below the current leading term, so a heap of the
-    remainder's exponents yields the leading terms in order.
+    Exact when every coefficient is below 2**(width - 1) in magnitude and
+    every power of x below x_span.  Then the top nonzero digit t has
+    |value| >= 2**(width * t - 1), so value.bit_length() // width + 1
+    digits hold them all, and adding 2**(width - 1) to every digit makes each one
+    a plain width-bit field of the sum's binary text.
     """
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead_b = max(b, key=_grlex)
-    coeff_b = b[lead_b]
-    bi, bj = lead_b
-    rest_b = [(i, j, c) for (i, j), c in b.items() if (i, j) != lead_b]
-    remainder = dict(a)
-    # max-heap on (total degree, power of x)
-    heap = [(-i - j, -i) for i, j in remainder]
-    heapq.heapify(heap)
-    quotient: IntTerms = {}
-    while heap:
-        neg_degree, neg_i = heapq.heappop(heap)
-        i = -neg_i
-        j = -neg_degree - i
-        coeff = remainder.pop((i, j))
-        if not coeff:
-            continue
-        qi, qj = i - bi, j - bj
-        qc, rem = divmod(coeff, coeff_b)
-        if qi < 0 or qj < 0 or rem:
-            remainder[(i, j)] = coeff
-            shown = {key: Fraction(c) for key, c in remainder.items() if c}
-            raise ExactDivisionError(
-                f"{_wrap(shown).render()!r} is not divisible by "
-                f"{_from_integer(b, 1).render()!r}"
-            )
-        quotient[(qi, qj)] = qc
-        for ri, rj, rc in rest_b:
-            key = (ri + qi, rj + qj)
-            old = remainder.get(key)
-            if old is None:
-                remainder[key] = -qc * rc
-                heapq.heappush(heap, (-key[0] - key[1], -key[0]))
-            else:
-                remainder[key] = old - qc * rc
+    digits = value.bit_length() // width + 1
+    half = 1 << (width - 1)
+    offset = int(("1" + "0" * (width - 1)) * digits, 2)
+    text = bin(value + offset)[2:].zfill(digits * width)
+    terms: IntTerms = {}
+    for k, end in enumerate(range(len(text), 0, -width)):
+        coeff = int(text[end - width : end], 2) - half
+        if coeff:
+            terms[(k % x_span, k // x_span)] = coeff
+    return terms
+
+
+def _exact_quotient(a: int, b: int) -> int:
+    """a / b, raising ExactDivisionError unless b divides a."""
+    quotient, remainder = divmod(a, b)
+    if remainder:
+        raise ExactDivisionError(
+            f"packed division leaves a remainder of {remainder.bit_length()} bits"
+        )
     return quotient
 
 

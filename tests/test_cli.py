@@ -374,6 +374,42 @@ def test_config_file_value_that_does_not_convert_is_input_error(workdir, capsys,
     assert not (workdir / "never.json").exists()
 
 
+@pytest.mark.parametrize(
+    "line", ["n 0", "boundary foo", "format xml", "replicates 1", "seed -1", "burn-in -5"]
+)
+def test_config_file_value_out_of_range_is_input_error(workdir, capsys, line):
+    config = workdir / "range.cfg"
+    config.write_text(f"seed 4\n{line}\n")
+    code = main([
+        "fingerprint", str(workdir / "allc.player"), "--joss-ann", str(workdir / "tft.player"),
+        "--config", str(config), "-o", str(workdir / "never.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"invalid input: config line 2: {line.split()[0]} must be" in err
+    assert not (workdir / "never.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("fingerprint", ["-n", "0"]),
+        ("fingerprint", ["--boundary", "foo"]),
+        ("fingerprint", ["--format", "xml"]),
+        ("simulate", ["--replicates", "1"]),
+        ("simulate", ["--seed", "-1"]),
+    ],
+)
+def test_flag_value_out_of_range_is_usage_error(workdir, capsys, command, flags):
+    args = {
+        "fingerprint": ["fingerprint", str(workdir / "allc.player")],
+        "simulate": ["simulate", str(workdir / "allc.player"), "0.2", "0.3"],
+    }[command]
+    code = main([*args, "--joss-ann", str(workdir / "tft.player"), *flags])
+    assert code == 64
+    assert "usage error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "1/0", "nan"])
 def test_payoff_flag_value_that_does_not_convert_is_usage_error(workdir, capsys, value):
     code = main([

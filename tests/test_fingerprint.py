@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import probefp.chain as chain_module
 import probefp.fingerprint as fingerprint_module
@@ -30,6 +32,7 @@ from probefp.fingerprint import (
     CESARO,
     INTERIOR_OFFSET,
     FingerprintGrid,
+    _bareiss_last_rows,
     boundary_discrepancy,
     _offset_toward_centroid,
     fingerprint_grid,
@@ -288,6 +291,69 @@ def test_closed_forms_with_mixed_denominators_match_oracle(players, payoff):
         for name in ("tft", "pavlov", "allc"):
             fn = symbolic_fingerprint(players[name], probe, game_payoff).fn
             assert fn == _reference_closed_form(players[name], probe, game_payoff)
+
+
+def test_symbolic_one_state_chain(players, const_c_probe, payoff):
+    # TFT against a probe that always cooperates never leaves (C, C): the
+    # stationary system has no rows and the closed form is the payoff
+    assert compose(players["tft"], const_c_probe, payoff).n_states == 1
+    assert symbolic_fingerprint(players["tft"], const_c_probe, payoff).fn == RationalFn(
+        ParamExpr.const(3)
+    )
+
+
+@st.composite
+def _int_poly(draw):
+    """Zero in about a third of the draws; otherwise up to three terms with
+    coefficients of either sign up to 2**40, in x only, y only or both."""
+    if draw(st.integers(0, 2)) == 0:
+        return ParamExpr.zero()
+    variables = draw(st.sampled_from(["x", "y", "xy"]))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, 3)) if "x" in variables else 0
+        j = draw(st.integers(0, 3)) if "y" in variables else 0
+        terms[(i, j)] = Fraction(draw(st.integers(-(2**40), 2**40)))
+    return ParamExpr(terms)
+
+
+@st.composite
+def _int_matrix(draw):
+    """A square matrix split into its system rows and one or two last rows."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(_int_poly(), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n + 1, max_size=n + 1))
+    tails = rows[n - 1 :] if draw(st.booleans()) else rows[n - 1 : n]
+    return rows[: n - 1], tails
+
+
+@given(_int_matrix())
+@settings(max_examples=150, deadline=None)
+def test_packed_elimination_matches_determinant_oracle(matrix):
+    system, tails = matrix
+    try:
+        results = _bareiss_last_rows(system, tails)
+    except ReducibleChainError:
+        # only a vanishing leading minor of the system stops the elimination
+        assert any(
+            bareiss_det([row[:k] for row in system[:k]]).is_zero()
+            for k in range(1, len(system) + 1)
+        )
+        return
+    assert results == [bareiss_det(system + [tail]) for tail in tails]
+
+
+def test_packed_elimination_at_the_hadamard_bound():
+    # Sylvester's 4 x 4 Hadamard matrix times a monomial: the determinant
+    # 16 * x^8*y^4 attains the coefficient bound sqrt(4**4) of the packing,
+    # so a packing one bit narrower reads it as -16 plus a carry
+    sign = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    monomial = expr_parse("x^2*y")
+    rows = [[monomial.scale(s) for s in row] for row in sign]
+    negated = [-e for e in rows[3]]
+    det, negated_det = _bareiss_last_rows(rows[:3], [rows[3], negated])
+    assert det == expr_parse("16*x^8*y^4") == bareiss_det(rows)
+    assert negated_det == -det
 
 
 def test_symbolic_swell_reports_the_first_entry_over_the_cap(payoff, monkeypatch):

@@ -10,7 +10,9 @@ from probefp.polyexpr import (
     ParamExpr,
     PolyTable,
     RationalFn,
-    _int_exact_div,
+    _exact_quotient,
+    _pack,
+    _unpack,
     expr_parse,
     ratfn_equiv,
     ratfn_eval,
@@ -200,22 +202,37 @@ def test_render_is_reparseable_text():
     assert ParamExpr.zero().render() == "0"
 
 
-# -- exact division -----------------------------------------------------------
+# -- packed integers and exact division -----------------------------------------
 
 
 def _int(text: str) -> dict:
     return {key: int(coeff) for key, coeff in expr_parse(text).terms.items()}
 
 
+# room for coefficients below 2**8 in magnitude and x-degrees below 4
+WIDTH, X_SPAN = 9, 4
+
+
+def _packed(text: str) -> int:
+    return _pack(_int(text), WIDTH, X_SPAN)
+
+
+def test_pack_unpack_round_trip():
+    for text in ("0", "-1", "255*x^3*y^2 - 255", "-x^3 + 3*x*y - 7*y^5 + 1", "x^3*y - x^2*y"):
+        assert _unpack(_packed(text), WIDTH, X_SPAN) == _int(text)
+    assert _packed("x^2*y - 3") == (1 << WIDTH * (2 + X_SPAN)) - 3
+
+
 def test_exact_div():
-    q = _int_exact_div(_int("x^2 - y^2"), _int("x - y"))
-    assert q == _int("x + y")
-    assert _int_exact_div(_int("6*x^2*y - 4*y + 2"), _int("-2")) == _int("-3*x^2*y + 2*y - 1")
+    q = _exact_quotient(_packed("x^2 - y^2"), _packed("x - y"))
+    assert _unpack(q, WIDTH, X_SPAN) == _int("x + y")
+    q = _exact_quotient(_packed("6*x^2*y - 4*y + 2"), _packed("-2"))
+    assert _unpack(q, WIDTH, X_SPAN) == _int("-3*x^2*y + 2*y - 1")
     with pytest.raises(ExactDivisionError):
-        _int_exact_div(_int("x^2 + 1"), _int("x - y"))
+        _exact_quotient(_packed("x^2 + 1"), _packed("x - y"))
     # exact over the rationals but not over the integers
     with pytest.raises(ExactDivisionError):
-        _int_exact_div(_int("2*x + 3*y"), _int("2"))
+        _exact_quotient(_packed("2*x + 3"), _packed("2"))
 
 
 # -- rational functions -------------------------------------------------------

@@ -48,6 +48,8 @@ ROW_SUM_TOL = 1e-12
 ENTRY_TOL = 1e-12
 SIMPLEX_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
+# Mass sums in _solve_pattern: GTH never subtracts, so roundoff alone stays far below this.
+MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -383,7 +385,7 @@ def _solve_pattern(matrix: np.ndarray, init: np.ndarray, points: np.ndarray) -> 
     absorption = flow[:, 0, 1 : 1 + c]
     total = absorption.sum(axis=1)
     check(
-        np.abs(total - 1.0) <= 1e-10,
+        np.abs(total - 1.0) <= MASS_TOL,
         lambda p: f"absorption probabilities sum to {float(total[p])!r}",
     )
     absorption = absorption / total[:, None]
@@ -406,7 +408,7 @@ def _solve_pattern(matrix: np.ndarray, init: np.ndarray, points: np.ndarray) -> 
     )
     total = pi.sum(axis=1)
     check(
-        np.abs(total - 1.0) <= 1e-10,
+        np.abs(total - 1.0) <= MASS_TOL,
         lambda p: f"limit distribution sums to {float(total[p])!r}",
     )
     return pi / total[:, None]

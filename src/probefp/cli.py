@@ -75,10 +75,6 @@ class RunConfig:
     burn_in: int | None = None
     replicates: int = 16
 
-    def __post_init__(self):
-        if self.burn_in is not None and not 0 <= self.burn_in < self.rounds:
-            raise UsageError("need 0 <= burn-in < rounds")
-
 
 # Config-file key: its type and the RunConfig field it sets.  The command-line
 # flag of a key has the same name, read from args with "_" for "-".
@@ -130,6 +126,8 @@ def _convert(kind, text: str, error: type[Exception], where: str):
 
 
 def _read_config_file(path: str) -> dict:
+    """Payoff overrides under "payoff"; every other key maps to its value
+    and the config line it came from."""
     values: dict = {"payoff": []}
     try:
         text = Path(path).read_text()
@@ -151,7 +149,7 @@ def _read_config_file(path: str) -> dict:
                 raise InputError(f"config line {lineno}: expected '{key} VALUE'")
             where = f"config line {lineno}"
             value = _convert(_CONFIG_KEYS[key][0], tokens[1], InputError, where)
-            values[key] = _check_range(key, value, InputError, where)
+            values[key] = (_check_range(key, value, InputError, where), where)
         else:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
     return values
@@ -161,14 +159,22 @@ def _resolve_config(args) -> RunConfig:
     """Precedence: command-line flag > config file > RunConfig's default."""
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     chosen = {}
+    flagged = set()  # keys whose value came from the command line
     for key, (_, field) in _CONFIG_KEYS.items():
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
-            _check_range(key, value, UsageError, "-n" if key == "n" else f"--{key}")
-        else:
-            value = file_values.get(key)
-        if value is not None:
-            chosen[field] = value
+            chosen[field] = _check_range(key, value, UsageError, "-n" if key == "n" else f"--{key}")
+            flagged.add(key)
+        elif key in file_values:
+            chosen[field] = file_values[key][0]
+
+    burn_in = chosen.get("burn_in")
+    rounds = chosen.get("rounds", RunConfig.rounds)
+    if burn_in is not None and burn_in >= rounds:
+        if flagged & {"burn-in", "rounds"}:
+            raise UsageError("need 0 <= burn-in < rounds")
+        where = file_values["burn-in"][1]
+        raise InputError(f"{where}: burn-in must be below rounds ({rounds}), not {burn_in!r}")
 
     overrides = list(file_values.get("payoff", []))
     for a, b, v in getattr(args, "payoff", None) or []:

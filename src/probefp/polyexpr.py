@@ -52,7 +52,7 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 class ParamExpr:
     """Immutable exact polynomial in the two probe parameters."""
 
-    __slots__ = ("_terms", "_eval_cache", "_int_cache")
+    __slots__ = ("_terms", "_int_cache")
 
     def __init__(self, terms: Mapping[Exponents, Fraction] | None = None):
         canonical: dict[Exponents, Fraction] = {}
@@ -65,8 +65,7 @@ class ParamExpr:
                 if coeff != 0:
                     canonical[(int(i), int(j))] = coeff
         self._terms = canonical
-        self._eval_cache: tuple[list[tuple[float, int, int]], float] | None = None
-        self._int_cache: tuple[int, int, list[tuple[int, int, int]]] | None = None
+        self._int_cache: tuple[int, IntTerms, int] | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -196,37 +195,6 @@ class ParamExpr:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, x: float, y: float) -> float:
-        """Evaluate in binary floating point; the zero polynomial gives 0.0.
-
-        Terms are summed in descending graded-lex order so results are
-        bit-reproducible across runs.  Where terms of both signs cancel, the
-        value is computed exactly instead and rounded once.
-        """
-        if self._eval_cache is None:
-            ordered = sorted(self._terms, key=_grlex, reverse=True)
-            terms = [(float(self._terms[k]), k[0], k[1]) for k in ordered]
-            # Terms of one sign cannot cancel for x, y >= 0: a zero bound
-            # skips the test below.
-            mixed = len({coeff > 0 for coeff, _, _ in terms}) == 2
-            bound = sum(abs(coeff) for coeff, _, _ in terms) / 16 if mixed else 0.0
-            self._eval_cache = (terms, bound)
-        terms, bound = self._eval_cache
-        total = 0.0
-        for coeff, i, j in terms:
-            total += coeff * x**i * y**j
-        # Float summation errs by a few ulps of the summed term magnitudes,
-        # so the total's relative error is that times magnitude / |total|.
-        # Past 16 the value is computed exactly instead: floats convert to
-        # Fraction losslessly, so this is the correctly rounded value at the
-        # point.  On the unit square no term exceeds its coefficient, so
-        # `bound` caps magnitude / 16 and most points skip summing it.
-        if -bound < total < bound:
-            magnitude = sum(abs(coeff * x**i * y**j) for coeff, i, j in terms)
-            if abs(total) < magnitude / 16:
-                return self._evaluate_rounded(x, y)
-        return total
-
     def evaluate_exact(self, x: Fraction, y: Fraction) -> Fraction:
         return Fraction(*self._exact_ratio(Fraction(x), Fraction(y)))
 
@@ -241,17 +209,13 @@ class ParamExpr:
         # (d the total degree) every term is an integer, so only the sum
         # is normalised.
         if self._int_cache is None:
-            scale = lcm(*(coeff.denominator for coeff in self._terms.values()))
-            self._int_cache = (
-                self.degree(),
-                scale,
-                [(c.numerator * (scale // c.denominator), i, j) for (i, j), c in self._terms.items()],
-            )
-        d, scale, weights = self._int_cache
+            (weights,), scale = _integer_row([self])
+            self._int_cache = (self.degree(), weights, scale)
+        d, weights, scale = self._int_cache
         xn, xd = x.as_integer_ratio()
         yn, yd = y.as_integer_ratio()
         total = 0
-        for weight, i, j in weights:
+        for (i, j), weight in weights.items():
             total += weight * xn**i * xd ** (d - i) * yn**j * yd ** (d - j)
         return total, scale * xd**d * yd**d
 
@@ -294,21 +258,25 @@ def _wrap(terms: dict[Exponents, Fraction]) -> ParamExpr:
     """Internal constructor for maps already in canonical form."""
     out = ParamExpr.__new__(ParamExpr)
     out._terms = terms
-    out._eval_cache = None
     out._int_cache = None
     return out
 
 
 class PolyTable:
-    """Polynomials compiled for evaluation at many points at once.
+    """Polynomials compiled for evaluation at many points at once; the one
+    place where a polynomial becomes floats.
 
     The monomials of all the polynomials form one basis, and column e of the
     coefficient matrix holds polynomial e's coefficients in it, so the values
-    at N points are one (N x K) @ (K x E) product.  The cancellation rule of
-    `ParamExpr.evaluate` carries over: for the polynomials whose terms have
+    at N points are one (N x K) @ (K x E) product.
+
+    A float sum errs by a few ulps of the summed term magnitudes, so a
+    value's relative error is that times magnitude / |value|.  Terms of one
+    sign cannot cancel for x, y >= 0; for the polynomials whose terms have
     both signs, |monomials| @ |coefficients| gives the summed term
     magnitudes, and a value below 1/16 of its magnitude is computed exactly
-    and rounded once.
+    instead and rounded once.  Floats convert to integer ratios losslessly,
+    so that is the correctly rounded value at the point.
     """
 
     def __init__(self, exprs: Sequence[ParamExpr]):
@@ -629,18 +597,13 @@ class RationalFn:
 
 
 def ratfn_eval(f: RationalFn, x: float, y: float) -> float:
-    """Evaluate f at (x, y), raising SingularPointError when the denominator
-    is zero to within a scale-aware tolerance."""
-    den_value = f.den.evaluate(x, y)
-    threshold = DEN_ZERO_RTOL * (1.0 + float(f.den.max_abs_coeff()))
-    if abs(den_value) < threshold:
-        raise SingularPointError(x, y)
-    return f.num.evaluate(x, y) / den_value
+    """f at (x, y): the batch of one of `ratfn_values`."""
+    return float(ratfn_values(f, [x], [y])[0])
 
 
 def ratfn_values(f: RationalFn, xs, ys) -> np.ndarray:
-    """`ratfn_eval` at many points at once; a SingularPointError names the
-    first point where the denominator vanishes."""
+    """f at the points (xs[p], ys[p]).  A SingularPointError names the first
+    point where the denominator is zero to within a scale-aware tolerance."""
     num, den = PolyTable([f.num, f.den]).evaluate(xs, ys).T
     vanishes = np.abs(den) < DEN_ZERO_RTOL * (1.0 + float(f.den.max_abs_coeff()))
     if vanishes.any():
@@ -661,18 +624,18 @@ def ratfn_equiv(f: RationalFn, g: RationalFn) -> bool:
     verdict = cross.is_zero()
 
     rng = random.Random(0x5EED)
+    xs, ys = [], []
     for _ in range(8):
-        px = rng.uniform(0.0, 1.0)
-        py = rng.uniform(0.0, 1.0 - px)
-        lhs = f.num.evaluate(px, py) * g.den.evaluate(px, py)
-        rhs = g.num.evaluate(px, py) * f.den.evaluate(px, py)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        numerically_equal = abs(lhs - rhs) <= 1e-9 * scale
-        if verdict and not numerically_equal:
-            warnings.warn(
-                "ratfn_equiv: exact test says equal but numeric samples disagree",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            break
+        xs.append(rng.uniform(0.0, 1.0))
+        ys.append(rng.uniform(0.0, 1.0 - xs[-1]))
+    f_num, f_den, g_num, g_den = PolyTable([f.num, f.den, g.num, g.den]).evaluate(xs, ys).T
+    lhs = f_num * g_den
+    rhs = g_num * f_den
+    scale = np.maximum(1.0, np.abs([lhs, rhs]).max(axis=0))
+    if verdict and not (np.abs(lhs - rhs) <= 1e-9 * scale).all():
+        warnings.warn(
+            "ratfn_equiv: exact test says equal but numeric samples disagree",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return verdict

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the production solvers: the Cesaro
 oracle uses matrix powers, the corner oracle walks deterministic cycles with
-exact rationals, the integration oracle uses closed-form monomial integrals
+exact rationals, the polynomial oracle sums one term at a time in plain
+floats, the integration oracle uses closed-form monomial integrals
 over the triangle, the determinant oracle is a general pivoting Bareiss
 elimination, the fingerprint oracle solves one point at a time, and the
 Monte Carlo oracle picks each round's outcomes with one searchsorted call.
@@ -107,33 +108,77 @@ def support_classes(support) -> list[tuple[tuple[int, ...], bool]]:
 
 
 # ---------------------------------------------------------------------------
+# Polynomials one term at a time
+# ---------------------------------------------------------------------------
+
+
+def scalar_evaluator(expr: ParamExpr):
+    """expr as a plain (x, y) -> float callable that sums its terms one at a
+    time in descending graded-lex order.  Where the sum falls below 1/16 of
+    the summed term magnitudes, float cancellation has cost relative
+    accuracy, so the exact value is rounded once instead.  The zero
+    polynomial gives 0.0."""
+    terms = [(float(coeff), i, j) for (i, j), coeff in expr.sorted_terms()]
+
+    def value(x: float, y: float) -> float:
+        total = magnitude = 0.0
+        for coeff, i, j in terms:
+            term = coeff * x**i * y**j
+            total += term
+            magnitude += abs(term)
+        if abs(total) < magnitude / 16:
+            return float(expr.evaluate_exact(x, y))
+        return total
+
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Fingerprints one point at a time
 # ---------------------------------------------------------------------------
 
 
-def evaluate_point(chain: ParamChain, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """Transition matrix and initial distribution of the chain at one point,
-    one `ParamExpr.evaluate` call per weight, checked, clipped and normalised
-    row by row."""
-    if not (x >= -SIMPLEX_TOL and y >= -SIMPLEX_TOL and x + y <= 1 + SIMPLEX_TOL):
-        raise OutOfSimplexError(x, y)
-    n = chain.n_states
-    matrix = np.zeros((n, n))
-    for s, row in enumerate(chain.trans):
-        for t, weight in row.items():
-            matrix[s, t] = weight.evaluate(x, y)
-    init = np.array([w.evaluate(x, y) for w in chain.init])
-    for label, arr in (("transition", matrix), ("initial", init)):
-        if arr.min() < -ENTRY_TOL:
-            raise NegativeWeightError(f"{label} probability {arr.min()} below tolerance", (x, y))
-    np.clip(matrix, 0.0, None, out=matrix)
-    np.clip(init, 0.0, None, out=init)
-    row_sums = matrix.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-        raise NegativeWeightError("transition row sum off", (x, y))
-    if abs(init.sum() - 1.0) > ROW_SUM_TOL:
-        raise NegativeWeightError("initial distribution sum off", (x, y))
-    return matrix / row_sums[:, None], init / init.sum()
+class PointOracle:
+    """A chain evaluated and solved one point at a time.  Each weight becomes
+    a `scalar_evaluator` once, so that many points of one chain pay for the
+    float coefficients once."""
+
+    def __init__(self, chain: ParamChain):
+        self.n = chain.n_states
+        self.trans = [[(t, scalar_evaluator(w)) for t, w in row.items()] for row in chain.trans]
+        self.init = [scalar_evaluator(w) for w in chain.init]
+        self.payoff = chain.payoff_vector()
+
+    def evaluate(self, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
+        """Transition matrix and initial distribution at one point, one
+        evaluator call per weight, checked, clipped and normalised row by
+        row."""
+        if not (x >= -SIMPLEX_TOL and y >= -SIMPLEX_TOL and x + y <= 1 + SIMPLEX_TOL):
+            raise OutOfSimplexError(x, y)
+        matrix = np.zeros((self.n, self.n))
+        for s, row in enumerate(self.trans):
+            for t, weight in row:
+                matrix[s, t] = weight(x, y)
+        init = np.array([weight(x, y) for weight in self.init])
+        for label, arr in (("transition", matrix), ("initial", init)):
+            if arr.min() < -ENTRY_TOL:
+                raise NegativeWeightError(
+                    f"{label} probability {arr.min()} below tolerance", (x, y)
+                )
+        np.clip(matrix, 0.0, None, out=matrix)
+        np.clip(init, 0.0, None, out=init)
+        row_sums = matrix.sum(axis=1)
+        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
+            raise NegativeWeightError("transition row sum off", (x, y))
+        if abs(init.sum() - 1.0) > ROW_SUM_TOL:
+            raise NegativeWeightError("initial distribution sum off", (x, y))
+        return matrix / row_sums[:, None], init / init.sum()
+
+    def value(self, x: float, y: float, offset: bool = False) -> float:
+        """The fingerprint at one point, solved on its own."""
+        if offset:
+            x, y = offset_point(x, y)
+        return float(limit_distribution_point(*self.evaluate(x, y)) @ self.payoff)
 
 
 def _censor(a: np.ndarray, k: int) -> None:
@@ -194,13 +239,6 @@ def offset_point(x: float, y: float) -> tuple[float, float]:
     dx, dy = 1.0 / 3.0 - x, 1.0 / 3.0 - y
     norm = math.hypot(dx, dy)
     return x + OFFSET_EPS * dx / norm, y + OFFSET_EPS * dy / norm
-
-
-def value_at_point(chain: ParamChain, x: float, y: float, offset: bool = False) -> float:
-    """The fingerprint at one point, solved on its own."""
-    if offset:
-        x, y = offset_point(x, y)
-    return float(limit_distribution_point(*evaluate_point(chain, x, y)) @ chain.payoff_vector())
 
 
 # ---------------------------------------------------------------------------

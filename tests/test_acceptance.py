@@ -21,6 +21,7 @@ from oracles import (
     mixing_probe,
     random_interior_point,
     random_polynomial,
+    scalar_evaluator,
     strongly_connected_player,
 )
 from probefp import bundled_strategy_path
@@ -157,9 +158,7 @@ def test_criterion_06_distance_metric(players, ja_tft, payoff):
         rng = random.Random(606)
         for _ in range(100):
             f, g, h = (random_polynomial(rng) for _ in range(3))
-            fe = lambda x, y, p=f: p.evaluate(x, y)
-            ge = lambda x, y, p=g: p.evaluate(x, y)
-            he = lambda x, y, p=h: p.evaluate(x, y)
+            fe, ge, he = (scalar_evaluator(p) for p in (f, g, h))
             dfg = l2_distance(fe, ge, 40)
             dfh = l2_distance(fe, he, 40)
             dgh = l2_distance(ge, he, 40)

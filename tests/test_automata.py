@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_player
+from oracles import random_player, scalar_evaluator
 from probefp.automata import (
     VALIDATION_LATTICE_N,
     WEIGHT_TOL,
@@ -202,7 +202,7 @@ def test_validate_reports_the_lattice_in_weight_then_point_order():
         for _, _, weight in outcomes:
             for i in range(n + 1):
                 for j in range(n + 1 - i):
-                    value = weight.evaluate(i / n, j / n)
+                    value = scalar_evaluator(weight)(i / n, j / n)
                     if not -WEIGHT_TOL <= value <= 1 + WEIGHT_TOL:
                         expected.append((key, (i / n, j / n), value))
     assert len(expected) == 4 * 55

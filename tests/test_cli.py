@@ -266,6 +266,7 @@ def test_simulate_out_of_simplex_usage(workdir, capsys):
         (["--rounds", "10", "--burn-in", "10"], ""),
         (["--burn-in", "-5"], ""),
         (["--rounds", "10"], "burn-in 10\n"),
+        (["--burn-in", "10"], "rounds 10\n"),
     ],
 )
 def test_simulate_burn_in_outside_rounds_is_usage_error(workdir, capsys, flags, config):
@@ -276,6 +277,17 @@ def test_simulate_burn_in_outside_rounds_is_usage_error(workdir, capsys, flags, 
         "--joss-ann", str(workdir / "tft.player"), "--config", str(config_file), *flags,
     ]) == 64
     assert "burn-in" in capsys.readouterr().err
+
+
+def test_simulate_burn_in_outside_rounds_from_config_is_input_error(workdir, capsys):
+    config_file = workdir / "burn.cfg"
+    config_file.write_text("rounds 10\nburn-in 10\n")
+    assert main([
+        "simulate", str(workdir / "allc.player"), "0.2", "0.3",
+        "--joss-ann", str(workdir / "tft.player"), "--config", str(config_file),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input: config line 2: burn-in must be below rounds (10)" in err
 
 
 def test_distance_rejects_malformed_grid_files(workdir, capsys):
@@ -375,7 +387,11 @@ def test_config_file_value_that_does_not_convert_is_input_error(workdir, capsys,
 
 
 @pytest.mark.parametrize(
-    "line", ["n 0", "boundary foo", "format xml", "replicates 1", "seed -1", "burn-in -5"]
+    "line",
+    [
+        "n 0", "boundary foo", "format xml", "replicates 1", "seed -1", "burn-in -5",
+        "burn-in 100000",  # not below the default rounds
+    ],
 )
 def test_config_file_value_out_of_range_is_input_error(workdir, capsys, line):
     config = workdir / "range.cfg"

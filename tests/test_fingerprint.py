@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 import probefp.chain as chain_module
 import probefp.fingerprint as fingerprint_module
 from oracles import (
+    PointOracle,
     bareiss_det,
     cycle_average_payoff,
-    evaluate_point,
     random_oracle_pairs,
     random_player,
     strongly_connected_player,
-    value_at_point,
 )
 from probefp.automata import joss_ann, parse_probe, validate_probe
 from probefp.chain import SUPPORT_CUTOFF, ChainClass, ClassDecomposition, compose
@@ -491,8 +490,9 @@ def test_cycle_oracle_pavlov_values(players, payoff):
 
 
 def _oracle_grid(chain, n, offset):
+    oracle = PointOracle(chain)
     return {
-        (i, j): value_at_point(chain, i / n, j / n, offset)
+        (i, j): oracle.value(i / n, j / n, offset)
         for i in range(n + 1)
         for j in range(n + 1 - i)
     }
@@ -517,8 +517,9 @@ def test_grids_match_per_point_oracle(players, payoff):
 def test_grim_grid_classifies_once_per_support_pattern(players, ja_tft, payoff, monkeypatch):
     n = 100
     chain = compose(players["grim"], ja_tft, payoff)
+    oracle = PointOracle(chain)
     patterns = {
-        (evaluate_point(chain, i / n, j / n)[0] > SUPPORT_CUTOFF).tobytes()
+        (oracle.evaluate(i / n, j / n)[0] > SUPPORT_CUTOFF).tobytes()
         for i in range(n + 1)
         for j in range(n + 1 - i)
     }
@@ -539,11 +540,11 @@ def test_grim_grid_classifies_once_per_support_pattern(players, ja_tft, payoff, 
 def test_boundary_discrepancy_matches_per_point_oracle(players, payoff):
     n = 10
     for player, probe in bundled_pairs(players):
-        chain = compose(player, probe, payoff)
+        oracle = PointOracle(compose(player, probe, payoff))
         report = boundary_discrepancy(player, probe, payoff, n)
         for (i, j), gap in report.per_point.items():
             x, y = i / n, j / n
-            expected = abs(value_at_point(chain, x, y) - value_at_point(chain, x, y, True))
+            expected = abs(oracle.value(x, y) - oracle.value(x, y, True))
             assert abs(gap - expected) <= 1e-12
 
 
@@ -554,9 +555,9 @@ def test_agreement_check_matches_per_point_oracle(players, payoff):
             result = symbolic_fingerprint(player, probe, payoff)
         except ReducibleChainError:
             continue
-        chain = compose(player, probe, payoff)
+        oracle = PointOracle(compose(player, probe, payoff))
         worst = max(
-            abs(ratfn_eval(result.fn, i / n, j / n) - value_at_point(chain, i / n, j / n))
+            abs(ratfn_eval(result.fn, i / n, j / n) - oracle.value(i / n, j / n))
             for i in range(1, n)
             for j in range(1, n - i)
         )

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import exact_l2_distance, random_polynomial
+from oracles import exact_l2_distance, random_polynomial, scalar_evaluator
 from probefp.automata import joss_ann
 from probefp.fingerprint import fingerprint_grid, pointwise_fingerprint, symbolic_fingerprint
 from probefp.metrics import (
@@ -14,10 +14,6 @@ from probefp.metrics import (
     l2_distance,
     make_grid_evaluator,
 )
-
-
-def poly_evaluable(p):
-    return lambda x, y: p.evaluate(x, y)
 
 
 def test_distance_to_self_is_zero(players, ja_tft, payoff):
@@ -55,7 +51,7 @@ def test_quadrature_convergence_second_order():
         if exact == 0.0:
             continue
         errors = [
-            abs(l2_distance(poly_evaluable(p), poly_evaluable(q), n) - exact)
+            abs(l2_distance(scalar_evaluator(p), scalar_evaluator(q), n) - exact)
             for n in (25, 50, 100)
         ]
         for coarse, fine in zip(errors, errors[1:]):
@@ -66,7 +62,7 @@ def test_quadrature_convergence_second_order():
 def test_metric_axioms_on_random_triples():
     rng = random.Random(2024)
     for _ in range(25):
-        f, g, h = (poly_evaluable(random_polynomial(rng)) for _ in range(3))
+        f, g, h = (scalar_evaluator(random_polynomial(rng)) for _ in range(3))
         dfg = l2_distance(f, g, 40)
         dgf = l2_distance(g, f, 40)
         dfh = l2_distance(f, h, 40)

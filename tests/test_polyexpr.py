@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import random_interior_point, scalar_evaluator
 from probefp.errors import ExactDivisionError, ExprSyntaxError, SingularPointError
+from probefp.fingerprint import symbolic_fingerprint
 from probefp.polyexpr import (
     ParamExpr,
     PolyTable,
@@ -68,16 +70,22 @@ def test_unary_minus_binds_factor():
 # -- evaluation ---------------------------------------------------------------
 
 
+def _table_value(e: ParamExpr, x: float, y: float) -> float:
+    return PolyTable([e]).evaluate([x], [y])[0, 0]
+
+
 def test_eval_examples():
-    assert expr_parse("1-x-y").evaluate(0.25, 0.25) == 0.5
-    assert expr_parse("x*y").evaluate(0.0, 0.5) == 0.0
-    assert expr_parse("(x+y)^2").evaluate(0.5, 0.5) == 1.0
+    examples = [("1-x-y", 0.25, 0.25, 0.5), ("x*y", 0.0, 0.5, 0.0), ("(x+y)^2", 0.5, 0.5, 1.0)]
+    for text, x, y, value in examples:
+        assert scalar_evaluator(expr_parse(text))(x, y) == value
+        assert _table_value(expr_parse(text), x, y) == value
 
 
 def test_zero_polynomial_evaluates_to_exact_zero():
     zero = expr_parse("x") - expr_parse("x")
     assert zero.is_zero()
-    assert zero.evaluate(0.7, 0.2) == 0.0
+    assert scalar_evaluator(zero)(0.7, 0.2) == 0.0
+    assert _table_value(zero, 0.7, 0.2) == 0.0
 
 
 # -- ring operations ----------------------------------------------------------
@@ -110,12 +118,14 @@ def test_ring_laws(a, b, c):
 @given(_polys, _polys, st.floats(0, 1), st.floats(0, 1))
 @settings(max_examples=60, deadline=None)
 def test_evaluation_homomorphism(a, b, x, y):
-    lhs = (a * b).evaluate(x, y)
-    rhs = a.evaluate(x, y) * b.evaluate(x, y)
     scale = (1.0 + float(sum(abs(c) for c in a.terms.values()))) * (
         1.0 + float(sum(abs(c) for c in b.terms.values()))
     )
+    lhs = scalar_evaluator(a * b)(x, y)
+    rhs = scalar_evaluator(a)(x, y) * scalar_evaluator(b)(x, y)
     assert abs(lhs - rhs) <= 1e-12 * scale
+    product, left, right = PolyTable([a * b, a, b]).evaluate([x], [y])[0]
+    assert abs(product - left * right) <= 1e-12 * scale
 
 
 @given(
@@ -134,16 +144,16 @@ def test_evaluate_rounds_cancelling_terms_once():
     # float the three terms leave it off by 1e-10 relative
     weight = expr_parse("1/3 - 1/3*x - 2/15*y")
     x, y = 0.999999105572809, 4.472135954999578e-07
-    assert weight.evaluate(x, y) == float(weight.evaluate_exact(x, y))
-    assert PolyTable([weight]).evaluate([x], [y])[0, 0] == float(weight.evaluate_exact(x, y))
+    assert scalar_evaluator(weight)(x, y) == float(weight.evaluate_exact(x, y))
+    assert _table_value(weight, x, y) == float(weight.evaluate_exact(x, y))
 
 
 def test_exact_fallback_rounds_like_the_fraction():
     # the fallback divides two Python ints, which rounds correctly, so it
     # must equal float(Fraction) bit for bit: at random points, and at the
     # hypotenuse nodes i/n, (n-i)/n, where a factor 1 - x - y cancels and
-    # evaluate and PolyTable take the fallback; coefficients have mixed
-    # denominators
+    # PolyTable and the term-by-term oracle take the fallback; coefficients
+    # have mixed denominators
     rng = random.Random(3)
     hyp = expr_parse("1 - x - y")
     polys = [
@@ -167,7 +177,7 @@ def test_exact_fallback_rounds_like_the_fraction():
         table = PolyTable([poly]).evaluate(xs, ys)[:, 0]
         for p, (x, y) in enumerate(nodes):
             exact = float(poly.evaluate_exact(x, y))
-            assert poly.evaluate(x, y) == exact
+            assert scalar_evaluator(poly)(x, y) == exact
             assert table[p] == exact
 
 
@@ -187,7 +197,7 @@ def test_poly_table_keeps_the_cancellation_bound(polys, points):
             exact = poly.evaluate_exact(x, y)
             bound = 16 * (poly.term_count() + 3) * 2.0**-53 * abs(exact) + F(1e-290)
             assert abs(F(values[p, e]) - exact) <= bound
-            assert abs(values[p, e] - poly.evaluate(x, y)) <= 2 * float(bound)
+            assert abs(values[p, e] - scalar_evaluator(poly)(x, y)) <= 2 * float(bound)
 
 
 @given(_polys)
@@ -238,7 +248,7 @@ def test_exact_div():
 # -- rational functions -------------------------------------------------------
 
 
-def test_ratfn_eval_examples():
+def test_ratfn_eval_examples(players, ja_tft, payoff):
     f = RationalFn(expr_parse("1 + 4*x"))
     assert ratfn_eval(f, 0.5, 0.1) == 3.0
     g = RationalFn(expr_parse("x"), expr_parse("x"))
@@ -250,6 +260,24 @@ def test_ratfn_eval_examples():
     with pytest.raises(SingularPointError) as err:
         ratfn_values(g, [0.5, 0.0, 0.0], [0.0, 0.25, 0.0])
     assert err.value.point == (0.0, 0.25)
+
+    # one point is the batch of one, bit for bit, on the bundled closed
+    # forms; the TFT and Pavlov denominators vanish at (0, 0) and (1, 0)
+    closed = {
+        name: symbolic_fingerprint(players[name], ja_tft, payoff).fn
+        for name in ("tft", "allc", "alld", "pavlov")
+    }
+    rng = random.Random(12)
+    for fn in closed.values():
+        for _ in range(50):
+            x, y = random_interior_point(rng)
+            assert ratfn_eval(fn, x, y) == ratfn_values(fn, [x], [y])[0]
+    for fn, point in [(g, (0.0, 0.0)), (closed["tft"], (0.0, 0.0)), (closed["pavlov"], (1.0, 0.0))]:
+        with pytest.raises(SingularPointError) as single:
+            ratfn_eval(fn, *point)
+        with pytest.raises(SingularPointError) as batch:
+            ratfn_values(fn, [point[0]], [point[1]])
+        assert single.value.point == batch.value.point == point
 
 
 def test_ratfn_zero_denominator_rejected():

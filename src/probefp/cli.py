@@ -15,12 +15,19 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
-from .automata import PayoffMatrix, joss_ann, parse_player, parse_probe
+from .automata import (
+    PayoffMatrix,
+    PlayerMachine,
+    _significant_lines,
+    joss_ann,
+    parse_player,
+    parse_probe,
+)
 from .chain import compose
 from .errors import (
     ExpressionSwellError,
@@ -62,58 +69,47 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    payoff_overrides: list[tuple[str, str, Fraction]]
-    grid_n: int = 20
-    boundary_mode: str = CESARO
-    quad_n: int = 200
-    fmt: str = "csv"
-    out: str | None = None
-    seed: int = 0
-    rounds: int = 100_000
-    burn_in: int | None = None
-    replicates: int = 16
+class _Setting(NamedTuple):
+    """A run setting.  A config-file line `KEY VALUE` sets it, and so does
+    the flag -n (key n) or --KEY of each command in `commands`."""
+
+    kind: type
+    default: object
+    allowed: int | tuple[str, ...]  # a lower bound, or the choices
+    commands: tuple[str, ...]
+    help: str
 
 
-# Config-file key: its type and the RunConfig field it sets.  The command-line
-# flag of a key has the same name, read from args with "_" for "-".
-_CONFIG_KEYS = {
-    "n": (int, "grid_n"),
-    "boundary": (str, "boundary_mode"),
-    "quad-n": (int, "quad_n"),
-    "format": (str, "fmt"),
-    "seed": (int, "seed"),
-    "rounds": (int, "rounds"),
-    "burn-in": (int, "burn_in"),
-    "replicates": (int, "replicates"),
+_SETTINGS = {
+    "n": _Setting(int, 20, 1, ("fingerprint",), "grid resolution"),
+    "boundary": _Setting(
+        str, "cesaro", tuple(_BOUNDARY_FLAGS), ("fingerprint", "distance", "simulate"),
+        "boundary convention",
+    ),
+    "quad-n": _Setting(int, 200, 1, ("distance",), "quadrature resolution"),
+    "format": _Setting(str, "csv", ("csv", "json"), ("fingerprint", "distance"), "output format"),
+    "seed": _Setting(int, 0, 0, ("simulate",), "seed of the first replicate"),
+    "rounds": _Setting(int, 100_000, 1, ("simulate",), "rounds per replicate"),
+    "burn-in": _Setting(
+        int, None, 0, ("simulate",), "rounds left out of each mean (default rounds // 10)"
+    ),
+    "replicates": _Setting(int, 16, 2, ("simulate",), "independent replicates"),
 }
 
 
-def _at_least(low: int):
-    return lambda value: value >= low
-
-
-# The values of a key that takes fewer than all of its type: a test and its
-# wording.
-_KEY_RANGES = {
-    "n": (_at_least(1), ">= 1"),
-    "boundary": (_BOUNDARY_FLAGS.__contains__, "cesaro or offset"),
-    "quad-n": (_at_least(1), ">= 1"),
-    "format": (("csv", "json").__contains__, "csv or json"),
-    "seed": (_at_least(0), ">= 0"),
-    "rounds": (_at_least(1), ">= 1"),
-    "burn-in": (_at_least(0), ">= 0"),
-    "replicates": (_at_least(2), ">= 2"),
-}
+def _flag(key: str) -> str:
+    return "-n" if key == "n" else f"--{key}"
 
 
 def _check_range(key: str, value, error: type[Exception], where: str):
     """value, or `error` naming where it came from if `key` does not take it."""
-    if key in _KEY_RANGES:
-        takes, wording = _KEY_RANGES[key]
-        if not takes(value):
-            raise error(f"{where}: {key} must be {wording}, not {value!r}")
+    allowed = _SETTINGS[key].allowed
+    if isinstance(allowed, tuple):
+        takes, wording = value in allowed, " or ".join(allowed)
+    else:
+        takes, wording = value >= allowed, f">= {allowed}"
+    if not takes:
+        raise error(f"{where}: {key} must be {wording}, not {value!r}")
     return value
 
 
@@ -133,62 +129,71 @@ def _read_config_file(path: str) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read config file: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _significant_lines(text):
         tokens = line.split()
         key = tokens[0]
+        where = f"config line {lineno}"
         if key == "payoff":
             if len(tokens) != 4:
-                raise InputError(f"config line {lineno}: payoff needs 'payoff A B VALUE'")
-            value = _convert(Fraction, tokens[3], InputError, f"config line {lineno}")
-            values["payoff"].append((tokens[1], tokens[2], value))
-        elif key in _CONFIG_KEYS:
+                raise InputError(f"{where}: payoff needs 'payoff A B VALUE'")
+            value = _convert(Fraction, tokens[3], InputError, where)
+            values["payoff"].append((tokens[1], tokens[2], value, InputError, where))
+        elif key in _SETTINGS:
             if len(tokens) != 2:
-                raise InputError(f"config line {lineno}: expected '{key} VALUE'")
-            where = f"config line {lineno}"
-            value = _convert(_CONFIG_KEYS[key][0], tokens[1], InputError, where)
+                raise InputError(f"{where}: expected '{key} VALUE'")
+            value = _convert(_SETTINGS[key].kind, tokens[1], InputError, where)
             values[key] = (_check_range(key, value, InputError, where), where)
         else:
-            raise InputError(f"config line {lineno}: unknown key {key!r}")
+            raise InputError(f"{where}: unknown key {key!r}")
     return values
 
 
-def _resolve_config(args) -> RunConfig:
-    """Precedence: command-line flag > config file > RunConfig's default."""
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    chosen = {}
+def _resolve_config(args) -> dict:
+    """Each setting's value by key, with the boundary flag word mapped to its
+    mode, and the payoff overrides under "payoff" as (A, B, VALUE, error,
+    where).  Precedence: command-line flag > config file > the default."""
+    file_values = _read_config_file(args.config) if args.config else {"payoff": []}
+    settings = {}
     flagged = set()  # keys whose value came from the command line
-    for key, (_, field) in _CONFIG_KEYS.items():
+    for key, setting in _SETTINGS.items():
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
-            chosen[field] = _check_range(key, value, UsageError, "-n" if key == "n" else f"--{key}")
+            settings[key] = _check_range(key, value, UsageError, _flag(key))
             flagged.add(key)
         elif key in file_values:
-            chosen[field] = file_values[key][0]
+            settings[key] = file_values[key][0]
+        else:
+            settings[key] = setting.default
 
-    burn_in = chosen.get("burn_in")
-    rounds = chosen.get("rounds", RunConfig.rounds)
+    burn_in, rounds = settings["burn-in"], settings["rounds"]
     if burn_in is not None and burn_in >= rounds:
         if flagged & {"burn-in", "rounds"}:
             raise UsageError("need 0 <= burn-in < rounds")
         where = file_values["burn-in"][1]
         raise InputError(f"{where}: burn-in must be below rounds ({rounds}), not {burn_in!r}")
 
-    overrides = list(file_values.get("payoff", []))
-    for a, b, v in getattr(args, "payoff", None) or []:
-        overrides.append((a, b, _convert(Fraction, v, UsageError, "--payoff")))
+    settings["payoff"] = file_values["payoff"] + [
+        (a, b, _convert(Fraction, v, UsageError, "--payoff"), UsageError, "--payoff")
+        for a, b, v in args.payoff or []
+    ]
+    settings["boundary"] = _BOUNDARY_FLAGS[settings["boundary"]]
+    return settings
 
-    if "boundary_mode" in chosen:
-        chosen["boundary_mode"] = _BOUNDARY_FLAGS[chosen["boundary_mode"]]
-    return RunConfig(payoff_overrides=overrides, out=getattr(args, "output", None), **chosen)
+
+def _payoff_matrix(settings: dict) -> PayoffMatrix:
+    overrides = [(a, b, value) for a, b, value, _, _ in settings["payoff"]]
+    return PayoffMatrix.default_prisoners_dilemma().with_overrides(overrides)
 
 
-def _payoff_matrix(config: RunConfig) -> PayoffMatrix:
-    return PayoffMatrix.default_prisoners_dilemma().with_overrides(
-        config.payoff_overrides
-    )
+def _check_payoff_moves(settings: dict, player: PlayerMachine) -> None:
+    """Refuse an override that names a move outside the player's alphabet,
+    as the error of its flag or config line."""
+    for a, b, _, error, where in settings["payoff"]:
+        if a not in player.alphabet or b not in player.alphabet:
+            raise error(
+                f"{where}: payoff must be for moves of {player.name} "
+                f"({' '.join(player.alphabet)}), not {a} {b}"
+            )
 
 
 def _read_file(path: str) -> tuple[str, str]:
@@ -206,37 +211,38 @@ def _load_player(path: str):
 
 
 def _load_game(args):
-    """Config, payoff matrix, player and probe of a command that plays one
+    """Settings, payoff matrix, player and probe of a command that plays one
     player against one probe, and the metadata every such output carries."""
-    config = _resolve_config(args)
-    payoff = _payoff_matrix(config)
+    settings = _resolve_config(args)
+    payoff = _payoff_matrix(settings)
     player, player_digest = _load_player(args.player)
-    probe, probe_meta = _load_probe_spec(args.probe, args.joss_ann)
+    _check_payoff_moves(settings, player)
+    if (args.probe is None) == (args.joss_ann is None):
+        raise UsageError("specify exactly one of PROBE or --joss-ann BASE")
+    if args.probe is not None:
+        probe, digest = _load_probe(args.probe, joss_ann_base=False)
+        probe_meta = {"probe_sha256": digest}
+    else:
+        probe, digest = _load_probe(args.joss_ann, joss_ann_base=True)
+        probe_meta = {"probe_constructed": "joss_ann", "probe_base_sha256": digest}
     meta = {
         **_base_meta(payoff),
         "player": player.name,
         "player_sha256": player_digest,
         **probe_meta,
+        "probe": probe.name,
     }
-    return config, payoff, player, probe, meta
+    return settings, payoff, player, probe, meta
 
 
-def _load_probe_spec(probe_path: str | None, joss_ann_path: str | None):
-    """Probe from an explicit file or constructed from a base player file."""
-    if (probe_path is None) == (joss_ann_path is None):
-        raise UsageError("specify exactly one of PROBE or --joss-ann BASE")
-    meta: dict = {}
-    if probe_path is not None:
-        text, digest = _read_file(probe_path)
-        probe = parse_probe(text)
-        meta["probe_sha256"] = digest
-    else:
-        base, digest = _load_player(joss_ann_path)
-        probe = joss_ann(base)
-        meta["probe_constructed"] = "joss_ann"
-        meta["probe_base_sha256"] = digest
-    meta["probe"] = probe.name
-    return probe, meta
+def _load_probe(path: str, joss_ann_base: bool):
+    """The probe in the file at `path`, or with `joss_ann_base` the Joss-Ann
+    probe built on the player there, plus the file's SHA-256 digest."""
+    if joss_ann_base:
+        base, digest = _load_player(path)
+        return joss_ann(base), digest
+    text, digest = _read_file(path)
+    return parse_probe(text), digest
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -261,15 +267,7 @@ def _cmd_validate(args) -> int:
     for path in args.files:
         try:
             text, _ = _read_file(path)
-            header = next(
-                (
-                    line.split("#", 1)[0].strip()
-                    for line in text.splitlines()
-                    if line.split("#", 1)[0].strip()
-                ),
-                "",
-            )
-            kind = header.split()[0] if header else ""
+            kind = next((line.split()[0] for _, line in _significant_lines(text)), "")
             if kind == "player":
                 machine = parse_player(text)
                 print(f"{path}: OK player {machine.name} ({machine.n_states} states)")
@@ -285,18 +283,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
-    config, payoff, player, probe, meta = _load_game(args)
-    grid = fingerprint_grid(player, probe, payoff, config.grid_n, config.boundary_mode)
-    meta = {**meta, "n": config.grid_n, "boundary_mode": config.boundary_mode}
-    if config.fmt == "json":
-        _write_output(grid.to_json(meta), config.out)
-    else:
-        _write_output(grid.to_csv(meta), config.out)
+    settings, payoff, player, probe, meta = _load_game(args)
+    n, boundary = settings["n"], settings["boundary"]
+    grid = fingerprint_grid(player, probe, payoff, n, boundary)
+    meta = {**meta, "n": n, "boundary_mode": boundary}
+    render = grid.to_json if settings["format"] == "json" else grid.to_csv
+    _write_output(render(meta), args.output)
     return EXIT_OK
 
 
 def _cmd_symbolic(args) -> int:
-    config, payoff, player, probe, meta = _load_game(args)
+    _, payoff, player, probe, meta = _load_game(args)
     result = symbolic_fingerprint(player, probe, payoff)
     lines = [f"# {key}: {meta[key]}" for key in sorted(meta)]
     lines += [
@@ -305,11 +302,11 @@ def _cmd_symbolic(args) -> int:
         "agreement: max |closed form - numeric| = "
         f"{result.agreement_max_error:.3e} over interior lattice nodes",
     ]
-    _write_output("\n".join(lines) + "\n", config.out)
+    _write_output("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
-def _fingerprint_source(spec: str, payoff, boundary_mode):
+def _fingerprint_source(spec: str, settings: dict, payoff):
     """A distance source: a grid file, or 'PLAYER:PROBE' / 'PLAYER:ja[:BASE]'
     pairs evaluated pointwise on the fly.  Returns the name, the evaluable
     and the SHA-256 digests of the files read, in the order of the spec."""
@@ -329,58 +326,53 @@ def _fingerprint_source(spec: str, payoff, boundary_mode):
             f"source {spec!r} is neither a grid file nor a PLAYER:PROBE pair"
         )
     player, digest = _load_player(player_path)
+    _check_payoff_moves(settings, player)
     digests = [digest]
     if probe_spec == "ja":
         probe = joss_ann(player)
-    elif probe_spec.startswith("ja:"):
-        base, digest = _load_player(probe_spec[3:])
-        probe = joss_ann(base)
-        digests.append(digest)
     else:
-        text, digest = _read_file(probe_spec)
-        probe = parse_probe(text)
+        on_base = probe_spec.startswith("ja:")
+        probe, digest = _load_probe(probe_spec[3:] if on_base else probe_spec, on_base)
         digests.append(digest)
-    fingerprint = pointwise_fingerprint(player, probe, payoff, boundary_mode)
+    fingerprint = pointwise_fingerprint(player, probe, payoff, settings["boundary"])
     return player.name, fingerprint, digests
 
 
 def _cmd_distance(args) -> int:
-    config = _resolve_config(args)
-    payoff = _payoff_matrix(config)
+    settings = _resolve_config(args)
+    payoff = _payoff_matrix(settings)
     if len(args.sources) < 2:
         raise UsageError("distance needs at least two sources")
     corpus = []
     digests = []
     for spec in args.sources:
-        name, evaluable, spec_digests = _fingerprint_source(
-            spec, payoff, config.boundary_mode
-        )
+        name, evaluable, spec_digests = _fingerprint_source(spec, settings, payoff)
         corpus.append((name, evaluable))
         digests.extend(spec_digests)
     names = [name for name, _ in corpus]
     if len(set(names)) != len(names):
         raise UsageError(f"duplicate fingerprint names: {sorted(names)}")
 
-    matrix = distance_matrix(corpus, config.quad_n)
+    matrix = distance_matrix(corpus, settings["quad-n"])
     meta = {
         **_base_meta(payoff),
-        "quadrature_n": config.quad_n,
+        "quadrature_n": settings["quad-n"],
         "input_sha256": ";".join(digests),
     }
-    if config.fmt == "json":
+    if settings["format"] == "json":
         doc = {
             "meta": {**matrix.meta, **meta},
             "names": list(matrix.names),
             "distances": [[float(v) for v in row] for row in matrix.d],
         }
-        _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
+        _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
     else:
-        _write_output(matrix.to_csv(meta), config.out)
+        _write_output(matrix.to_csv(meta), args.output)
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    config, payoff, player, probe, meta = _load_game(args)
+    settings, payoff, player, probe, meta = _load_game(args)
     x, y = args.x, args.y
     # "not inside" rather than "outside", so that NaN is refused too
     if not (x >= 0 and y >= 0 and x + y <= 1):
@@ -393,13 +385,13 @@ def _cmd_simulate(args) -> int:
         payoff,
         x,
         y,
-        rounds=config.rounds,
-        burn_in=config.burn_in,
-        replicates=config.replicates,
-        seed=config.seed,
+        rounds=settings["rounds"],
+        burn_in=settings["burn-in"],
+        replicates=settings["replicates"],
+        seed=settings["seed"],
         chain=chain,
     )
-    exact = value_at(chain, x, y, config.boundary_mode)
+    exact = value_at(chain, x, y, settings["boundary"])
     if result.stderr > 0:
         z = (result.mean - exact) / result.stderr
     else:
@@ -418,7 +410,7 @@ def _cmd_simulate(args) -> int:
         "exact_fingerprint": exact,
         "z_score": z,
     }
-    _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
+    _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
     return EXIT_OK
 
 
@@ -427,21 +419,9 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Flags that only some commands read, by config-file key.
-_OPTIONAL_FLAGS = {
-    "n": (("-n",), {"type": int, "help": "grid resolution"}),
-    "boundary": (
-        ("--boundary",),
-        {"choices": ("cesaro", "offset"), "help": "boundary convention"},
-    ),
-    "quad-n": (("--quad-n",), {"type": int, "help": "quadrature resolution"}),
-    "format": (("--format",), {"choices": ("csv", "json")}),
-    "seed": (("--seed",), {"type": int}),
-}
-
-
-def _add_common(parser: argparse.ArgumentParser, *optional: str) -> None:
-    """The flags every computing command reads, plus the named optional ones."""
+def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
+    """The flags every computing command reads, plus the flag of each
+    setting that `command` reads."""
     parser.add_argument(
         "--payoff",
         nargs=3,
@@ -451,9 +431,12 @@ def _add_common(parser: argparse.ArgumentParser, *optional: str) -> None:
     )
     parser.add_argument("--config", help="config file (flags take precedence)")
     parser.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    for key in optional:
-        flags, kwargs = _OPTIONAL_FLAGS[key]
-        parser.add_argument(*flags, default=None, **kwargs)
+    for key, setting in _SETTINGS.items():
+        if command in setting.commands:
+            choices = setting.allowed if isinstance(setting.allowed, tuple) else None
+            parser.add_argument(
+                _flag(key), type=setting.kind, choices=choices, default=None, help=setting.help
+            )
 
 
 @functools.cache
@@ -472,14 +455,14 @@ def build_parser() -> _Parser:
     p.add_argument("player")
     p.add_argument("probe", nargs="?", default=None)
     p.add_argument("--joss-ann", metavar="BASE", help="build the probe from a base player")
-    _add_common(p, "n", "boundary", "format")
+    _add_common(p, "fingerprint")
     p.set_defaults(func=_cmd_fingerprint)
 
     p = subparsers.add_parser("symbolic", help="closed-form fingerprint")
     p.add_argument("player")
     p.add_argument("probe", nargs="?", default=None)
     p.add_argument("--joss-ann", metavar="BASE")
-    _add_common(p)
+    _add_common(p, "symbolic")
     p.set_defaults(func=_cmd_symbolic)
 
     p = subparsers.add_parser("distance", help="pairwise fingerprint distances")
@@ -488,7 +471,7 @@ def build_parser() -> _Parser:
         nargs="*",
         help="grid files or PLAYER:PROBE / PLAYER:ja / PLAYER:ja:BASE pairs",
     )
-    _add_common(p, "boundary", "quad-n", "format")
+    _add_common(p, "distance")
     p.set_defaults(func=_cmd_distance)
 
     p = subparsers.add_parser("simulate", help="Monte Carlo estimate at a point")
@@ -497,10 +480,7 @@ def build_parser() -> _Parser:
     p.add_argument("y", type=float)
     p.add_argument("probe", nargs="?", default=None)
     p.add_argument("--joss-ann", metavar="BASE")
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--burn-in", type=int, default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    _add_common(p, "boundary", "seed")
+    _add_common(p, "simulate")
     p.set_defaults(func=_cmd_simulate)
 
     return parser

@@ -6,8 +6,10 @@ draws over the probe's outcome distributions, taken in canonical outcome
 order.  Replicates run in vectorized lockstep, each on its own seeded PCG64
 stream, so a replicate inside `estimate` reproduces `play_once` bit for bit.
 
-The draws go through tables built once per call (`_GameTable`).  Each
-uniform is reduced to its rank, the index of the interval of [0, 1) it
+Each draw takes the first outcome of its state's row whose cumulative
+probability exceeds the uniform.  The draws go through tables built once
+per call (`_GameTable`).  Each uniform is reduced to its rank, the index of
+the interval of [0, 1) between consecutive cumulative probabilities it
 falls in.  Uniforms are drawn and ranked in blocks of `_BLOCK` (512)
 rounds.  The ranks of k consecutive rounds form one index into a table of
 k-round successors, so one `take` advances every lane k rounds, and after
@@ -57,15 +59,13 @@ def default_burn_in(rounds: int) -> int:
 class _GameTable:
     """Rank tables of the joint chain at one point.
 
-    Outcome selection is inverse-CDF sampling: state s takes the first
-    outcome whose cumulative boundary b = fl(s + c) exceeds fl(s + u), with
-    the outcomes of each row of `chain.trans` in canonical order.  Since
-    fl(s + u) rises with u, the test fl(s + u) >= b is u >= theta(s, b) for
-    one threshold theta, the least float u in [0, 1] that passes it; bisection
-    on the bit patterns of [0, 1] finds it under the kernel's own rounding.
-    The distinct thresholds in (0, 1), `cuts`, split [0, 1) into
-    R = len(cuts) + 1 intervals, and `step[r * n + s]` is the successor of
-    state s for every u in interval r.
+    Outcome selection is inverse-CDF sampling: a uniform u in [0, 1) takes
+    the first outcome of its state's row whose cumulative probability
+    exceeds u, with the outcomes of each row of `chain.trans` in canonical
+    order, as the initial draw does over `init_cdf`.  The distinct cumulative
+    probabilities in (0, 1), `cuts`, split [0, 1) into R = len(cuts) + 1
+    intervals, and `step[r * n + s]` is the successor of state s for every u
+    in interval r.
 
     Rounds are played `k` at a time.  A rank tuple (r_0, ..., r_{k-1}) of k
     consecutive rounds has the index t = sum(r_i * R**i), and
@@ -80,38 +80,23 @@ class _GameTable:
         n = len(chain.trans)
 
         # Each row of the composed chain lists the probe's outcomes with
-        # nonzero weight polynomials in canonical order, one successor each;
-        # the boundaries of state s are s + its cumulative probabilities.
-        cumulative = []
+        # nonzero weight polynomials in canonical order, one successor each.
+        rows = []
         for s, row in enumerate(chain.trans):
-            cumulative.append(np.cumsum(matrix[s, list(row)]))
-            cumulative[-1][-1] = 1.0
+            rows.append(np.cumsum(matrix[s, list(row)]))
+            rows[-1][-1] = 1.0
+        cumulative = np.concatenate(rows)
         lengths = [len(row) for row in chain.trans]
-        owner = np.repeat(np.arange(n, dtype=float), lengths)
-        bound = owner + np.concatenate(cumulative)
         firsts = np.cumsum(lengths) - lengths
         successors = np.array([t for row in chain.trans for t in row], dtype=np.int64)
+        self.cuts = np.unique(cumulative[(cumulative > 0) & (cumulative < 1)])
 
-        # theta(s, b) by bisection; a boundary that no u in [0, 1] reaches
-        # (a partial sum rounded above 1) ends at 1.0 and never counts.
-        lo = np.zeros(len(bound), dtype=np.int64)
-        hi = np.full(len(bound), np.float64(1.0).view(np.int64))
-        while (lo < hi).any():
-            mid = (lo + hi) // 2
-            hit = owner + mid.view(np.float64) >= bound
-            hi = np.where(hit, mid, hi)
-            lo = np.where(hit, lo, mid + 1)
-        theta = lo.view(np.float64)
-        self.cuts = np.array(sorted(set(theta[(theta > 0) & (theta < 1)].tolist())))
-
-        # Outcomes passed at the left end of each interval, per state.  A
-        # draw with fl(s + u) == s + 1 (about 2**-53 per draw, s >= 1) passes
-        # every boundary of row s; it takes the outcome whose interval ends
-        # at s + 1, the last one with positive width, as u just below does.
+        # No cumulative probability lies inside an interval, so a uniform
+        # passes the outcomes whose cumulative is at most the interval's left
+        # end; the last is 1.0, which no uniform reaches.
         lefts = np.concatenate(([0.0], self.cuts))
-        passed = np.add.reduceat(theta <= lefts[:, None], firsts, axis=1)
-        below = np.add.reduceat(bound < owner + 1, firsts)
-        self.step = successors[firsts + np.minimum(passed, below)].ravel()
+        passed = np.add.reduceat(cumulative <= lefts[:, None], firsts, axis=1)
+        self.step = successors[firsts + passed].ravel()
 
         # after[j, t * n + s] is after[j - 1, t * n + s] advanced one round
         # at rank r_j, the digit j of t in base R, starting from s at j = 0.

@@ -6,7 +6,8 @@ exact rationals, the polynomial oracle sums one term at a time in plain
 floats, the integration oracle uses closed-form monomial integrals
 over the triangle, the determinant oracle is a general pivoting Bareiss
 elimination, the fingerprint oracle solves one point at a time, and the
-Monte Carlo oracle picks each round's outcomes with one searchsorted call.
+Monte Carlo oracle picks each round's outcome with one searchsorted in
+its state's cumulative row.
 """
 
 from __future__ import annotations
@@ -242,44 +243,37 @@ def offset_point(x: float, y: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo play by one searchsorted call per round
+# Monte Carlo play by one searchsorted per lane and round
 # ---------------------------------------------------------------------------
 
 
 def searchsorted_table(chain: ParamChain, x: float, y: float):
-    """Flattened sampling table of the chain at one point: for each joint
-    state, its outcomes' cumulative block offset by the state index in
-    `boundaries`, one successor each in `successors`."""
+    """Sampling table of the chain at one point: for each joint state, its
+    outcomes' cumulative probabilities in `cumulative[s]` and one successor
+    each in `successors[s]`."""
     matrix, init = evaluate(chain, x, y)
-    boundaries: list[float] = []
-    successors: list[int] = []
+    cumulative = []
     for s, row in enumerate(chain.trans):
-        cumulative = np.cumsum(matrix[s, list(row)])
-        cumulative[-1] = 1.0
-        boundaries.extend(s + cumulative)
-        successors.extend(row)
+        cumulative.append(np.cumsum(matrix[s, list(row)]))
+        cumulative[-1][-1] = 1.0
+    successors = [list(row) for row in chain.trans]
     init_cdf = np.cumsum(init)
     init_cdf[-1] = 1.0
-    return (
-        np.array(boundaries),
-        np.array(successors, dtype=np.int64),
-        init_cdf,
-        chain.payoff_vector(),
-    )
+    return cumulative, successors, init_cdf, chain.payoff_vector()
 
 
 def run_lanes_searchsorted(
     chain: ParamChain, x: float, y: float, rounds: int, burn_in: int, seeds
 ) -> np.ndarray:
-    """Per-lane mean payoff after burn-in, each round picking every lane's
-    outcome with one searchsorted of state + uniform in the boundaries;
-    payoffs are summed over chunks of 4096 rounds."""
-    boundaries, successors, init_cdf, payoff = searchsorted_table(chain, x, y)
+    """Per-lane mean payoff after burn-in, each round picking each lane's
+    outcome with one searchsorted of its uniform in its state's cumulative
+    row; payoffs are summed over chunks of 4096 rounds."""
+    cumulative, successors, init_cdf, payoff = searchsorted_table(chain, x, y)
     chunk = 4096
     lanes = len(seeds)
     generators = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
     first = np.array([g.random() for g in generators])
-    states = np.searchsorted(init_cdf, first, side="right")
+    states = np.searchsorted(init_cdf, first, side="right").tolist()
     totals = np.zeros(lanes)
     counted = 0
     if burn_in == 0:
@@ -289,13 +283,12 @@ def run_lanes_searchsorted(
     traj = np.empty((lanes, chunk), dtype=np.int64)
     while done < rounds:
         span = min(chunk, rounds - done)
-        uniforms = np.empty((lanes, span))
         for lane, gen in enumerate(generators):
-            uniforms[lane] = gen.random(span)
-        for t in range(span):
-            picks = boundaries.searchsorted(states + uniforms[:, t], side="right")
-            states = successors[picks]
-            traj[:, t] = states
+            state = states[lane]
+            for t, u in enumerate(gen.random(span).tolist()):
+                state = successors[state][cumulative[state].searchsorted(u, side="right")]
+                traj[lane, t] = state
+            states[lane] = state
         start = max(burn_in - done, 0)
         if start < span:
             totals += payoff[traj[:, start:span]].sum(axis=1)

@@ -391,6 +391,8 @@ def test_config_file_value_that_does_not_convert_is_input_error(workdir, capsys,
     [
         "n 0", "boundary foo", "format xml", "replicates 1", "seed -1", "burn-in -5",
         "burn-in 100000",  # not below the default rounds
+        "quad-n 0", "rounds 0",
+        "payoff c d 7",  # moves outside the player's alphabet C D
     ],
 )
 def test_config_file_value_out_of_range_is_input_error(workdir, capsys, line):
@@ -414,16 +416,26 @@ def test_config_file_value_out_of_range_is_input_error(workdir, capsys, line):
         ("fingerprint", ["--format", "xml"]),
         ("simulate", ["--replicates", "1"]),
         ("simulate", ["--seed", "-1"]),
+        ("distance", ["--quad-n", "0"]),
+        ("simulate", ["--rounds", "0"]),
+        ("simulate", ["--burn-in", "-5"]),
+        # moves outside the player's alphabet C D
+        ("fingerprint", ["--payoff", "c", "d", "7"]),
+        ("distance", ["--payoff", "D", "q", "1"]),
     ],
 )
 def test_flag_value_out_of_range_is_usage_error(workdir, capsys, command, flags):
+    tft = str(workdir / "tft.player")
     args = {
-        "fingerprint": ["fingerprint", str(workdir / "allc.player")],
-        "simulate": ["simulate", str(workdir / "allc.player"), "0.2", "0.3"],
+        "fingerprint": ["fingerprint", str(workdir / "allc.player"), "--joss-ann", tft],
+        "simulate": ["simulate", str(workdir / "allc.player"), "0.2", "0.3", "--joss-ann", tft],
+        "distance": ["distance", f"{workdir / 'allc.player'}:ja:{tft}", f"{tft}:ja"],
     }[command]
-    code = main([*args, "--joss-ann", str(workdir / "tft.player"), *flags])
+    code = main([*args, *flags, "-o", str(workdir / "never.out")])
     assert code == 64
-    assert "usage error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error:" in err and flags[0] in err
+    assert not (workdir / "never.out").exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "1/0", "nan"])

@@ -13,7 +13,7 @@ from oracles import (
     strongly_connected_player,
 )
 from probefp.automata import PayoffMatrix, joss_ann
-from probefp.chain import compose
+from probefp.chain import compose, evaluate
 from probefp.errors import OutOfSimplexError
 from probefp.fingerprint import value_at
 from probefp.simulate import (
@@ -171,14 +171,15 @@ def _chains(players, ja_tft):
 
 
 def test_rank_table_matches_searchsorted_at_every_cut(players, ja_tft):
-    # each cut is a threshold where some state's successor changes, so the
-    # cuts and their float neighbours are where an off-by-one-ulp table errs
+    # each cut is a cumulative probability where some state's successor
+    # changes, so the cuts and their float neighbours are where an
+    # off-by-one-ulp table errs
     checked = 0
     for chain in _chains(players, ja_tft):
         n = chain.n_states
         for x, y in POINTS:
             table = _GameTable(chain, x, y)
-            boundaries, successors, _, _ = searchsorted_table(chain, x, y)
+            cumulative, successors, _, _ = searchsorted_table(chain, x, y)
             cuts = table.cuts
             us = np.concatenate(([0.0], cuts, np.nextafter(cuts, 0), np.nextafter(cuts, 1)))
             us = us[us < 1]
@@ -186,32 +187,29 @@ def test_rank_table_matches_searchsorted_at_every_cut(players, ja_tft):
             assert np.array_equal(ranks, cuts.searchsorted(us, side="right"))
             for u, rank in zip(us.tolist(), ranks.tolist()):
                 for s in range(n):
-                    if s + u == s + 1:
-                        continue  # a draw that rounds up; tested below
-                    picked = boundaries.searchsorted(s + u, side="right")
-                    assert table.step[rank * n + s] == successors[picked]
+                    picked = cumulative[s].searchsorted(u, side="right")
+                    assert table.step[rank * n + s] == successors[s][picked]
                     checked += 1
     assert checked > 10_000
 
 
-def test_draw_that_rounds_up_to_the_next_state_takes_the_rows_last_outcome(players, ja_tft):
-    # fl(s + u) == s + 1 for u = 1 - 2**-53 and s >= 1; searchsorted would
-    # pick from row s + 1, or index past the table for the last state.  The
-    # draw takes what the largest sum below s + 1 takes: the row's last
-    # outcome, or at y = 0 its last outcome of positive weight.
+def test_largest_uniform_takes_each_rows_last_outcome_of_positive_weight(players, ja_tft):
+    # u = 1 - 2**-53 is the largest uniform; it lies above every cumulative
+    # probability below 1, so it takes the row's last outcome, or at y = 0
+    # its last outcome of positive weight
     u = 1 - 2.0**-53
     chain = compose(players["pavlov"], ja_tft, SEVENTHS)
     n = chain.n_states
     for x, y in [(0.3, 0.2), (0.3, 0.0)]:
+        matrix, _ = evaluate(chain, x, y)
         table = _GameTable(chain, x, y)
-        boundaries, successors, _, _ = searchsorted_table(chain, x, y)
         rank = int(table.ranks(np.array([u]))[0])
-        for s in range(1, n):  # middle states, then the last
-            assert s + u == s + 1
-            below = boundaries.searchsorted(np.nextafter(s + 1.0, 0.0), side="right")
-            assert table.step[rank * n + s] == successors[below]
+        for s in range(n):
+            row = list(chain.trans[s])
+            last = max(i for i, t in enumerate(row) if matrix[s, t] > 0)
+            assert table.step[rank * n + s] == row[last]
             if y > 0:
-                assert table.step[rank * n + s] == list(chain.trans[s])[-1]
+                assert last == len(row) - 1
 
 
 def test_lanes_match_searchsorted_oracle(players, ja_tft):

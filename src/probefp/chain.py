@@ -13,12 +13,13 @@ distribution times `ParamChain.payoff_vector()`.
 
 The classes come from the reachability closure of the support graph, worked
 out once per support pattern among the points.  One GTH elimination
-(Grassmann, Taksar & Heyman, Oper. Res. 33, 1985) over a class-ordered flow
-matrix, run for all points of a pattern together, gives both the absorption
-probabilities and the stationary distributions: each eliminated state's
-diagonal is the sum of its off-diagonal out-flow rather than 1 - p_ii, so
-nothing is subtracted and the results keep entrywise relative accuracy even
-when escape rates are tiny.
+(Grassmann, Taksar & Heyman, Oper. Res. 33, 1985) over class-ordered flow
+matrices, run once for all points of a call with the point axis last and
+the points sorted by their number of closed classes, gives both the
+absorption probabilities and the stationary distributions: each eliminated
+state's diagonal is the sum of its off-diagonal out-flow rather than
+1 - p_ii, so nothing is subtracted and the results keep entrywise relative
+accuracy even when escape rates are tiny.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ ROW_SUM_TOL = 1e-12
 ENTRY_TOL = 1e-12
 SIMPLEX_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
-# Mass sums in _solve_pattern: GTH never subtracts, so roundoff alone stays far below this.
+# Mass sums in limit_distributions: GTH never subtracts, so roundoff alone stays far below this.
 MASS_TOL = 1e-10
 
 
@@ -206,11 +207,17 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
     )
 
     # Row sums and the init sum must be the constant polynomial 1 exactly;
-    # anything else means the probe's distributions were invalid.
-    for s, residual in enumerate(chain.row_sum_residuals()):
-        if not residual.is_zero():
+    # anything else means the probe's distributions were invalid.  A joint
+    # row holds the weights of its probe row, so each probe row is summed once.
+    residuals: dict[tuple[int, str], ParamExpr] = {}
+    for s, js in enumerate(states):
+        key = (js.probe_state, js.player_action)
+        if key not in residuals:
+            total = sum((weight for _, _, weight in probe.step[key]), ParamExpr.zero())
+            residuals[key] = ParamExpr.one() - total
+        if not residuals[key].is_zero():
             raise ProbeValidationError(
-                f"joint chain row {s} sums to 1 - ({residual.render()})"
+                f"joint chain row {s} sums to 1 - ({residuals[key].render()})"
             )
     if not chain.init_residual().is_zero():
         raise ProbeValidationError(
@@ -304,7 +311,7 @@ def closed_classes(matrix: np.ndarray) -> ClassDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Subtraction-free (GTH) elimination, batched by support pattern
+# Subtraction-free (GTH) elimination, one pass per batch
 # ---------------------------------------------------------------------------
 
 
@@ -313,103 +320,137 @@ def limit_distributions(matrix: np.ndarray, init: np.ndarray, points) -> np.ndar
     same states, with transition matrices `matrix` (N, n, n), initial
     distributions `init` (N, n) and parameter points `points` (N, 2).
 
-    The points are grouped by support pattern (matrix > SUPPORT_CUTOFF).
-    Each pattern's classes are worked out once, from its first point, and
-    its points are solved together by `_solve_pattern`.  An error names a
-    failing point.
+    The points are grouped by support pattern (matrix > SUPPORT_CUTOFF), and
+    each pattern's classes are worked out once, from its first point.  One
+    GTH pass then serves every point, over flow matrices (1 + n, 1 + n, N)
+    with the point axis last, each ordered [start, the head (first state)
+    of each closed class, the other closed-class states, the transient
+    states].  The start row is the initial distribution and a closed-class
+    row keeps only its own class's entries, so flow below SUPPORT_CUTOFF
+    cannot leak between classes.  Eliminating every state after the heads
+    leaves the start row holding the absorption probabilities;
+    back-substituting from head weight 1, with the start row left out, gives
+    each class's stationary vector, and the transient states weight exactly
+    0.  Each elimination takes the out-flow of state k as the sum of its
+    off-diagonal entries, never 1 - p_kk, so the pass only adds, multiplies
+    and divides nonnegative numbers, and leaves column k holding the in-flow
+    per unit out-flow, which is what back-substitution needs.
+
+    The points are sorted by head count, then pattern, so that those that
+    eliminate state k (fewer than k heads) are a leading slice and each
+    pattern is one run; the sort is undone on return.  No reduction runs
+    across points, so a point's result does not depend on its place in the
+    batch.  An error names the first failing point of the batch as given.
     """
     matrix = np.asarray(matrix, dtype=float)
     init = np.asarray(init, dtype=float)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    support = np.packbits((matrix > SUPPORT_CUTOFF).reshape(len(matrix), -1), axis=1)
-    # one opaque byte string per point, so that np.unique sorts rows as scalars
-    keys = support.view(np.dtype((np.void, support.shape[1]))).ravel()
-    _, first, pattern = np.unique(keys, return_index=True, return_inverse=True)
-    pi = np.empty_like(init)
-    for k in np.argsort(first):
-        group = np.flatnonzero(pattern == k)
-        pi[group] = _solve_pattern(matrix[group], init[group], points[group])
-    return pi
-
-
-def _solve_pattern(matrix: np.ndarray, init: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Limit distributions of chains that share one support pattern.
-
-    One GTH pass over flow matrices ordered [start, the head (first state)
-    of each closed class, the other closed-class states, the transient
-    states] does both solves, with a leading point axis.  The start row is
-    the initial distribution and a closed-class row keeps only its own
-    class's entries, so flow below SUPPORT_CUTOFF cannot leak between
-    classes.  Eliminating every state after the heads leaves the start row
-    holding the absorption probabilities; back-substituting from head weight
-    1, with the start row left out, gives each class's stationary vector.
-    Each elimination takes the out-flow of state k as the sum of its
-    off-diagonal entries, never 1 - p_kk, so the pass only adds, multiplies
-    and divides nonnegative numbers, and leaves column k holding the in-flow
-    per unit out-flow, which is what back-substitution needs.
-    """
     count, n = init.shape
-    decomposition = closed_classes(matrix[0])
-    closed = decomposition.closed_classes()
-    c = len(closed)
-    others = [s for cls in closed for s in cls.states[1:]]
-    order = np.array(
-        [cls.states[0] for cls in closed] + others + decomposition.transient_states()
-    )
-    label = np.full(n, -1)  # closed class of each state, -1 if transient
-    for j, cls in enumerate(closed):
-        label[list(cls.states)] = j
-    label = label[order]
+    support = np.packbits((matrix > SUPPORT_CUTOFF).reshape(count, -1), axis=1)
+    if (support == support[0]).all():  # one pattern, the common call
+        first, pattern = [0], np.zeros(count, dtype=int)
+    else:
+        # one opaque byte string per point, so that np.unique sorts rows as scalars
+        keys = support.view(np.dtype((np.void, support.shape[1]))).ravel()
+        _, first, pattern = np.unique(keys, return_index=True, return_inverse=True)
+
+    decompositions, orders, labels = [], [], []
+    heads = np.empty(len(first), dtype=int)
+    closed_size = 0  # most closed-class states of any pattern
+    for g, p in enumerate(first):
+        decomposition = closed_classes(matrix[p])
+        closed = decomposition.closed_classes()
+        others = [s for cls in closed for s in cls.states[1:]]
+        order = np.array(
+            [cls.states[0] for cls in closed] + others + decomposition.transient_states()
+        )
+        label = np.full(n, -1)  # closed class of each state, -1 if transient
+        for j, cls in enumerate(closed):
+            label[list(cls.states)] = j
+        decompositions.append(decomposition)
+        orders.append(order)
+        labels.append(label[order])
+        heads[g] = len(closed)
+        closed_size = max(closed_size, len(closed) + len(others))
+
+    sort = None
+    runs = [(0, slice(None))]
+    if len(first) > 1:
+        sort = np.lexsort((pattern, heads[pattern]))
+        matrix, init, points, pattern = matrix[sort], init[sort], points[sort], pattern[sort]
+        cuts = [0, *(np.flatnonzero(pattern[1:] != pattern[:-1]) + 1).tolist(), count]
+        runs = [(int(pattern[a]), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+    heads = heads[pattern]
+    live = np.searchsorted(heads, np.arange(1 + n)).tolist()  # live[k]: points with < k heads
 
     def check(ok: np.ndarray, fault) -> None:
-        """Raise at the first point where `ok` is false; fault(p) says why."""
+        """Raise at the first failing point of the batch as given; fault(q)
+        says why point q of the sorted batch fails."""
         if not ok.all():
-            p = int(np.argmin(ok))
-            point = tuple(float(v) for v in points[p])
-            raise SingularSystemError(f"{fault(p)} at point {point}")
+            bad = np.flatnonzero(~ok)
+            q = int(bad[np.argmin(bad if sort is None else sort[bad])])
+            point = tuple(float(v) for v in points[q])
+            raise SingularSystemError(f"{fault(q)} at point {point}")
 
-    def describe(state: int) -> str:
-        cls = next(cl for cl in decomposition.classes if state in cl.states)
+    def stuck(q: int) -> str:
+        """The first state that point q could not eliminate, with its class."""
+        k = n - int(np.argmin(out[::-1, q] > 0))
+        state = int(orders[pattern[q]][k - 1])
+        cls = next(cl for cl in decompositions[pattern[q]].classes if state in cl.states)
         kind = "closed" if cls.closed else "transient"
-        return f"state {state} of {kind} class {list(cls.states)}"
+        return f"zero out-flow from state {state} of {kind} class {list(cls.states)}"
 
-    flow = np.zeros((count, 1 + n, 1 + n))
-    flow[:, 0, 1:] = init[:, order]
-    keep = (label[:, None] == label) | (label[:, None] < 0)
-    flow[:, 1:, 1:] = np.where(keep, matrix[:, order[:, None], order], 0.0)
-    for k in range(n, c, -1):
-        out = flow[:, k, :k].sum(axis=1)
-        check(out > 0, lambda p: f"zero out-flow from {describe(int(order[k - 1]))}")
-        flow[:, :k, k] /= out[:, None]
-        flow[:, :k, :k] += flow[:, :k, k, None] * flow[:, None, k, :k]
-    absorption = flow[:, 0, 1 : 1 + c]
-    total = absorption.sum(axis=1)
+    flow = np.zeros((1 + n, 1 + n, count))
+    for g, run in runs:
+        order, label = orders[g], labels[g]
+        keep = (label[:, None] == label) | (label[:, None] < 0)
+        flow[0, 1:, run] = init[run][:, order].T
+        flow[1:, 1:, run] = np.where(
+            keep[:, :, None], matrix[run].transpose(1, 2, 0)[order[:, None], order], 0.0
+        )
+    out = np.ones((1 + n, count))  # out-flow of each eliminated state
+    # a zero out-flow is reported after the pass, so its inf and NaN are expected here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n, heads[0], -1):
+            m = live[k]
+            np.add.reduce(flow[k, :k, :m], axis=0, out=out[k, :m])
+            flow[:k, k, :m] /= out[k, :m]
+            flow[:k, :k, :m] += flow[:k, k, None, :m] * flow[k, :k, :m]
+    check((out > 0).all(axis=0), stuck)
+
+    c = heads[-1]
+    is_head = np.arange(c)[:, None] < heads
+    absorption = np.where(is_head, flow[0, 1 : 1 + c], 0.0)
+    total = np.add.reduce(absorption, axis=0)
     check(
         np.abs(total - 1.0) <= MASS_TOL,
-        lambda p: f"absorption probabilities sum to {float(total[p])!r}",
+        lambda q: f"absorption probabilities sum to {float(total[q])!r}",
     )
-    absorption = absorption / total[:, None]
+    absorption /= total
 
-    size = c + len(others)
-    weight = np.zeros((count, 1 + size))
-    weight[:, 1 : 1 + c] = 1.0
-    for k in range(1 + c, 1 + size):
-        weight[:, k] = np.einsum("pi,pi->p", weight[:, :k], flow[:, :k, k])
-    weight = weight[:, 1:]
-    label = label[:size]
-    mass = weight @ (label[:, None] == np.arange(c))
-    pi = np.zeros((count, n))
-    pi[:, order[:size]] = absorption[:, label] * (weight / mass[:, label])
+    weight = np.zeros((n, count))  # weight[i] is flow state 1 + i
+    weight[:c] = is_head
+    for k in range(heads[0], closed_size):
+        m = live[k + 1]
+        np.add.reduce(weight[:k, :m] * flow[1 : 1 + k, 1 + k, :m], axis=0, out=weight[k, :m])
+    pi = np.empty((count, n))
+    for g, run in runs:
+        label = labels[g]
+        mass = np.add.reduce((label == np.arange(c)[:, None])[:, :, None] * weight[:, run], axis=1)
+        label = np.maximum(label, 0)  # a transient state weighs 0 in any class
+        pi[run, orders[g]] = (absorption[label, run] * (weight[:, run] / mass[label])).T
 
     residual = np.abs(np.einsum("pi,pij->pj", pi, matrix) - pi).max(axis=1)
     check(
         residual <= RESIDUAL_TOL,
-        lambda p: f"limit distribution residual {float(residual[p])!r} exceeds tolerance",
+        lambda q: f"limit distribution residual {float(residual[q])!r} exceeds tolerance",
     )
     total = pi.sum(axis=1)
     check(
         np.abs(total - 1.0) <= MASS_TOL,
-        lambda p: f"limit distribution sums to {float(total[p])!r}",
+        lambda q: f"limit distribution sums to {float(total[q])!r}",
     )
-    return pi / total[:, None]
-
+    pi /= total[:, None]
+    if sort is not None:
+        pi[sort] = pi.copy()  # back to the order of the batch as given
+    return pi

@@ -40,6 +40,7 @@ from .fingerprint import (
     CESARO,
     INTERIOR_OFFSET,
     FingerprintGrid,
+    PointwiseFingerprint,
     fingerprint_grid,
     pointwise_fingerprint,
     symbolic_fingerprint,
@@ -253,8 +254,12 @@ def _write_output(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _base_meta(payoff: PayoffMatrix) -> dict:
-    return {"tool": "probefp", "version": __version__, "payoff": payoff.render()}
+def _base_meta(payoff: PayoffMatrix | None) -> dict:
+    """Tool and version, plus the payoff matrix where the output used one."""
+    meta = {"tool": "probefp", "version": __version__}
+    if payoff is not None:
+        meta["payoff"] = payoff.render()
+    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +357,18 @@ def _cmd_distance(args) -> int:
     names = [name for name, _ in corpus]
     if len(set(names)) != len(names):
         raise UsageError(f"duplicate fingerprint names: {sorted(names)}")
+    # grid files hold finished values, so only a pointwise source uses the payoff
+    pointwise = any(isinstance(evaluable, PointwiseFingerprint) for _, evaluable in corpus)
+    if settings["payoff"] and not pointwise:
+        _, _, _, error, where = settings["payoff"][0]
+        raise error(
+            f"{where}: payoff must be set by the runs that wrote the grid files, "
+            "since no source here is a PLAYER:PROBE pair"
+        )
 
     matrix = distance_matrix(corpus, settings["quad-n"])
     meta = {
-        **_base_meta(payoff),
+        **_base_meta(payoff if pointwise else None),
         "quadrature_n": settings["quad-n"],
         "input_sha256": ";".join(digests),
     }

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from oracles import (
+    PointOracle,
     cesaro_average,
     cesaro_average_literal,
+    limit_distribution_point,
     mixing_probe,
     random_interior_point,
     random_player,
@@ -14,7 +16,7 @@ from oracles import (
     strongly_connected_player,
     support_classes,
 )
-from probefp.automata import joss_ann
+from probefp.automata import Probe, joss_ann
 import probefp.chain as chain_module
 from probefp.chain import (
     SUPPORT_CUTOFF,
@@ -23,11 +25,13 @@ from probefp.chain import (
     closed_classes,
     compose,
     evaluate,
+    evaluate_points,
     limit_distributions,
 )
 from probefp.errors import (
     AlphabetMismatchError,
     OutOfSimplexError,
+    ProbeValidationError,
     SingularSystemError,
 )
 from probefp.polyexpr import expr_parse
@@ -95,6 +99,24 @@ def test_compose_wider_alphabet_needs_total_payoff(payoff):
     )
     chain = compose(player, probe, total)
     assert chain.n_states == 1
+
+
+def test_row_that_does_not_sum_to_one_names_the_first_joint_row(players, payoff):
+    # built directly, since parse_probe refuses this probe; the bad probe row
+    # (0, D) is read first by joint row 2, after TFT has answered a D with a D
+    probe = Probe(
+        name="SHORT",
+        alphabet=("C", "D"),
+        state_names=("0",),
+        init=(("C", 0, expr_parse("1")),),
+        step={
+            (0, "C"): (("C", 0, expr_parse("1 - y")), ("D", 0, expr_parse("y"))),
+            (0, "D"): (("C", 0, expr_parse("1 - 1/2*x")),),
+        },
+    )
+    with pytest.raises(ProbeValidationError) as err:
+        compose(players["tft"], probe, payoff)
+    assert str(err.value) == "joint chain row 2 sums to 1 - (1/2*x)"
 
 
 def test_row_sum_identity_on_random_corpus(payoff):
@@ -283,6 +305,25 @@ def test_batched_zero_out_flow_names_the_failing_point(monkeypatch):
     message = str(err.value)
     assert "state 1" in message and "[0, 1]" in message and "(0.5, 0.25)" in message
 
+    # patterns with two heads and with one; the pass sorts them by head count,
+    # and the error still names the first stuck point of the batch as given
+    stuck = np.eye(3)
+    merged = ClassDecomposition(classes=(ChainClass(states=(0, 1, 2), closed=True),))
+    classify = closed_classes
+    monkeypatch.setattr(
+        chain_module, "closed_classes", lambda m: merged if (m == stuck).all() else classify(m)
+    )
+    two_heads = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.25, 0.25]]
+    with pytest.raises(SingularSystemError) as err:
+        limit_distributions(
+            np.array([two_heads, stuck, np.full((3, 3), 1 / 3), stuck]),
+            np.full((4, 3), 1 / 3),
+            [(0.1, 0.2), (0.3, 0.4), (0.5, 0.25), (0.6, 0.1)],
+        )
+    assert str(err.value) == (
+        "zero out-flow from state 2 of closed class [0, 1, 2] at point (0.3, 0.4)"
+    )
+
 
 def test_sub_cutoff_flow_does_not_leak_between_classes():
     # 0 <-> 1 at eps (above the cutoff) is one closed class; 2 -> 1 at lam
@@ -349,6 +390,86 @@ def test_reducible_block_chains_match_cesaro_and_absorption():
             absorbed = np.linalg.solve(np.eye(len(transient)) - q, into)
             mass = init[block].sum() + init[transient] @ absorbed
             assert pi[block].sum() == pytest.approx(mass, rel=1e-12, abs=1e-15)
+
+
+def _mixed_batch(rng, n, count):
+    """count random chains on n states, each with 1-3 closed classes (a class
+    of 2+ states is sometimes a deterministic cycle, so periodic) and the
+    other states transient, each under its own random relabelling."""
+    matrices, inits = np.zeros((count, n, n)), np.zeros((count, n))
+    for matrix, init in zip(matrices, inits):
+        c = int(rng.integers(1, 4))
+        n_closed = int(rng.integers(c, n + 1))
+        cuts = [0, *sorted(rng.choice(np.arange(1, n_closed), c - 1, replace=False)), n_closed]
+        for a, b in zip(cuts, cuts[1:]):
+            block = np.arange(a, b)
+            if b - a > 1 and rng.random() < 0.3:
+                matrix[block, np.roll(block, -1)] = 1.0
+            else:
+                matrix[a:b, a:b] = rng.uniform(0.1, 1.0, (b - a, b - a))
+        shape = (n - n_closed, n)
+        matrix[n_closed:] = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.5)
+        matrix[np.arange(n_closed, n), rng.integers(0, n_closed, n - n_closed)] += 0.2
+        matrix /= matrix.sum(axis=1, keepdims=True)
+        init[:] = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7)
+        init[rng.integers(0, n)] += 0.1
+        init /= init.sum()
+        perm = rng.permutation(n)
+        matrix[np.ix_(perm, perm)] = matrix.copy()
+        init[perm] = init.copy()
+    return matrices, inits
+
+
+def _lattice(n):
+    return [(i / n, j / n) for i in range(n + 1) for j in range(n + 1 - i)]
+
+
+def test_mixed_batches_match_the_per_point_oracle(players, ja_tft, payoff):
+    # one call solves many support patterns with 1-3 heads; every row must
+    # match the same chain solved on its own
+    rng = np.random.default_rng(11)
+    for n in (3, 6, 9):
+        matrices, inits = _mixed_batch(rng, n, 60)
+        heads = {len(closed_classes(m).closed_classes()) for m in matrices}
+        assert heads == {1, 2, 3}
+        pi = limit_distributions(matrices, inits, [(p / 60, 0.0) for p in range(60)])
+        for row, matrix, init in zip(pi, matrices, inits):
+            assert np.abs(row - limit_distribution_point(matrix, init)).max() <= 1e-12
+
+    # the Cesaro grid of Grim vs JA(TFT): transient states on the edges and
+    # two closed classes at (0, 0)
+    chain = compose(players["grim"], ja_tft, payoff)
+    oracle = PointOracle(chain)
+    for n in (14, 20):
+        points = np.array(_lattice(n))
+        matrices, inits = evaluate_points(chain, *points.T)
+        assert len({len(closed_classes(m).closed_classes()) for m in matrices}) == 2
+        pi = limit_distributions(matrices, inits, points)
+        for row, (x, y) in zip(pi, points):
+            assert abs(row @ oracle.payoff - oracle.value(x, y)) <= 1e-12
+
+
+def test_shuffled_points_shuffle_the_rows_bit_for_bit(players, ja_tft, payoff):
+    # no reduction runs across points, so a point's row does not depend on
+    # where it sits in the batch
+    rng = np.random.default_rng(12)
+    batches = [_mixed_batch(rng, n, 40) for n in (4, 7, 10)]
+    pair_rng = random.Random(13)  # 4 to 28 joint states
+    pairs = [(players["grim"], ja_tft)] + [
+        (random_player(pair_rng, 6), random_probe(pair_rng, 6)) for _ in range(10)
+    ]
+    points = np.array(_lattice(14))
+    for player, probe in pairs:
+        batches.append(evaluate_points(compose(player, probe, payoff), *points.T))
+    shuffle_rng = np.random.default_rng(12)
+    for matrices, inits in batches:
+        count = len(inits)
+        labels = np.column_stack((np.arange(count) / count, np.zeros(count)))
+        pi = limit_distributions(matrices, inits, labels)
+        for _ in range(3):
+            perm = shuffle_rng.permutation(count)
+            shuffled = limit_distributions(matrices[perm], inits[perm], labels[perm])
+            assert np.array_equal(shuffled, pi[perm])
 
 
 def test_cesaro_splitting_matches_literal_loop():

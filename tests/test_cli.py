@@ -159,6 +159,29 @@ def test_distance_accepts_grid_files(workdir):
     assert value == pytest.approx(math.sqrt(5 / 12), abs=2e-3)
 
 
+def _grid_files(workdir) -> list[str]:
+    """Two grid files written by `probefp fingerprint`, one CSV and one JSON."""
+    paths = []
+    for name, fmt in (("allc", "csv"), ("alld", "json")):
+        path = workdir / f"{name}.{fmt}"
+        assert main([
+            "fingerprint", str(workdir / f"{name}.player"), "--joss-ann", str(workdir / "tft.player"),
+            "-n", "2", "--format", fmt, "-o", str(path),
+        ]) == 0
+        paths.append(str(path))
+    return paths
+
+
+def test_distance_over_grid_files_only_records_no_payoff(workdir):
+    grids = _grid_files(workdir)
+    assert main(["distance", *grids, "--quad-n", "4", "-o", str(workdir / "d.csv")]) == 0
+    meta = [l for l in (workdir / "d.csv").read_text().splitlines() if l.startswith("#")]
+    assert meta and not any(l.startswith("# payoff:") for l in meta)
+    source = f"{workdir / 'pavlov.player'}:ja"
+    assert main(["distance", *grids, source, "--quad-n", "4", "-o", str(workdir / "e.csv")]) == 0
+    assert "# payoff: C,C=3; C,D=0; D,C=5; D,D=1" in (workdir / "e.csv").read_text()
+
+
 def test_distance_input_digests_follow_spec_order(workdir):
     grid = workdir / "alld.json"
     assert main([
@@ -387,21 +410,27 @@ def test_config_file_value_that_does_not_convert_is_input_error(workdir, capsys,
 
 
 @pytest.mark.parametrize(
-    "line",
+    "line, grids_only",
     [
-        "n 0", "boundary foo", "format xml", "replicates 1", "seed -1", "burn-in -5",
-        "burn-in 100000",  # not below the default rounds
-        "quad-n 0", "rounds 0",
-        "payoff c d 7",  # moves outside the player's alphabet C D
-    ],
+        pytest.param(line, False, id=line)
+        for line in [
+            "n 0", "boundary foo", "format xml", "replicates 1", "seed -1", "burn-in -5",
+            "burn-in 100000",  # not below the default rounds
+            "quad-n 0", "rounds 0",
+            "payoff c d 7",  # moves outside the player's alphabet C D
+        ]
+    ]
+    # a distance over grid files alone uses no payoff
+    + [pytest.param("payoff C C 9", True, id="payoff C C 9 over grid files")],
 )
-def test_config_file_value_out_of_range_is_input_error(workdir, capsys, line):
+def test_config_file_value_out_of_range_is_input_error(workdir, capsys, line, grids_only):
     config = workdir / "range.cfg"
     config.write_text(f"seed 4\n{line}\n")
-    code = main([
-        "fingerprint", str(workdir / "allc.player"), "--joss-ann", str(workdir / "tft.player"),
-        "--config", str(config), "-o", str(workdir / "never.csv"),
-    ])
+    if grids_only:
+        args = ["distance", *_grid_files(workdir)]
+    else:
+        args = ["fingerprint", str(workdir / "allc.player"), "--joss-ann", str(workdir / "tft.player")]
+    code = main([*args, "--config", str(config), "-o", str(workdir / "never.csv")])
     assert code == 2
     err = capsys.readouterr().err
     assert f"invalid input: config line 2: {line.split()[0]} must be" in err
@@ -422,15 +451,20 @@ def test_config_file_value_out_of_range_is_input_error(workdir, capsys, line):
         # moves outside the player's alphabet C D
         ("fingerprint", ["--payoff", "c", "d", "7"]),
         ("distance", ["--payoff", "D", "q", "1"]),
+        # a distance over grid files alone uses no payoff
+        ("grid distance", ["--payoff", "C", "C", "9"]),
     ],
 )
 def test_flag_value_out_of_range_is_usage_error(workdir, capsys, command, flags):
     tft = str(workdir / "tft.player")
-    args = {
-        "fingerprint": ["fingerprint", str(workdir / "allc.player"), "--joss-ann", tft],
-        "simulate": ["simulate", str(workdir / "allc.player"), "0.2", "0.3", "--joss-ann", tft],
-        "distance": ["distance", f"{workdir / 'allc.player'}:ja:{tft}", f"{tft}:ja"],
-    }[command]
+    if command == "grid distance":
+        args = ["distance", *_grid_files(workdir)]
+    else:
+        args = {
+            "fingerprint": ["fingerprint", str(workdir / "allc.player"), "--joss-ann", tft],
+            "simulate": ["simulate", str(workdir / "allc.player"), "0.2", "0.3", "--joss-ann", tft],
+            "distance": ["distance", f"{workdir / 'allc.player'}:ja:{tft}", f"{tft}:ja"],
+        }[command]
     code = main([*args, *flags, "-o", str(workdir / "never.out")])
     assert code == 64
     err = capsys.readouterr().err

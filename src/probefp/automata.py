@@ -400,7 +400,7 @@ def _canonical_outcomes(
     merged: dict[tuple[str, int], ParamExpr] = {}
     for action, state, weight in outcomes:
         key = (action, state)
-        merged[key] = merged.get(key, ParamExpr.zero()) + weight
+        merged[key] = merged[key] + weight if key in merged else weight
     order = {a: k for k, a in enumerate(alphabet)}
     canon = sorted(merged.items(), key=lambda kv: (order[kv[0][0]], kv[0][1]))
     return tuple(
@@ -504,16 +504,18 @@ def joss_ann(base: PlayerMachine) -> Probe:
     y = ParamExpr.var_y()
     rest = ParamExpr.one() - x - y
 
-    def spread(action: str, state: int) -> list[Outcome]:
-        return [("C", state, x), ("D", state, y), (action, state, rest)]
-
-    step = {
-        key: _canonical_outcomes(spread(out, nxt), base.alphabet)
-        for key, (nxt, out) in base.step.items()
+    # The merged weights depend only on the base move, and one state is
+    # shared by every outcome, so the canonical order is the actions' order.
+    weights = {
+        move: _canonical_outcomes([("C", 0, x), ("D", 0, y), (move, 0, rest)], base.alphabet)
+        for move in base.alphabet
     }
-    init = _canonical_outcomes(
-        spread(base.initial_action, base.initial_state), base.alphabet
-    )
+
+    def spread(move: str, state: int) -> tuple[Outcome, ...]:
+        return tuple((action, state, weight) for action, _, weight in weights[move])
+
+    step = {key: spread(out, nxt) for key, (nxt, out) in base.step.items()}
+    init = spread(base.initial_action, base.initial_state)
     return Probe(
         name=f"joss_ann({base.name})",
         alphabet=base.alphabet,

@@ -346,6 +346,8 @@ def limit_distributions(matrix: np.ndarray, init: np.ndarray, points) -> np.ndar
     init = np.asarray(init, dtype=float)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     count, n = init.shape
+    if count == 0:
+        return np.zeros((0, n))
     support = np.packbits((matrix > SUPPORT_CUTOFF).reshape(count, -1), axis=1)
     if (support == support[0]).all():  # one pattern, the common call
         first, pattern = [0], np.zeros(count, dtype=int)

@@ -10,12 +10,15 @@ Each draw takes the first outcome of its state's row whose cumulative
 probability exceeds the uniform.  The draws go through tables built once
 per call (`_GameTable`).  Each uniform is reduced to its rank, the index of
 the interval of [0, 1) between consecutive cumulative probabilities it
-falls in.  Uniforms are drawn and ranked in blocks of `_BLOCK` (512)
-rounds.  The ranks of k consecutive rounds form one index into a table of
-k-round successors, so one `take` advances every lane k rounds, and after
-the block one more `take` fills in the rounds in between.  The trajectory
-is the one a round-by-round walk gives, and payoffs are summed over it per
-chunk of `_CHUNK` (4096) rounds, so estimates do not depend on k.
+falls in.  The ranks of a group of k consecutive rounds form one index into
+a table of k-round successors, so one `take` advances every lane k rounds,
+and the same index reads the payoffs of the group's k rounds from a table
+of payoff paths.  Everything runs a chunk of `_CHUNK` (4096) rounds at a
+time: each lane draws the chunk's uniforms in one call, the chunk is ranked
+at once, one walk crosses all of its groups, and its payoffs are summed as
+one array, so memory is O(lanes x `_CHUNK`) whatever the round count.  The
+payoffs are those of a round-by-round walk, summed in the same per-chunk
+order, so estimates do not depend on k.
 """
 
 from __future__ import annotations
@@ -29,15 +32,19 @@ from .chain import ParamChain, compose, evaluate
 
 RNG_ID = "numpy-pcg64"
 
-# Each chunk's payoffs are summed as one (lanes, rounds) array, an order the
-# estimates depend on under a non-integer payoff; the block size bounds the
-# memory of the per-round arrays.
+# Rounds drawn, ranked, walked and paid per step of every lane.  Each chunk's
+# payoffs are summed as one (lanes, rounds) array, an order the estimates
+# depend on under a non-integer payoff; the chunk bounds the memory of the
+# per-round arrays.
 _CHUNK = 4096
-_BLOCK = 512
 _BUCKETS = 4096
 # Entries of each k-round table; larger caps measured no faster and cost
 # memory.
 _TABLE_CAP = 4096
+# Rounds per group when play is deterministic (one rank, R = 1), the one case
+# `_TABLE_CAP` does not bound k.  Groups of k rounds cost k Horner steps and
+# `_CHUNK` / k walk steps per chunk; 32 and 64 measured alike.
+_GROUP_CAP = 64
 
 
 @dataclass
@@ -70,8 +77,9 @@ class _GameTable:
     Rounds are played `k` at a time.  A rank tuple (r_0, ..., r_{k-1}) of k
     consecutive rounds has the index t = sum(r_i * R**i), and
     `after[j, t * n + s]` is the state after j + 1 of those rounds from
-    state s.  It depends only on `step`, so it is built once per call; k is
-    the largest value, at most `_BLOCK`, with R**k * n <= `_TABLE_CAP`, and
+    state s, and `payoff_path[t * n + s, j]` is the payoff of that state.
+    Both depend only on `step`, so they are built once per call; k is the
+    largest value, at most `_GROUP_CAP`, with R**k * n <= `_TABLE_CAP`, and
     k = 1 when R**2 * n exceeds it.
     """
 
@@ -98,20 +106,24 @@ class _GameTable:
         passed = np.add.reduceat(cumulative <= lefts[:, None], firsts, axis=1)
         self.step = successors[firsts + passed].ravel()
 
-        # after[j, t * n + s] is after[j - 1, t * n + s] advanced one round
-        # at rank r_j, the digit j of t in base R, starting from s at j = 0.
         n_ranks = len(self.cuts) + 1
         k = 1
-        while k < _BLOCK and n_ranks ** (k + 1) * n <= _TABLE_CAP:
+        while k < _GROUP_CAP and n_ranks ** (k + 1) * n <= _TABLE_CAP:
             k += 1
-        t = np.arange(n_ranks**k).repeat(n)
-        state = np.tile(np.arange(n), n_ranks**k)
-        self.after = np.empty((k, n_ranks**k * n), dtype=np.int64)
-        for j in range(k):
-            state = self.after[j] = self.step.take(t // n_ranks**j % n_ranks * n + state)
         self.k = k
-        # t * n from the ranks of a group's k rounds
-        self.tuple_weights = n * n_ranks ** np.arange(k)
+        self.payoff = chain.payoff_vector()
+        # after[j, t * n + s] depends on t only through r_0, ..., r_j, so row
+        # j is its first R**(j + 1) * n entries, `period`, repeated; each
+        # period is the one before (at first the states 0..n-1) advanced one
+        # round at every rank r_j.
+        shift = np.arange(n_ranks)[:, None] * n
+        period = np.arange(n)
+        self.after = np.empty((k, n_ranks**k * n), dtype=np.int64)
+        self.payoff_path = np.empty((n_ranks**k * n, k))
+        for j in range(k):
+            period = self.step.take(period + shift).ravel()
+            self.after[j].reshape(-1, period.size)[:] = period
+            self.payoff_path.reshape(-1, period.size, k)[:, :, j] = self.payoff.take(period)
 
         # Ranks by bucket: in bucket i, [i / B, (i + 1) / B), every uniform
         # has the rank of the bucket's left end unless a cut lies inside the
@@ -122,14 +134,16 @@ class _GameTable:
 
         self.init_cdf = np.cumsum(init)
         self.init_cdf[-1] = 1.0
-        self.payoff = chain.payoff_vector()
 
     def ranks(self, uniforms: np.ndarray) -> np.ndarray:
         """Interval index of each uniform, the number of cuts <= u, as a new
         C-contiguous array."""
-        bucket = (uniforms * _BUCKETS).astype(np.intp)
-        ranks = self._base.take(bucket)
+        bucket = np.empty(uniforms.shape, np.intp)
+        np.multiply(uniforms, _BUCKETS, out=bucket, casting="unsafe")  # truncates
         split = np.flatnonzero(self._split.take(bucket))
+        # each bucket is read before its rank overwrites it; reusing the
+        # array saves touching a chunk's worth of fresh memory
+        ranks = self._base.take(bucket, out=bucket, mode="clip")
         if split.size:
             ranks.flat[split] = self.cuts.searchsorted(uniforms.flat[split], side="right")
         return ranks
@@ -156,37 +170,38 @@ def _run_lanes(
         counted = 1
     done = 1  # rounds simulated so far (round 1 is the initial draw)
 
-    k = table.k
-    groups = -(-_BLOCK // k)
+    k, n_ranks, n = table.k, len(table.cuts) + 1, len(table.payoff)
+    groups = -(-_CHUNK // k)
     add, take = np.add, table.after[-1].take
-    paths = table.after.T.copy()  # row t * n + s: the k states a group visits
-    traj = np.empty((lanes, _CHUNK), dtype=np.int64)
-    # columns past a block's width stay 0.0, which has rank 0
+    # Columns past a short last chunk keep uniforms of the chunk before, or
+    # the initial zeros: valid ranks for rounds that are never paid.
     uniforms = np.zeros((lanes, groups * k))
     rows = list(uniforms)  # made once: indexing uniforms[lane] costs about a draw
     # index t * n + s of each group's rank tuple t and entry state s
     entries = np.empty((groups, lanes), dtype=np.int64)
     while done < rounds:
         span = min(_CHUNK, rounds - done)
-        for offset in range(0, span, _BLOCK):
-            width = min(_BLOCK, span - offset)
-            used = -(-width // k)
-            uniforms[:, width:] = 0.0
-            for gen, row in zip(generators, rows):
-                gen.random(out=row[:width])
-            ranks = table.ranks(uniforms[:, : used * k]).reshape(lanes, used, k)
-            tuples = np.ascontiguousarray((ranks @ table.tuple_weights).T)
-            # every index is in range; "clip" skips the buffered bounds check
-            for tuple_index, entry in zip(tuples, entries):
-                states = take(add(tuple_index, states, out=entry), mode="clip")
-            path = paths.take(entries[:used].T, axis=0).reshape(lanes, -1)
-            traj[:, offset : offset + width] = path[:, :width]
-            # the padded rounds moved the lanes on; their real state is the
-            # block's last
-            states = traj[:, offset + width - 1].copy()
+        used = -(-span // k)
+        for gen, row in zip(generators, rows):
+            gen.random(out=row[:span])
+        # digits[g, lane, j]: rank of round j of group g; t by Horner's rule
+        digits = table.ranks(uniforms[:, : used * k]).reshape(lanes, used, k).transpose(1, 0, 2)
+        tuples = entries[:used]
+        np.copyto(tuples, digits[..., k - 1])
+        for j in range(k - 2, -1, -1):
+            tuples *= n_ranks
+            tuples += digits[..., j]
+        tuples *= n
+        # every index is in range; "clip" skips the buffered bounds check
+        for entry in tuples:
+            states = take(add(entry, states, out=entry), mode="clip")
+        # the padded rounds of the last group moved the lanes on; their real
+        # state is the one after the chunk's last round
+        states = table.after[span - 1 - (used - 1) * k].take(tuples[-1])
         start = max(burn_in - done, 0)
         if start < span:
-            totals += table.payoff[traj[:, start:span]].sum(axis=1)
+            paid = table.payoff_path.take(tuples.T, axis=0).reshape(lanes, -1)
+            totals += paid[:, start:span].sum(axis=1)
             counted += span - start
         done += span
     return totals / counted

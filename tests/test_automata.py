@@ -247,11 +247,39 @@ def test_joss_ann_alld():
     }
 
 
-def test_joss_ann_at_origin_reduces_to_base():
+def joss_ann_per_transition(base):
+    """JA(base) built transition by transition: each one sums its own three
+    weights per action and lists the actions in alphabet order."""
+    x, y = ParamExpr.var_x(), ParamExpr.var_y()
+
+    def outcomes(move, state):
+        merged = {}
+        for action, weight in (("C", x), ("D", y), (move, ParamExpr.one() - x - y)):
+            merged[action] = merged.get(action, ParamExpr.zero()) + weight
+        return tuple(
+            (a, state, merged[a]) for a in base.alphabet if a in merged and not merged[a].is_zero()
+        )
+
+    return Probe(
+        name=f"joss_ann({base.name})",
+        alphabet=base.alphabet,
+        state_names=base.state_names,
+        init=outcomes(base.initial_action, base.initial_state),
+        step={key: outcomes(out, nxt) for key, (nxt, out) in base.step.items()},
+    )
+
+
+def test_joss_ann_matches_per_transition_construction(players):
+    rng = random.Random(97)
+    bases = list(players.values()) + [random_player(rng, 5) for _ in range(6)]
+    for base in bases:
+        assert joss_ann(base) == joss_ann_per_transition(base), base.name
+
+
+def test_joss_ann_at_origin_reduces_to_base(players):
     rng = random.Random(4321)
     zero = Fraction(0)
-    for _ in range(10):
-        base = random_player(rng, 4)
+    for base in list(players.values()) + [random_player(rng, 4) for _ in range(10)]:
         ja = joss_ann(base)
         for (state, action), (nxt, out) in base.step.items():
             dist = {
@@ -261,14 +289,15 @@ def test_joss_ann_at_origin_reduces_to_base():
             assert sum(dist.values()) == 1
 
 
-def test_joss_ann_forced_cooperate_limit():
-    ja = joss_ann(parse_player(TFT_TEXT))
+def test_joss_ann_forced_cooperate_limit(players):
     one = Fraction(1)
-    for outcomes in list(ja.step.values()) + [ja.init]:
-        mass_on_c = sum(
-            w.evaluate_exact(one, Fraction(0)) for a, s, w in outcomes if a == "C"
-        )
-        assert mass_on_c == 1
+    for base in [parse_player(TFT_TEXT)] + list(players.values()):
+        ja = joss_ann(base)
+        for outcomes in list(ja.step.values()) + [ja.init]:
+            mass_on_c = sum(
+                w.evaluate_exact(one, Fraction(0)) for a, s, w in outcomes if a == "C"
+            )
+            assert mass_on_c == 1
 
 
 def test_joss_ann_requires_binary_alphabet():

@@ -325,6 +325,11 @@ def test_batched_zero_out_flow_names_the_failing_point(monkeypatch):
     )
 
 
+def test_empty_batch_gives_no_rows():
+    pi = limit_distributions(np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 2)))
+    assert pi.shape == (0, 3)
+
+
 def test_sub_cutoff_flow_does_not_leak_between_classes():
     # 0 <-> 1 at eps (above the cutoff) is one closed class; 2 -> 1 at lam
     # (below it) is not an edge, so {2, 3} is a second closed class.  Each

@@ -17,7 +17,7 @@ from probefp.chain import compose, evaluate
 from probefp.errors import OutOfSimplexError
 from probefp.fingerprint import value_at
 from probefp.simulate import (
-    _BLOCK,
+    _GROUP_CAP,
     _TABLE_CAP,
     SimEstimate,
     _GameTable,
@@ -228,7 +228,7 @@ def test_lanes_match_searchsorted_oracle(players, ja_tft):
 
 
 def _tables_of_every_k(players, ja_tft, const_c_probe):
-    """A deterministic chain, whose one rank lets k reach _BLOCK; Pavlov vs
+    """A deterministic chain, whose one rank lets k reach _GROUP_CAP; Pavlov vs
     JA(TFT), with k in between; and random chains whose many cuts put
     R**2 * n over the cap, so that k = 1."""
     chains = [
@@ -242,12 +242,12 @@ def _tables_of_every_k(players, ja_tft, const_c_probe):
 def test_k_is_the_largest_that_fits_the_cap(players, ja_tft, const_c_probe):
     chains, tables = _tables_of_every_k(players, ja_tft, const_c_probe)
     ks = [table.k for table in tables]
-    assert ks[0] == _BLOCK and 1 < ks[1] < _BLOCK and 1 in ks
+    assert ks[0] == _GROUP_CAP and 1 < ks[1] < _GROUP_CAP and 1 in ks
     for chain, table in zip(chains, tables):
         n, n_ranks, k = chain.n_states, len(table.cuts) + 1, table.k
         assert table.after.shape == (k, n_ranks**k * n)
         assert k == 1 or table.after.shape[1] <= _TABLE_CAP
-        assert k == _BLOCK or n_ranks ** (k + 1) * n > _TABLE_CAP
+        assert k == _GROUP_CAP or n_ranks ** (k + 1) * n > _TABLE_CAP
 
 
 def test_k_round_table_is_k_single_steps(players, ja_tft, const_c_probe):
@@ -255,6 +255,7 @@ def test_k_round_table_is_k_single_steps(players, ja_tft, const_c_probe):
     for chain, table in zip(chains, tables):
         n, n_ranks = chain.n_states, len(table.cuts) + 1
         step, after = table.step.tolist(), table.after.tolist()
+        payoff, payoff_path = table.payoff.tolist(), table.payoff_path.tolist()
         for t in range(n_ranks**table.k):
             for s in range(n):
                 state, digits = s, t
@@ -262,18 +263,21 @@ def test_k_round_table_is_k_single_steps(players, ja_tft, const_c_probe):
                     state = step[digits % n_ranks * n + state]
                     digits //= n_ranks
                     assert after[j][t * n + s] == state
+                    assert payoff_path[t * n + s][j] == payoff[state]
 
 
 def test_lanes_match_searchsorted_oracle_at_group_edges(players, ja_tft, const_c_probe):
-    # rounds that end a block or a chunk one round into a group of k, and
-    # burn-ins that end inside a group
+    # rounds that end a chunk, or one round into a group of k or a chunk,
+    # and burn-ins that end inside a group, in the first or second chunk
     seeds = np.array([3, 4, 5])
     chains, tables = _tables_of_every_k(players, ja_tft, const_c_probe)
     for chain, table in zip(chains, tables):
         k = table.k
-        for rounds in (1, 2, k + 1, 513, 4097, 4796):
+        second = 4097 + k // 2 + k * (2000 // k)
+        for rounds in (1, 2, k + 1, 513, 4097, 4796, 8192, 8193, 8192 + k + 1):
             inside = 1 + k // 2 + k * ((rounds - 1) // (2 * k))
-            for burn_in in [0] + [inside] * (inside < rounds):
+            burn_ins = [0] + [inside] * (inside < rounds) + [second] * (second < rounds)
+            for burn_in in burn_ins:
                 expected = run_lanes_searchsorted(chain, 0.25, 0.35, rounds, burn_in, seeds)
                 got = _run_lanes(table, rounds, burn_in, seeds)
                 assert np.array_equal(got, expected), (chain.n_states, k, rounds, burn_in)

@@ -2,17 +2,19 @@
 
 `compose` builds the parametrized chain over joint states (player state,
 probe state, last player move, last probe move); `evaluate_points`
-instantiates it at many parameter points at once; `limit_distributions`
-computes the limiting (Cesaro) state distribution at each, handling
-reducible and periodic chains via closed-class decomposition: absorption
-probabilities into each closed class times the unique stationary
+instantiates it at many parameter points at once, evaluating each distinct
+weight polynomial once per point and copying it into every cell it fills;
+`limit_distributions` computes the limiting (Cesaro) state distribution at
+each, handling reducible and periodic chains via closed-class decomposition:
+absorption probabilities into each closed class times the unique stationary
 distribution inside it.  An evaluated chain is a pair of arrays, transition
 matrices (N, n, n) and initial distributions (N, n), with one row per point;
 `evaluate` is the batch of one, and a fingerprint value is the limit
 distribution times `ParamChain.payoff_vector()`.
 
 The classes come from the reachability closure of the support graph, worked
-out once per support pattern among the points.  One GTH elimination
+out once per support pattern among the points, all patterns of a call in
+one stacked closure (`classify_supports`).  One GTH elimination
 (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985) over class-ordered flow
 matrices, run once for all points of a call with the point axis last and
 the points sorted by their number of closed classes, gives both the
@@ -41,8 +43,9 @@ from .errors import (
 )
 from .polyexpr import ParamExpr, PolyTable
 
-# Evaluated probabilities above this count as support edges; identically-zero
-# polynomials evaluate to exact 0.0, so this separates structure from roundoff.
+# Evaluated probabilities above this count as support edges; cells with no
+# weight are never evaluated and stay exact 0.0, so this separates structure
+# from roundoff.
 SUPPORT_CUTOFF = 1e-14
 
 ROW_SUM_TOL = 1e-12
@@ -96,13 +99,22 @@ class ParamChain:
         return ParamExpr.one() - total
 
     @cached_property
-    def weights(self) -> PolyTable:
-        """Every transition weight P[s, t] in row-major order (the zero
-        polynomial where there is no edge), then every init weight, compiled
-        once for evaluation at many points."""
-        zero = ParamExpr.zero()
-        cells = [row.get(t, zero) for row in self.trans for t in range(self.n_states)]
-        return PolyTable(cells + list(self.init))
+    def _weight_table(self) -> tuple[PolyTable, np.ndarray]:
+        """The chain's distinct nonzero weight polynomials, compiled once for
+        evaluation at many points, and the column that fills each cell of
+        the (n + 1) x n array of transition rows P[s, t] then the init row,
+        flattened row-major; a cell with no weight gets one past the last
+        column."""
+        n = self.n_states
+        cells = [(s * n + t, w) for s, row in enumerate(self.trans) for t, w in row.items() if w]
+        cells += [(n * n + t, w) for t, w in enumerate(self.init) if w]
+        # cells mostly share weight objects, so each object is hashed once
+        objects = {id(w): w for _, w in cells}
+        distinct = {w: k for k, w in enumerate(dict.fromkeys(objects.values()))}
+        column = {key: distinct[w] for key, w in objects.items()}
+        index = np.full((n + 1) * n, len(distinct))
+        index[[cell for cell, _ in cells]] = [column[id(w)] for _, w in cells]
+        return PolyTable(list(distinct)), index
 
     def payoff_vector(self) -> np.ndarray:
         return np.array([float(p) for p in self.payoff])
@@ -240,25 +252,31 @@ def evaluate_points(chain: ParamChain, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrices (N, n, n) and initial distributions (N, n) of the
     chain at the N points (xs[p], ys[p]) of the closed triangle.
 
-    Entries within ENTRY_TOL below zero are clipped to zero and every row is
-    divided by its sum; an error names the first point that fails a check.
+    Each distinct weight is evaluated once per point and copied into every
+    cell it fills; cells with no weight are exact 0.0.  Entries within
+    ENTRY_TOL below zero are clipped to zero and every row is divided by its
+    sum; an error names the first point that fails a check, and the first
+    failing row and state there.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     check_in_simplex(xs, ys)
     n = chain.n_states
-    values = chain.weights.evaluate(xs, ys)
-    # the init weights form row n, after the n transition rows
-    rows = np.maximum(values, 0.0).reshape(-1, n + 1, n)
-    sums = rows.sum(axis=2)
+    table, index = chain._weight_table
+    # each distinct weight once, then a zero column for the cells with none
+    values = np.zeros((len(xs), len(table.exprs) + 1))
+    values[:, :-1] = table.evaluate(xs, ys)
     negative = values < -ENTRY_TOL
+    # the init weights form row n, after the n transition rows
+    rows = np.take(np.maximum(values, 0.0), index, axis=1).reshape(-1, n + 1, n)
+    sums = rows.sum(axis=2)
     failed = negative.any(axis=1) | (np.abs(sums - 1.0) > ROW_SUM_TOL).any(axis=1)
     if failed.any():
         p = int(np.argmax(failed))
         point = (float(xs[p]), float(ys[p]))
         if negative[p].any():
-            s, t = divmod(int(np.argmax(negative[p])), n)
-            value = float(values[p, s * n + t])
+            s, t = divmod(int(np.argmax(negative[p, index])), n)
+            value = float(values[p, index[s * n + t]])
             raise NegativeWeightError(
                 f"transition probability {value!r} in row {s} (to state {t}) below tolerance"
                 if s < n
@@ -284,30 +302,41 @@ def evaluate(chain: ParamChain, x: float, y: float) -> tuple[np.ndarray, np.ndar
 # ---------------------------------------------------------------------------
 
 
-def closed_classes(matrix: np.ndarray) -> ClassDecomposition:
-    """Strongly connected components of the support graph of an evaluated
-    (n, n) transition matrix, its entries above SUPPORT_CUTOFF, each flagged
-    closed (no edges leave it) or transient, ordered by smallest state.
+def classify_supports(support: np.ndarray) -> list[ClassDecomposition]:
+    """Strongly connected components of each support graph of a (G, n, n)
+    boolean stack, each flagged closed (no edges leave it) or transient,
+    ordered by smallest state.
 
-    Squaring the 0/1 walk matrix (support plus self-loops) k times covers
-    every path of up to 2^k steps, so (n-1).bit_length() squarings give the
-    reachability closure; states that reach each other form one class, and
-    a class is closed when nothing it reaches lies outside it.
+    Squaring the 0/1 walk matrices (support plus self-loops) k times covers
+    every path of up to 2^k steps, so (n-1).bit_length() batched squarings
+    give every graph's reachability closure; states that reach each other
+    form one class, headed by its smallest state, and a class is closed when
+    nothing it reaches lies outside it.
     """
-    n = len(matrix)
-    walk = np.maximum(matrix > SUPPORT_CUTOFF, np.eye(n))
+    n = support.shape[-1]
+    walk = (support | np.eye(n, dtype=bool)).astype(float)
     for _ in range((n - 1).bit_length()):
         walk = np.minimum(walk @ walk, 1.0)
     reach = walk > 0
-    same = reach & reach.T
-    closed = ~np.any(reach & ~same, axis=1)
-    heads = np.flatnonzero(same.argmax(axis=1) == np.arange(n))
-    return ClassDecomposition(
-        classes=tuple(
-            ChainClass(states=tuple(np.flatnonzero(same[h]).tolist()), closed=bool(closed[h]))
-            for h in heads
+    same = reach & reach.transpose(0, 2, 1)
+    closed = ~np.any(reach & ~same, axis=2)
+    decompositions = []
+    for heads, flags in zip(same.argmax(axis=2).tolist(), closed.tolist()):
+        members: dict[int, list[int]] = {}  # by head, so in order of smallest state
+        for state, head in enumerate(heads):
+            members.setdefault(head, []).append(state)
+        decompositions.append(
+            ClassDecomposition(
+                tuple(ChainClass(tuple(states), flags[head]) for head, states in members.items())
+            )
         )
-    )
+    return decompositions
+
+
+def closed_classes(matrix: np.ndarray) -> ClassDecomposition:
+    """The classes of one evaluated (n, n) transition matrix's support graph,
+    its entries above SUPPORT_CUTOFF: the stack of one of `classify_supports`."""
+    return classify_supports(matrix[None] > SUPPORT_CUTOFF)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +350,12 @@ def limit_distributions(matrix: np.ndarray, init: np.ndarray, points) -> np.ndar
     distributions `init` (N, n) and parameter points `points` (N, 2).
 
     The points are grouped by support pattern (matrix > SUPPORT_CUTOFF), and
-    each pattern's classes are worked out once, from its first point.  One
-    GTH pass then serves every point, over flow matrices (1 + n, 1 + n, N)
-    with the point axis last, each ordered [start, the head (first state)
-    of each closed class, the other closed-class states, the transient
-    states].  The start row is the initial distribution and a closed-class
+    the classes of all patterns are worked out together, by one
+    `classify_supports` call over the stacked support of each pattern's
+    first point.  One GTH pass then serves every point, over flow matrices
+    (1 + n, 1 + n, N) with the point axis last, each ordered [start, the
+    head (first state) of each closed class, the other closed-class states,
+    the transient states].  The start row is the initial distribution and a closed-class
     row keeps only its own class's entries, so flow below SUPPORT_CUTOFF
     cannot leak between classes.  Eliminating every state after the heads
     leaves the start row holding the absorption probabilities;
@@ -348,7 +378,8 @@ def limit_distributions(matrix: np.ndarray, init: np.ndarray, points) -> np.ndar
     count, n = init.shape
     if count == 0:
         return np.zeros((0, n))
-    support = np.packbits((matrix > SUPPORT_CUTOFF).reshape(count, -1), axis=1)
+    edges = matrix > SUPPORT_CUTOFF
+    support = np.packbits(edges.reshape(count, -1), axis=1)
     if (support == support[0]).all():  # one pattern, the common call
         first, pattern = [0], np.zeros(count, dtype=int)
     else:
@@ -356,11 +387,11 @@ def limit_distributions(matrix: np.ndarray, init: np.ndarray, points) -> np.ndar
         keys = support.view(np.dtype((np.void, support.shape[1]))).ravel()
         _, first, pattern = np.unique(keys, return_index=True, return_inverse=True)
 
-    decompositions, orders, labels = [], [], []
+    decompositions = classify_supports(edges[first])
+    orders, labels = [], []
     heads = np.empty(len(first), dtype=int)
     closed_size = 0  # most closed-class states of any pattern
-    for g, p in enumerate(first):
-        decomposition = closed_classes(matrix[p])
+    for g, decomposition in enumerate(decompositions):
         closed = decomposition.closed_classes()
         others = [s for cls in closed for s in cls.states[1:]]
         order = np.array(
@@ -369,7 +400,6 @@ def limit_distributions(matrix: np.ndarray, init: np.ndarray, points) -> np.ndar
         label = np.full(n, -1)  # closed class of each state, -1 if transient
         for j, cls in enumerate(closed):
             label[list(cls.states)] = j
-        decompositions.append(decomposition)
         orders.append(order)
         labels.append(label[order])
         heads[g] = len(closed)

@@ -420,8 +420,9 @@ def symbolic_fingerprint(
     # rule and cofactor expansion along that last row, the payoff-weighted
     # sum of the solution collapses to a ratio of two determinants: the
     # system's, and the system's with the normalization row replaced by the
-    # payoff vector.  Both share the same minimal denominator, so no spurious
-    # factors appear.
+    # payoff vector.  Common factors of the two are not cancelled: a probe
+    # whose weights have a squared factor can give a closed form such as
+    # 9(x - 2y)^4 / 4(x - 2y)^4 (ROADMAP item 3, lowest terms).
     zero, one = ParamExpr.zero(), ParamExpr.one()
     system = [
         [(one if i == j else zero) - chain.trans[i].get(j, zero) for i in range(n)]

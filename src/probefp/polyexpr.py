@@ -136,7 +136,7 @@ class ParamExpr:
             return NotImplemented
         out = dict(self._terms)
         for key, coeff in other._terms.items():
-            new = out.get(key, Fraction(0)) + coeff
+            new = out[key] + coeff if key in out else coeff
             if new:
                 out[key] = new
             else:
@@ -148,7 +148,7 @@ class ParamExpr:
             return NotImplemented
         out = dict(self._terms)
         for key, coeff in other._terms.items():
-            new = out.get(key, Fraction(0)) - coeff
+            new = out[key] - coeff if key in out else -coeff
             if new:
                 out[key] = new
             else:
@@ -167,7 +167,7 @@ class ParamExpr:
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in other._terms.items():
                 key = (i1 + i2, j1 + j2)
-                new = out.get(key, Fraction(0)) + c1 * c2
+                new = out[key] + c1 * c2 if key in out else c1 * c2
                 if new:
                     out[key] = new
                 else:

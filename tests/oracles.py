@@ -36,7 +36,7 @@ from probefp.errors import (
     SingularSystemError,
 )
 from probefp.fingerprint import BOUNDARY_TOL, OFFSET_EPS
-from probefp.polyexpr import ParamExpr
+from probefp.polyexpr import ParamExpr, PolyTable
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +132,21 @@ def scalar_evaluator(expr: ParamExpr):
         return total
 
     return value
+
+
+def all_cells_points(chain: ParamChain, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Transition matrices (N, n, n) and initial distributions (N, n) at
+    points where the chain is valid, from one `PolyTable` column per cell of
+    the (n + 1) x n array of transition rows then the init row (the zero
+    polynomial where a cell has no weight), each row clipped at zero and
+    divided by its sum."""
+    n = chain.n_states
+    zero = ParamExpr.zero()
+    cells = [row.get(t, zero) for row in chain.trans for t in range(n)]
+    values = PolyTable(cells + list(chain.init)).evaluate(xs, ys)
+    rows = np.maximum(values, 0.0).reshape(-1, n + 1, n)
+    rows /= rows.sum(axis=2)[:, :, None]
+    return rows[:, :n], rows[:, n]
 
 
 # ---------------------------------------------------------------------------

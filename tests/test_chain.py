@@ -6,10 +6,12 @@ import pytest
 
 from oracles import (
     PointOracle,
+    all_cells_points,
     cesaro_average,
     cesaro_average_literal,
     limit_distribution_point,
     mixing_probe,
+    offset_point,
     random_interior_point,
     random_player,
     random_probe,
@@ -22,6 +24,7 @@ from probefp.chain import (
     SUPPORT_CUTOFF,
     ChainClass,
     ClassDecomposition,
+    classify_supports,
     closed_classes,
     compose,
     evaluate,
@@ -211,6 +214,15 @@ def test_closed_classes_match_reachability_oracle():
         expected = support_classes((matrix > SUPPORT_CUTOFF).tolist())
         assert [(c.states, c.closed) for c in decomp.classes] == expected
 
+    # the same graphs stacked by size: one closure classifies each matrix
+    # of the stack as it would alone
+    for n in range(1, 10):
+        stack = np.array([m > SUPPORT_CUTOFF for m in matrices if len(m) == n])
+        assert len(stack) > 1
+        for support, decomp in zip(stack, classify_supports(stack), strict=True):
+            expected = support_classes(support.tolist())
+            assert [(c.states, c.closed) for c in decomp.classes] == expected
+
 
 # -- limit distributions -------------------------------------------------------
 
@@ -282,7 +294,7 @@ def test_gth_zero_out_flow_raises(monkeypatch):
     # two absorbing states misreported as one closed class: state 1 has no
     # out-flow to state 0, so its elimination must refuse
     merged = ClassDecomposition(classes=(ChainClass(states=(0, 1), closed=True),))
-    monkeypatch.setattr(chain_module, "closed_classes", lambda _: merged)
+    monkeypatch.setattr(chain_module, "classify_supports", lambda stack: [merged] * len(stack))
     with pytest.raises(SingularSystemError) as err:
         _limit([[1, 0], [0, 1]], [0.5, 0.5])
     message = str(err.value)
@@ -295,7 +307,7 @@ def test_batched_zero_out_flow_names_the_failing_point(monkeypatch):
     mixing = [[0.5, 0.5], [0.25, 0.75]]
     absorbing = [[1.0, 0.0], [0.0, 1.0]]
     merged = ClassDecomposition(classes=(ChainClass(states=(0, 1), closed=True),))
-    monkeypatch.setattr(chain_module, "closed_classes", lambda _: merged)
+    monkeypatch.setattr(chain_module, "classify_supports", lambda stack: [merged] * len(stack))
     with pytest.raises(SingularSystemError) as err:
         limit_distributions(
             np.array([mixing, mixing, absorbing]),
@@ -309,10 +321,14 @@ def test_batched_zero_out_flow_names_the_failing_point(monkeypatch):
     # and the error still names the first stuck point of the batch as given
     stuck = np.eye(3)
     merged = ClassDecomposition(classes=(ChainClass(states=(0, 1, 2), closed=True),))
-    classify = closed_classes
-    monkeypatch.setattr(
-        chain_module, "closed_classes", lambda m: merged if (m == stuck).all() else classify(m)
-    )
+
+    def misreport(stack):
+        return [
+            merged if (support == stuck.astype(bool)).all() else decomposition
+            for support, decomposition in zip(stack, classify_supports(stack))
+        ]
+
+    monkeypatch.setattr(chain_module, "classify_supports", misreport)
     two_heads = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.25, 0.25]]
     with pytest.raises(SingularSystemError) as err:
         limit_distributions(
@@ -452,6 +468,33 @@ def test_mixed_batches_match_the_per_point_oracle(players, ja_tft, payoff):
         pi = limit_distributions(matrices, inits, points)
         for row, (x, y) in zip(pi, points):
             assert abs(row @ oracle.payoff - oracle.value(x, y)) <= 1e-12
+
+
+def test_distinct_weights_evaluate_like_one_column_per_cell(players, payoff):
+    # each distinct weight is evaluated once and copied into its cells; the
+    # arrays must equal those of one PolyTable column per cell, byte for byte
+    rng = random.Random(16)
+    pairs = [(p, joss_ann(base)) for base in players.values() for p in players.values()]
+    pairs += [(random_player(rng, 6), random_probe(rng, 6)) for _ in range(20)]
+    n = 14
+    lattice = _lattice(n)
+    points = np.array(
+        lattice
+        + [offset_point(x, y) for x, y in lattice]
+        + [(i / n, 1 - i / n) for i in range(n + 1)]
+        + [(x, 1e-9) for x in (0.0, 0.3, 0.5, 1 - 1e-9)]
+    )
+    shared = 0
+    for player, probe in pairs:
+        chain = compose(player, probe, payoff)
+        table, index = chain._weight_table
+        shared += len(table.exprs) < np.count_nonzero(index < len(table.exprs))
+        for got, expected in zip(
+            evaluate_points(chain, *points.T), all_cells_points(chain, *points.T), strict=True
+        ):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+    assert shared == len(pairs)  # every chain has some weight filling several cells
 
 
 def test_shuffled_points_shuffle_the_rows_bit_for_bit(players, ja_tft, payoff):

@@ -523,16 +523,23 @@ def test_grim_grid_classifies_once_per_support_pattern(players, ja_tft, payoff, 
         for i in range(n + 1)
         for j in range(n + 1 - i)
     }
-    calls = []
-    classify = chain_module.closed_classes
+    solves, stacks = [], []
+    solve, classify = fingerprint_module.limit_distributions, chain_module.classify_supports
 
-    def counting(matrix):
-        calls.append(matrix)
-        return classify(matrix)
+    def counting_solve(matrix, init, points):
+        solves.append(len(points))
+        return solve(matrix, init, points)
 
-    monkeypatch.setattr(chain_module, "closed_classes", counting)
+    def counting_classify(stack):
+        stacks.append(len(stack))
+        return classify(stack)
+
+    monkeypatch.setattr(fingerprint_module, "limit_distributions", counting_solve)
+    monkeypatch.setattr(chain_module, "classify_supports", counting_classify)
     grid = fingerprint_grid(players["grim"], ja_tft, payoff, n)
-    assert len(calls) == len(patterns) < 10
+    # one solve call for the whole grid, with one stacked closure over
+    # every support pattern at once
+    assert len(solves) == len(stacks) == 1 and stacks == [len(patterns)] and len(patterns) < 10
     for node, value in _oracle_grid(chain, n, False).items():
         assert abs(grid.values[node] - value) <= 1e-12
 

@@ -166,31 +166,30 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
         )
     payoff.validate_total(player.alphabet)
 
-    index: dict[JointState, int] = {}
+    # keyed by JointState's fields in order: a tuple hashes far faster
+    index: dict[tuple[int, int, str, str], int] = {}
     states: list[JointState] = []
     init_weights: list[ParamExpr] = []
-
-    def intern(js: JointState) -> int:
-        if js not in index:
-            index[js] = len(states)
-            states.append(js)
-            init_weights.append(ParamExpr.zero())
-        return index[js]
-
+    rows: list[dict[int, ParamExpr]] = []
     queue: deque[int] = deque()
+
+    def intern(key: tuple[int, int, str, str]) -> int:
+        """Index of the joint state `key`, queued with an empty row if new."""
+        s = index.get(key)
+        if s is None:
+            s = index[key] = len(states)
+            states.append(JointState(*key))
+            init_weights.append(ParamExpr.zero())
+            rows.append({})
+            queue.append(s)
+        return s
+
     for action, probe_state, weight in probe.init:
         if weight.is_zero():
             continue
-        js = JointState(player.initial_state, probe_state, player.initial_action, action)
-        was_new = js not in index
-        s = intern(js)
-        if was_new:
-            init_weights[s] = weight
-            queue.append(s)
-        else:
-            init_weights[s] = init_weights[s] + weight
+        s = intern((player.initial_state, probe_state, player.initial_action, action))
+        init_weights[s] = init_weights[s] + weight if init_weights[s] else weight
 
-    rows: list[dict[int, ParamExpr]] = [dict() for _ in states]
     while queue:
         s = queue.popleft()
         js = states[s]
@@ -200,12 +199,7 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
         ]:
             if weight.is_zero():
                 continue
-            succ = JointState(next_player, next_probe, next_action, probe_action)
-            was_new = succ not in index
-            t = intern(succ)
-            if was_new:
-                rows.append(dict())
-                queue.append(t)
+            t = intern((next_player, next_probe, next_action, probe_action))
             row = rows[s]
             row[t] = row[t] + weight if t in row else weight
 

@@ -21,6 +21,7 @@ unpacking.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -73,6 +74,10 @@ GENERIC_POINT = (1.0 / 3.0, 1.0 / 3.0)
 # Largest number of transition-matrix cells (points x states^2) solved in
 # one batch; this caps the memory of a batch at a few times 16 MB.
 BATCH_CELLS = 2**21
+
+# A grid file's coordinate x is node i when |x n - i| <= NODE_TOL: files written
+# here give < 1e-12, and 1e-9 admits x typed to 12 digits for n up to 1000.
+NODE_TOL = 1e-9
 
 
 def _offset_toward_centroid(x, y):
@@ -228,8 +233,9 @@ def _lattice(n: int) -> np.ndarray:
 
 
 def _lattice_values(n: int, rows) -> dict[tuple[int, int], float]:
-    """Values of (x, y, value) rows keyed by lattice node (round(x n), round(y n));
-    InputError unless n >= 1 and the rows hold each node of the n-lattice once."""
+    """Values of (x, y, value) rows keyed by lattice node (x n, y n); InputError
+    unless n >= 1, the values are finite and the coordinates are within
+    `NODE_TOL` of the nodes of the n-lattice, each node once."""
     if n < 1:
         raise InputError(f"grid resolution {n} ({len(rows)} rows) is below 1")
     count = (n + 1) * (n + 2) // 2
@@ -238,10 +244,19 @@ def _lattice_values(n: int, rows) -> dict[tuple[int, int], float]:
             f"{len(rows)} grid rows do not form the triangular lattice of resolution {n} "
             f"({count} nodes)"
         )
-    try:
-        values = {(round(px * n), round(py * n)): v for px, py, v in rows}
-    except (ValueError, OverflowError) as exc:
-        raise InputError(f"grid node coordinate is not finite: {exc}") from exc
+    table = np.fromiter(itertools.chain.from_iterable(rows), float, 3 * count).reshape(-1, 3)
+    scaled = table[:, :2] * n
+    nodes = np.rint(scaled)
+    with np.errstate(invalid="ignore"):  # a NaN or inf coordinate is off the lattice
+        off = ~(np.abs(scaled - nodes) <= NODE_TOL)
+    faulty = np.flatnonzero(off.any(axis=1) | ~np.isfinite(table[:, 2]))
+    if faulty.size:
+        r = faulty[0]
+        row, axis = tuple(table[r].tolist()), int(np.argmax(off[r]))
+        fault = (f"{'xy'[axis]} = {row[axis]!r} is not a node i/{n} to within {NODE_TOL}"
+                 if off[r].any() else f"value {row[2]!r} is not finite")
+        raise InputError(f"grid row {r + 1} {row}: {fault}")
+    values = dict(zip(zip(*nodes.astype(int).T.tolist()), table[:, 2].tolist()))
     if len(values) != count or not all(i >= 0 and j >= 0 and i + j <= n for i, j in values):
         raise InputError(f"grid rows are not the nodes (i/{n}, j/{n}) with i + j <= {n}")
     return values

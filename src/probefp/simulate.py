@@ -10,15 +10,17 @@ Each draw takes the first outcome of its state's row whose cumulative
 probability exceeds the uniform.  The draws go through tables built once
 per call (`_GameTable`).  Each uniform is reduced to its rank, the index of
 the interval of [0, 1) between consecutive cumulative probabilities it
-falls in.  The ranks of a group of k consecutive rounds form one index into
-a table of k-round successors, so one `take` advances every lane k rounds,
-and the same index reads the payoffs of the group's k rounds from a table
-of payoff paths.  Everything runs a chunk of `_CHUNK` (4096) rounds at a
-time: each lane draws the chunk's uniforms in one call, the chunk is ranked
-at once, one walk crosses all of its groups, and its payoffs are summed as
-one array, so memory is O(lanes x `_CHUNK`) whatever the round count.  The
-payoffs are those of a round-by-round walk, summed in the same per-chunk
-order, so estimates do not depend on k.
+falls in: the count of those probabilities at or below it, one comparison
+each, kept in the smallest unsigned integer type that holds it.  The ranks
+of a group of k consecutive rounds form one index into a table of k-round
+successors, so one `take` advances every lane k rounds, and the same index
+reads the payoffs of the group's k rounds from a table of payoff paths.
+Everything runs a chunk of `_CHUNK` (4096) rounds at a time: each lane
+draws the chunk's uniforms in one call, the chunk is ranked at once, one
+walk crosses all of its groups, and its payoffs are summed as one array, so
+memory is O(lanes x `_CHUNK`) whatever the round count.  The payoffs are
+those of a round-by-round walk, summed in the same per-chunk order, so
+estimates do not depend on k.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ RNG_ID = "numpy-pcg64"
 # depend on under a non-integer payoff; the chunk bounds the memory of the
 # per-round arrays.
 _CHUNK = 4096
-_BUCKETS = 4096
 # Entries of each k-round table; larger caps measured no faster and cost
 # memory.
 _TABLE_CAP = 4096
@@ -72,7 +73,8 @@ class _GameTable:
     order, as the initial draw does over `init_cdf`.  The distinct cumulative
     probabilities in (0, 1), `cuts`, split [0, 1) into R = len(cuts) + 1
     intervals, and `step[r * n + s]` is the successor of state s for every u
-    in interval r.
+    in interval r.  `ranks` counts a uniform's r, the number of cuts <= u,
+    one comparison per cut.
 
     Rounds are played `k` at a time.  A rank tuple (r_0, ..., r_{k-1}) of k
     consecutive rounds has the index t = sum(r_i * R**i), and
@@ -125,27 +127,15 @@ class _GameTable:
             self.after[j].reshape(-1, period.size)[:] = period
             self.payoff_path.reshape(-1, period.size, k)[:, :, j] = self.payoff.take(period)
 
-        # Ranks by bucket: in bucket i, [i / B, (i + 1) / B), every uniform
-        # has the rank of the bucket's left end unless a cut lies inside the
-        # bucket; only those few buckets are searched.
-        edges = np.arange(_BUCKETS + 1) / _BUCKETS
-        self._base = self.cuts.searchsorted(edges[:-1], side="right")
-        self._split = self.cuts.searchsorted(edges[1:], side="left") > self._base
-
         self.init_cdf = np.cumsum(init)
         self.init_cdf[-1] = 1.0
 
     def ranks(self, uniforms: np.ndarray) -> np.ndarray:
         """Interval index of each uniform, the number of cuts <= u, as a new
-        C-contiguous array."""
-        bucket = np.empty(uniforms.shape, np.intp)
-        np.multiply(uniforms, _BUCKETS, out=bucket, casting="unsafe")  # truncates
-        split = np.flatnonzero(self._split.take(bucket))
-        # each bucket is read before its rank overwrites it; reusing the
-        # array saves touching a chunk's worth of fresh memory
-        ranks = self._base.take(bucket, out=bucket, mode="clip")
-        if split.size:
-            ranks.flat[split] = self.cuts.searchsorted(uniforms.flat[split], side="right")
+        C-contiguous array of the smallest unsigned type holding len(cuts)."""
+        ranks = np.zeros(uniforms.shape, np.min_scalar_type(len(self.cuts)))
+        for cut in self.cuts:
+            ranks += uniforms >= cut
         return ranks
 
 

@@ -328,6 +328,12 @@ def test_distance_rejects_malformed_grid_files(workdir, capsys):
         "two_fields.csv": "\n".join(lines[:-1] + ["0.5,0.5"]) + "\n",
         "missing_node.json": json.dumps(doc),
         "invalid.json": '{"meta": {"resolution": 2}, "values": [',
+        # (0.3, 0) is no node at n = 2; it replaces node (1, 0), its nearest
+        "off_lattice.csv": "\n".join(lines[: body + 3] + ["0.3,0,2"] + lines[body + 4 :]) + "\n",
+        "nan_value.csv": "\n".join(lines[:-1] + ["1,0,nan"]) + "\n",
+        "nan_value.json": json.dumps(
+            {**doc, "values": doc["values"] + [[1.0, 0.0, float("nan")]]}
+        ),
     }
     source = f"{workdir / 'allc.player'}:ja:{workdir / 'tft.player'}"
     for name, text in malformed.items():

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -185,6 +186,38 @@ def test_grid_files_that_are_not_the_lattice_are_input_errors(players, ja_tft, p
     for text in [json.dumps(d) for d in (missing, outside, zero, huge)] + ["{", "[]", "{}"]:
         with pytest.raises(InputError):
             FingerprintGrid.from_json(text)
+
+
+def test_grid_files_refuse_off_lattice_coordinates_and_non_finite_values(
+    players, ja_tft, payoff
+):
+    # row 4 of a file at n = 2 is node (1, 0), at (0.5, 0); (0.3, 0) in its
+    # place is nearest that node, and reading it as the node would give a
+    # wrong distance
+    grid = fingerprint_grid(players["tft"], ja_tft, payoff, 2)
+    csv_rows = grid.to_csv().splitlines()
+    body = csv_rows.index("x,y,value") + 1
+    doc = json.loads(grid.to_json())
+    cases = [
+        ([0.3, 0.0, 2.0], r"grid row 4 \(0.3, 0.0, 2.0\): x = 0.3 is not a node i/2"),
+        ([0.5, 1e-6, 2.0], r"grid row 4 .*: y = 1e-06 is not a node i/2"),
+        ([0.5, math.inf, 2.0], r"grid row 4 .*: y = inf is not a node"),
+        ([0.5, 0.0, math.nan], r"grid row 4 \(0.5, 0.0, nan\): value nan is not finite"),
+        ([0.5, 0.0, -math.inf], r"grid row 4 .*: value -inf is not finite"),
+    ]
+    for row, message in cases:
+        lines = list(csv_rows)
+        lines[body + 3] = ",".join(map(repr, row))
+        values = list(doc["values"])
+        values[3] = row
+        with pytest.raises(InputError, match=message):
+            FingerprintGrid.from_csv("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=message):
+            FingerprintGrid.from_json(json.dumps({**doc, "values": values}))
+    # a coordinate within NODE_TOL steps of its node reads as that node
+    values = list(doc["values"])
+    values[3] = [0.5 + 1e-12, 0.0, 2.5]
+    assert FingerprintGrid.from_json(json.dumps({**doc, "values": values})).values[(1, 0)] == 2.5
 
 
 def test_grid_csv_layout(players, ja_tft, payoff):

@@ -193,6 +193,28 @@ def test_rank_table_matches_searchsorted_at_every_cut(players, ja_tft):
     assert checked > 10_000
 
 
+def test_ranks_count_cuts_in_the_smallest_type(players, const_c_probe, payoff):
+    # deterministic play has no cut; past 255 cuts a rank no longer fits in
+    # one byte, so the synthetic cut sets straddle that width
+    table = _GameTable(compose(players["allc"], const_c_probe, payoff), 0.3, 0.2)
+    assert len(table.cuts) == 0
+    rng = np.random.default_rng(5)
+    for count in (0, 1, 255, 256, 300):
+        if count:
+            table.cuts = np.unique(rng.random(count))
+            assert len(table.cuts) == count
+        cuts = table.cuts
+        us = np.concatenate(([0.0], cuts, np.nextafter(cuts, 0), np.nextafter(cuts, 1)))
+        us = us[us < 1]
+        ranks = table.ranks(us)
+        assert ranks.dtype == (np.uint8 if count <= 255 else np.uint16)
+        assert ranks.flags.c_contiguous
+        assert np.array_equal(ranks, cuts.searchsorted(us, side="right"))
+        # a strided (lanes, rounds) view ranks like its copy
+        block = np.resize(us, (3, 2 * len(us)))[:, ::2]
+        assert np.array_equal(table.ranks(block), cuts.searchsorted(block, side="right"))
+
+
 def test_largest_uniform_takes_each_rows_last_outcome_of_positive_weight(players, ja_tft):
     # u = 1 - 2**-53 is the largest uniform; it lies above every cumulative
     # probability below 1, so it takes the row's last outcome, or at y = 0

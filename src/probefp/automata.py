@@ -14,8 +14,11 @@ File formats are line-oriented with ``#`` comments:
     start STATE ACTION               init ACTION STATE : EXPR
     STATE IN -> NEXT OUT             STATE IN -> OUT NEXT : EXPR
 
-Probe init/transition groups may span several lines; the weights of each
-group must sum to the constant polynomial 1.
+Probe init/transition groups may span several lines.  Every (state, input)
+pair needs a group, and the weights of the init and of each group must sum
+to the constant polynomial 1; both rules are checked whenever a `Probe` is
+built, whether parsed from a file, made by `joss_ann` or constructed in
+library code.
 """
 
 from __future__ import annotations
@@ -151,7 +154,8 @@ class PlayerMachine:
 
 @dataclass
 class Probe:
-    """Finite-state transducer whose outcome weights are polynomials in (x, y)."""
+    """Finite-state transducer whose outcome weights are polynomials in (x, y);
+    building one checks that every group exists and sums to 1."""
 
     name: str
     alphabet: tuple[str, ...]
@@ -159,38 +163,55 @@ class Probe:
     init: tuple[Outcome, ...]
     step: dict[tuple[int, str], tuple[Outcome, ...]]
 
+    def __post_init__(self):
+        for state in range(self.n_states):
+            for action in self.alphabet:
+                if (state, action) not in self.step:
+                    raise ProbeFormatError(
+                        f"no outcomes for state {self.state_names[state]!r} on input {action!r}"
+                    )
+        residuals = {}  # by the weight objects summed, which joss_ann's groups share
+        for key, outcomes in _groups(self):
+            ids = tuple(id(w) for _, _, w in outcomes)
+            if ids not in residuals:
+                total = sum((w for _, _, w in outcomes), ParamExpr.zero())
+                residuals[ids] = ParamExpr.one() - total
+            if not residuals[ids].is_zero():
+                raise ProbeValidationError(
+                    f"weights for {_group_name(self, key)} do not sum to 1;"
+                    f" residual: {residuals[ids].render()}"
+                )
+
     @property
     def n_states(self) -> int:
         return len(self.state_names)
 
 
+def _groups(probe: Probe) -> list[tuple[object, tuple[Outcome, ...]]]:
+    """("init", init), then ((state, input), outcomes) by state and then by input."""
+    keys = [(state, action) for state in range(probe.n_states) for action in probe.alphabet]
+    return [("init", probe.init)] + [(key, probe.step[key]) for key in keys]
+
+
+def _group_name(probe: Probe, key) -> str:
+    """How every message names the group `key` of `probe`."""
+    return "init" if key == "init" else f"state {probe.state_names[key[0]]!r} input {key[1]!r}"
+
+
 @dataclass
 class ProbeValidationReport:
-    """Outcome of the symbolic and sampled checks on a probe.
+    """Outcome of the sampled and reachability checks on a probe; `min_weight`
+    is the smallest weight value seen anywhere on the validation lattice."""
 
-    `sum_residuals` maps each distribution (the key "init" or a
-    (state, input) pair) to 1 minus the sum of its weights; all residuals are
-    the zero polynomial for a valid probe.  `min_weight` is the smallest
-    weight value seen anywhere on the validation lattice.
-    """
-
-    sum_residuals: dict = field(default_factory=dict)
     min_weight: float = float("inf")
     min_weight_point: tuple[float, float] = (0.0, 0.0)
     negativity_violations: list = field(default_factory=list)
     vertex_violations: list = field(default_factory=list)
     unreachable_states: list = field(default_factory=list)
-    missing_groups: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return (
-            all(r.is_zero() for r in self.sum_residuals.values())
-            and not self.negativity_violations
-            and not self.vertex_violations
-            and not self.unreachable_states
-            and not self.missing_groups
-        )
+        return not (self.negativity_violations or self.vertex_violations or self.unreachable_states)
 
 
 def _lattice_points(n: int):
@@ -200,39 +221,23 @@ def _lattice_points(n: int):
 
 
 def validate_probe(probe: Probe) -> ProbeValidationReport:
-    """Run all probe checks; failures are reported, never raised."""
+    """The checks that construction leaves out, reported, never raised: the
+    lattice sample of nonnegativity, affine weights at the vertices, and
+    reachability.  Groups and sums are checked whenever a `Probe` is built."""
     report = ProbeValidationReport()
-    one = ParamExpr.one()
-
-    groups: list[tuple[object, tuple[Outcome, ...]]] = [("init", probe.init)]
-    for state in range(probe.n_states):
-        for action in probe.alphabet:
-            key = (state, action)
-            if key not in probe.step:
-                report.missing_groups.append(key)
-            else:
-                groups.append((key, probe.step[key]))
-
-    for key, outcomes in groups:
-        total = ParamExpr.zero()
-        for _, _, weight in outcomes:
-            total = total + weight
-        report.sum_residuals[key] = one - total
-
     n = VALIDATION_LATTICE_N
     points = [(i / n, j / n) for i, j in _lattice_points(n)]
-    weighted = [(key, weight) for key, outcomes in groups for _, _, weight in outcomes]
-    if weighted:
-        # values[e, p] is weight e at lattice point p; row-major order is the
-        # order of the weights, then of the points, as the report lists them.
-        xs, ys = zip(*points)
-        values = PolyTable([weight for _, weight in weighted]).evaluate(xs, ys).T
-        lowest = int(values.argmin())
-        report.min_weight = float(values.flat[lowest])
-        report.min_weight_point = points[lowest % len(points)]
-        outside = ~((-WEIGHT_TOL <= values) & (values <= 1 + WEIGHT_TOL))
-        for e, p in zip(*np.nonzero(outside)):
-            report.negativity_violations.append((weighted[e][0], points[p], float(values[e, p])))
+    weighted = [(key, weight) for key, outcomes in _groups(probe) for _, _, weight in outcomes]
+    # values[e, p] is weight e at lattice point p; row-major order is the
+    # order of the weights, then of the points, as the report lists them.
+    xs, ys = zip(*points)
+    values = PolyTable([weight for _, weight in weighted]).evaluate(xs, ys).T
+    lowest = int(values.argmin())
+    report.min_weight = float(values.flat[lowest])
+    report.min_weight_point = points[lowest % len(points)]
+    outside = ~((-WEIGHT_TOL <= values) & (values <= 1 + WEIGHT_TOL))
+    for e, p in zip(*np.nonzero(outside)):
+        report.negativity_violations.append((weighted[e][0], points[p], float(values[e, p])))
     for key, weight in weighted:
         if weight.is_affine():
             for vx, vy in ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
@@ -247,7 +252,7 @@ def validate_probe(probe: Probe) -> ProbeValidationReport:
     while frontier:
         state = frontier.pop()
         for action in probe.alphabet:
-            for _, nxt, weight in probe.step.get((state, action), ()):
+            for _, nxt, weight in probe.step[(state, action)]:
                 if not weight.is_zero() and nxt not in reached:
                     reached.add(nxt)
                     frontier.append(nxt)
@@ -256,34 +261,15 @@ def validate_probe(probe: Probe) -> ProbeValidationReport:
 
 
 def _raise_on_invalid(probe: Probe, report: ProbeValidationReport) -> None:
-    for key in report.missing_groups:
-        state, action = key
-        raise ProbeFormatError(
-            f"no outcomes for state {probe.state_names[state]!r} on input {action!r}"
-        )
-    for key, residual in report.sum_residuals.items():
-        if not residual.is_zero():
-            where = "init" if key == "init" else (
-                f"state {probe.state_names[key[0]]!r} input {key[1]!r}"
-            )
-            raise ProbeValidationError(
-                f"weights for {where} do not sum to 1; residual: {residual.render()}"
-            )
     if report.negativity_violations:
         key, point, value = report.negativity_violations[0]
-        where = "init" if key == "init" else (
-            f"state {probe.state_names[key[0]]!r} input {key[1]!r}"
-        )
         raise ProbeValidationError(
-            f"weight for {where} evaluates to {value} at lattice point {point}"
+            f"weight for {_group_name(probe, key)} evaluates to {value} at lattice point {point}"
         )
     if report.vertex_violations:
         key, point, value = report.vertex_violations[0]
-        where = "init" if key == "init" else (
-            f"state {probe.state_names[key[0]]!r} input {key[1]!r}"
-        )
         raise ProbeValidationError(
-            f"affine weight for {where} is {value} at vertex "
+            f"affine weight for {_group_name(probe, key)} is {value} at vertex "
             f"({float(point[0])}, {float(point[1])})"
         )
     if report.unreachable_states:
@@ -303,13 +289,30 @@ def _significant_lines(text: str):
             yield lineno, line
 
 
-def _parse_alphabet(tokens: list[str], lineno: int, err) -> tuple[str, ...]:
+def _read_header(text: str, kind: str, error):
+    """The name and alphabet of a `kind` file ("player" or "probe"), the
+    significant lines after them and the alphabet line's number; a fault
+    raises `error` naming its line."""
+    lines = list(_significant_lines(text))
+    if not lines:
+        raise error(f"empty {kind} file")
+    lineno, header = lines[0]
+    tokens = header.split()
+    if len(tokens) != 2 or tokens[0] != kind:
+        raise error(f"expected '{kind} NAME' header", lineno)
+    name = tokens[1]
+    if len(lines) < 2:
+        raise error("missing alphabet line", lineno)
+    lineno, line = lines[1]
+    tokens = line.split()
+    if tokens[0] != "alphabet":
+        raise error("expected 'alphabet ...' line", lineno)
     if len(tokens) < 3:
-        raise err("alphabet needs at least 2 symbols", lineno)
-    symbols = tuple(tokens[1:])
-    if len(set(symbols)) != len(symbols):
-        raise err("alphabet symbols must be distinct", lineno)
-    return symbols
+        raise error("alphabet needs at least 2 symbols", lineno)
+    alphabet = tuple(tokens[1:])
+    if len(set(alphabet)) != len(alphabet):
+        raise error("alphabet symbols must be distinct", lineno)
+    return name, alphabet, lines[2:], lineno
 
 
 class _StateIndexer:
@@ -328,30 +331,10 @@ class _StateIndexer:
 
 def parse_player(text: str) -> PlayerMachine:
     """Parse and validate a player file."""
-    lines = list(_significant_lines(text))
+    name, alphabet, lines, lineno = _read_header(text, "player", PlayerFormatError)
     if not lines:
-        raise PlayerFormatError("empty player file")
-    pos = 0
-
-    lineno, header = lines[pos]
-    tokens = header.split()
-    if len(tokens) != 2 or tokens[0] != "player":
-        raise PlayerFormatError("expected 'player NAME' header", lineno)
-    name = tokens[1]
-    pos += 1
-
-    if pos >= len(lines):
-        raise PlayerFormatError("missing alphabet line", lineno)
-    lineno, line = lines[pos]
-    tokens = line.split()
-    if tokens[0] != "alphabet":
-        raise PlayerFormatError("expected 'alphabet ...' line", lineno)
-    alphabet = _parse_alphabet(tokens, lineno, PlayerFormatError)
-    pos += 1
-
-    if pos >= len(lines):
         raise PlayerFormatError("missing start line", lineno)
-    lineno, line = lines[pos]
+    lineno, line = lines[0]
     tokens = line.split()
     if len(tokens) != 3 or tokens[0] != "start":
         raise PlayerFormatError("expected 'start STATE ACTION' line", lineno)
@@ -360,10 +343,9 @@ def parse_player(text: str) -> PlayerMachine:
     initial_action = tokens[2]
     if initial_action not in alphabet:
         raise PlayerFormatError(f"start action {initial_action!r} not in alphabet", lineno)
-    pos += 1
 
     step: dict[tuple[int, str], tuple[int, str]] = {}
-    for lineno, line in lines[pos:]:
+    for lineno, line in lines[1:]:
         tokens = line.split()
         if len(tokens) != 5 or tokens[2] != "->":
             raise PlayerFormatError("expected 'STATE IN -> NEXT OUT' transition", lineno)
@@ -410,27 +392,7 @@ def _canonical_outcomes(
 
 def parse_probe(text: str) -> Probe:
     """Parse a probe file and run the full validation suite, raising on failure."""
-    lines = list(_significant_lines(text))
-    if not lines:
-        raise ProbeFormatError("empty probe file")
-    pos = 0
-
-    lineno, header = lines[pos]
-    tokens = header.split()
-    if len(tokens) != 2 or tokens[0] != "probe":
-        raise ProbeFormatError("expected 'probe NAME' header", lineno)
-    name = tokens[1]
-    pos += 1
-
-    if pos >= len(lines):
-        raise ProbeFormatError("missing alphabet line", lineno)
-    lineno, line = lines[pos]
-    tokens = line.split()
-    if tokens[0] != "alphabet":
-        raise ProbeFormatError("expected 'alphabet ...' line", lineno)
-    alphabet = _parse_alphabet(tokens, lineno, ProbeFormatError)
-    pos += 1
-
+    name, alphabet, lines, _ = _read_header(text, "probe", ProbeFormatError)
     indexer = _StateIndexer()
     init_raw: list[Outcome] = []
     step_raw: dict[tuple[int, str], list[Outcome]] = {}
@@ -441,7 +403,7 @@ def parse_probe(text: str) -> Probe:
         except ExprSyntaxError as exc:
             raise ProbeFormatError(f"bad weight expression: {exc}", lineno) from exc
 
-    for lineno, line in lines[pos:]:
+    for lineno, line in lines:
         head, sep, expr_text = line.partition(":")
         if not sep:
             raise ProbeFormatError("expected ': EXPR' weight suffix", lineno)
@@ -478,9 +440,7 @@ def parse_probe(text: str) -> Probe:
         init=_canonical_outcomes(init_raw, alphabet),
         step={k: _canonical_outcomes(v, alphabet) for k, v in step_raw.items()},
     )
-    report = validate_probe(probe)
-    if not report.ok:
-        _raise_on_invalid(probe, report)
+    _raise_on_invalid(probe, validate_probe(probe))
     return probe
 
 

@@ -38,7 +38,6 @@ from .errors import (
     AlphabetMismatchError,
     NegativeWeightError,
     OutOfSimplexError,
-    ProbeValidationError,
     SingularSystemError,
 )
 from .polyexpr import ParamExpr, PolyTable
@@ -74,29 +73,10 @@ class ParamChain:
     init: tuple[ParamExpr, ...]
     trans: tuple[dict[int, ParamExpr], ...]  # sparse rows
     payoff: tuple[Fraction, ...]
-    player_name: str
-    probe_name: str
 
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def row_sum_residuals(self) -> list[ParamExpr]:
-        """1 minus each row sum; all zero polynomials for a valid chain."""
-        one = ParamExpr.one()
-        residuals = []
-        for row in self.trans:
-            total = ParamExpr.zero()
-            for weight in row.values():
-                total = total + weight
-            residuals.append(one - total)
-        return residuals
-
-    def init_residual(self) -> ParamExpr:
-        total = ParamExpr.zero()
-        for weight in self.init:
-            total = total + weight
-        return ParamExpr.one() - total
 
     @cached_property
     def _weight_table(self) -> tuple[PolyTable, np.ndarray]:
@@ -158,7 +138,8 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
     an outcome with polynomial weight.  Only states reachable under generic
     interior parameters (nonzero weight polynomials) are retained; indexing
     is breadth-first from the initial support, outcomes in canonical
-    (action, state) order.
+    (action, state) order.  Every row and the init sum to the constant
+    polynomial 1, since a `Probe` checks its groups when it is built.
     """
     if player.alphabet != probe.alphabet:
         raise AlphabetMismatchError(
@@ -203,33 +184,12 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
             row = rows[s]
             row[t] = row[t] + weight if t in row else weight
 
-    chain = ParamChain(
+    return ParamChain(
         states=tuple(states),
         init=tuple(init_weights),
         trans=tuple(rows),
         payoff=tuple(payoff.value(js.player_action, js.probe_action) for js in states),
-        player_name=player.name,
-        probe_name=probe.name,
     )
-
-    # Row sums and the init sum must be the constant polynomial 1 exactly;
-    # anything else means the probe's distributions were invalid.  A joint
-    # row holds the weights of its probe row, so each probe row is summed once.
-    residuals: dict[tuple[int, str], ParamExpr] = {}
-    for s, js in enumerate(states):
-        key = (js.probe_state, js.player_action)
-        if key not in residuals:
-            total = sum((weight for _, _, weight in probe.step[key]), ParamExpr.zero())
-            residuals[key] = ParamExpr.one() - total
-        if not residuals[key].is_zero():
-            raise ProbeValidationError(
-                f"joint chain row {s} sums to 1 - ({residuals[key].render()})"
-            )
-    if not chain.init_residual().is_zero():
-        raise ProbeValidationError(
-            f"joint chain init sums to 1 - ({chain.init_residual().render()})"
-        )
-    return chain
 
 
 def check_in_simplex(xs: np.ndarray, ys: np.ndarray) -> None:

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .chain import check_in_simplex
 from .fingerprint import FingerprintGrid
 
 Evaluable = Callable[[float, float], float]
@@ -24,7 +25,9 @@ DEFAULT_QUADRATURE_N = 200
 class _GridEvaluator:
     """A lattice fingerprint extended to arbitrary triangle points by
     barycentric interpolation on its own subtriangles: at one point by
-    calling it, or at many at once by `values_at`."""
+    calling it, or at many at once by `values_at`.  A point outside the
+    closed triangle raises OutOfSimplexError, as it does for a pointwise
+    fingerprint."""
 
     def __init__(self, grid: FingerprintGrid):
         n = self.resolution = grid.resolution
@@ -37,9 +40,12 @@ class _GridEvaluator:
         return float(self.values_at([x], [y])[0])
 
     def values_at(self, xs, ys) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        check_in_simplex(xs, ys)
         n, table = self.resolution, self.table
-        u = np.asarray(xs, dtype=float) * n
-        v = np.asarray(ys, dtype=float) * n
+        u = xs * n
+        v = ys * n
         i = np.minimum(u.astype(int), n - 1)
         j = np.minimum(v.astype(int), n - 1)
         # a point on (or within roundoff of) the hypotenuse uses the

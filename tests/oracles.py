@@ -149,6 +149,20 @@ def all_cells_points(chain: ParamChain, xs, ys) -> tuple[np.ndarray, np.ndarray]
     return rows[:, :n], rows[:, n]
 
 
+def chain_sum_residuals(chain: ParamChain) -> list[dict]:
+    """1 minus the sum of each transition row of `chain` and then of its
+    init, as {exponents: coefficient} with the zero terms left out, summed
+    one term at a time: all empty for a chain of distributions."""
+    residuals = []
+    for weights in [list(row.values()) for row in chain.trans] + [list(chain.init)]:
+        total = {(0, 0): Fraction(-1)}
+        for weight in weights:
+            for key, coeff in weight.terms.items():
+                total[key] = total.get(key, Fraction(0)) + coeff
+        residuals.append({key: -coeff for key, coeff in total.items() if coeff})
+    return residuals
+
+
 # ---------------------------------------------------------------------------
 # Fingerprints one point at a time
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import random_player, scalar_evaluator
+from oracles import random_player, random_probe, scalar_evaluator
 from probefp.automata import (
     VALIDATION_LATTICE_N,
     WEIGHT_TOL,
@@ -139,6 +140,65 @@ def test_probe_missing_group():
         parse_probe(text)
 
 
+# One probe per rule that construction enforces, as (probe file, the same
+# probe's fields, the error and message both raise).
+ONE = ParamExpr.one()
+CONSTRUCTION_FAULTS = [
+    (
+        "probe MISS\nalphabet C D\ninit C 0 : 1\n0 C -> C 0 : 1\n",
+        dict(init=(("C", 0, ONE),), step={(0, "C"): (("C", 0, ONE),)}),
+        ProbeFormatError,
+        "no outcomes for state '0' on input 'D'",
+    ),
+    (
+        "probe BADINIT\nalphabet C D\ninit C 0 : 1 - x\n0 C -> C 0 : 1\n0 D -> C 0 : 1\n",
+        dict(
+            init=(("C", 0, expr_parse("1 - x")),),
+            step={(0, "C"): (("C", 0, ONE),), (0, "D"): (("C", 0, ONE),)},
+        ),
+        ProbeValidationError,
+        "weights for init do not sum to 1; residual: x",
+    ),
+    (
+        "probe BADSTEP\nalphabet C D\ninit C 0 : 1\n0 C -> C 0 : 1\n0 D -> C 0 : 1 - 1/2*x\n",
+        dict(
+            init=(("C", 0, ONE),),
+            step={(0, "C"): (("C", 0, ONE),), (0, "D"): (("C", 0, expr_parse("1 - 1/2*x")),)},
+        ),
+        ProbeValidationError,
+        "weights for state '0' input 'D' do not sum to 1; residual: 1/2*x",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, fields, error, message", CONSTRUCTION_FAULTS)
+def test_construction_raises_the_parse_time_message(text, fields, error, message):
+    with pytest.raises(error) as parsed:
+        parse_probe(text)
+    assert str(parsed.value) == message
+    with pytest.raises(error) as built:
+        Probe(name="P", alphabet=("C", "D"), state_names=("0",), **fields)
+    assert str(built.value) == message
+
+
+def test_construction_refuses_any_one_weight_raised(players):
+    rng = random.Random(31)
+    probes = [joss_ann(base) for base in players.values()]
+    probes += [random_probe(rng, 4) for _ in range(20)]
+    seventh = expr_parse("1/7")
+    for probe in probes:
+        for key, outcomes in [("init", probe.init), *probe.step.items()]:
+            where = "init" if key == "init" else (
+                f"state {probe.state_names[key[0]]!r} input {key[1]!r}"
+            )
+            for k, (action, state, weight) in enumerate(outcomes):
+                raised = outcomes[:k] + ((action, state, weight + seventh),) + outcomes[k + 1 :]
+                fields = {"init": raised} if key == "init" else {"step": {**probe.step, key: raised}}
+                with pytest.raises(ProbeValidationError) as err:
+                    dataclasses.replace(probe, **fields)
+                assert str(err.value) == f"weights for {where} do not sum to 1; residual: -1/7"
+
+
 def test_probe_merges_duplicate_outcomes():
     p = parse_probe(
         "probe M\nalphabet C D\ninit C 0 : 1\n"
@@ -153,7 +213,6 @@ def test_probe_merges_duplicate_outcomes():
 def test_validate_joss_ann_tft():
     report = validate_probe(joss_ann(parse_player(TFT_TEXT)))
     assert report.ok
-    assert all(r.is_zero() for r in report.sum_residuals.values())
     assert report.min_weight == 0.0
 
 
@@ -173,7 +232,6 @@ def test_validate_flags_negative_affine_weight():
     )
     report = validate_probe(probe)
     assert not report.ok
-    assert all(r.is_zero() for r in report.sum_residuals.values())
     assert report.min_weight == -1.0
     assert report.min_weight_point == (1.0, 0.0)
     assert report.vertex_violations  # affine weights checked exactly at vertices

@@ -9,6 +9,7 @@ from oracles import (
     all_cells_points,
     cesaro_average,
     cesaro_average_literal,
+    chain_sum_residuals,
     limit_distribution_point,
     mixing_probe,
     offset_point,
@@ -104,22 +105,20 @@ def test_compose_wider_alphabet_needs_total_payoff(payoff):
     assert chain.n_states == 1
 
 
-def test_row_that_does_not_sum_to_one_names_the_first_joint_row(players, payoff):
-    # built directly, since parse_probe refuses this probe; the bad probe row
-    # (0, D) is read first by joint row 2, after TFT has answered a D with a D
-    probe = Probe(
-        name="SHORT",
-        alphabet=("C", "D"),
-        state_names=("0",),
-        init=(("C", 0, expr_parse("1")),),
-        step={
-            (0, "C"): (("C", 0, expr_parse("1 - y")), ("D", 0, expr_parse("y"))),
-            (0, "D"): (("C", 0, expr_parse("1 - 1/2*x")),),
-        },
-    )
+def test_row_that_does_not_sum_to_one_is_refused_when_built():
+    # compose never sees such a probe: building it names the bad group
     with pytest.raises(ProbeValidationError) as err:
-        compose(players["tft"], probe, payoff)
-    assert str(err.value) == "joint chain row 2 sums to 1 - (1/2*x)"
+        Probe(
+            name="SHORT",
+            alphabet=("C", "D"),
+            state_names=("0",),
+            init=(("C", 0, expr_parse("1")),),
+            step={
+                (0, "C"): (("C", 0, expr_parse("1 - y")), ("D", 0, expr_parse("y"))),
+                (0, "D"): (("C", 0, expr_parse("1 - 1/2*x")),),
+            },
+        )
+    assert str(err.value) == "weights for state '0' input 'D' do not sum to 1; residual: 1/2*x"
 
 
 def test_row_sum_identity_on_random_corpus(payoff):
@@ -128,8 +127,7 @@ def test_row_sum_identity_on_random_corpus(payoff):
         player = random_player(rng, 4)
         probe = random_probe(rng, 4)
         chain = compose(player, probe, payoff)
-        assert all(r.is_zero() for r in chain.row_sum_residuals())
-        assert chain.init_residual().is_zero()
+        assert chain_sum_residuals(chain) == [{}] * (chain.n_states + 1)
 
 
 # -- evaluate -----------------------------------------------------------------

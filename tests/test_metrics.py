@@ -6,6 +6,7 @@ import pytest
 
 from oracles import exact_l2_distance, random_polynomial, scalar_evaluator
 from probefp.automata import joss_ann
+from probefp.errors import OutOfSimplexError
 from probefp.fingerprint import fingerprint_grid, pointwise_fingerprint, symbolic_fingerprint
 from probefp.metrics import (
     DistanceMatrix,
@@ -82,6 +83,19 @@ def test_scale_property(players, ja_tft, payoff):
         sd = pointwise_fingerprint(players["alld"], ja_tft, scaled_payoff)
         scaled = l2_distance(sc, sd, 30)
         assert scaled == pytest.approx(abs(c) * reference, rel=1e-12)
+
+
+def test_grid_source_refuses_points_outside_the_triangle(players, ja_tft, payoff):
+    # interpolation used to wrap its indices here, or fail with an IndexError
+    evaluator = make_grid_evaluator(fingerprint_grid(players["alld"], ja_tft, payoff, 4))
+    pointwise = pointwise_fingerprint(players["alld"], ja_tft, payoff)
+    for point in [(-0.5, 0.2), (0.2, -0.3), (0.9, 0.9), (1.2, 0.0), (float("nan"), 0.1)]:
+        for f in (evaluator, pointwise):
+            with pytest.raises(OutOfSimplexError) as caught:
+                f(*point)
+            assert np.array_equal(caught.value.point, point, equal_nan=True)
+        with pytest.raises(OutOfSimplexError):
+            evaluator.values_at([0.1, point[0]], [0.1, point[1]])
 
 
 def test_grid_interpolation_matches_symbolic(players, ja_tft, payoff):

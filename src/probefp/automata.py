@@ -214,10 +214,19 @@ class ProbeValidationReport:
         return not (self.negativity_violations or self.vertex_violations or self.unreachable_states)
 
 
-def _lattice_points(n: int):
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            yield i, j
+def _lattice(n: int) -> np.ndarray:
+    """Nodes (i, j) with i + j <= n, in lexicographic order, as rows."""
+    return np.argwhere(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
+
+
+# The validation lattice's points, as the report gives them, and their
+# coordinates as arrays; built once.
+_LATTICE_POINTS = tuple(
+    (i / VALIDATION_LATTICE_N, j / VALIDATION_LATTICE_N)
+    for i, j in _lattice(VALIDATION_LATTICE_N).tolist()
+)
+_LATTICE_XS, _LATTICE_YS = np.array(_LATTICE_POINTS).T
+_VERTICES = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
 
 def validate_probe(probe: Probe) -> ProbeValidationReport:
@@ -225,25 +234,33 @@ def validate_probe(probe: Probe) -> ProbeValidationReport:
     lattice sample of nonnegativity, affine weights at the vertices, and
     reachability.  Groups and sums are checked whenever a `Probe` is built."""
     report = ProbeValidationReport()
-    n = VALIDATION_LATTICE_N
-    points = [(i / n, j / n) for i, j in _lattice_points(n)]
     weighted = [(key, weight) for key, outcomes in _groups(probe) for _, _, weight in outcomes]
+    # one table column per weight object: joss_ann's groups share theirs,
+    # and so do the repeated weight texts of a parsed file
+    distinct = {id(weight): weight for _, weight in weighted}
+    column = {ident: k for k, ident in enumerate(distinct)}
+    table = PolyTable(list(distinct.values())).evaluate(_LATTICE_XS, _LATTICE_YS)
     # values[e, p] is weight e at lattice point p; row-major order is the
     # order of the weights, then of the points, as the report lists them.
-    xs, ys = zip(*points)
-    values = PolyTable([weight for _, weight in weighted]).evaluate(xs, ys).T
+    values = table.T[[column[id(weight)] for _, weight in weighted]]
     lowest = int(values.argmin())
     report.min_weight = float(values.flat[lowest])
-    report.min_weight_point = points[lowest % len(points)]
+    report.min_weight_point = _LATTICE_POINTS[lowest % len(_LATTICE_POINTS)]
     outside = ~((-WEIGHT_TOL <= values) & (values <= 1 + WEIGHT_TOL))
     for e, p in zip(*np.nonzero(outside)):
-        report.negativity_violations.append((weighted[e][0], points[p], float(values[e, p])))
+        report.negativity_violations.append(
+            (weighted[e][0], _LATTICE_POINTS[p], float(values[e, p]))
+        )
+    # exact values of each affine weight at the vertices, where the float
+    # lattice can round a tiny negative value to 0.0
+    vertex_values = {
+        ident: [weight.evaluate_exact(vx, vy) for vx, vy in _VERTICES] if weight.is_affine() else []
+        for ident, weight in distinct.items()
+    }
     for key, weight in weighted:
-        if weight.is_affine():
-            for vx, vy in ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
-                exact = weight.evaluate_exact(vx, vy)
-                if exact < 0:
-                    report.vertex_violations.append((key, (vx, vy), exact))
+        for vertex, exact in zip(_VERTICES, vertex_values[id(weight)]):
+            if exact < 0:
+                report.vertex_violations.append((key, vertex, exact))
 
     # Reachability under generic interior parameters: any outcome with a
     # nonzero weight polynomial counts as a support edge.
@@ -397,11 +414,15 @@ def parse_probe(text: str) -> Probe:
     init_raw: list[Outcome] = []
     step_raw: dict[tuple[int, str], list[Outcome]] = {}
 
+    parsed: dict[str, ParamExpr] = {}  # by raw text, so that a repeated weight is one object
+
     def parse_weight(expr_text: str, lineno: int) -> ParamExpr:
-        try:
-            return expr_parse(expr_text)
-        except ExprSyntaxError as exc:
-            raise ProbeFormatError(f"bad weight expression: {exc}", lineno) from exc
+        if expr_text not in parsed:
+            try:
+                parsed[expr_text] = expr_parse(expr_text)
+            except ExprSyntaxError as exc:
+                raise ProbeFormatError(f"bad weight expression: {exc}", lineno) from exc
+        return parsed[expr_text]
 
     for lineno, line in lines:
         head, sep, expr_text = line.partition(":")

@@ -21,14 +21,16 @@ unpacking.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .automata import PayoffMatrix, PlayerMachine, Probe
+from .automata import PayoffMatrix, PlayerMachine, Probe, _lattice
 from .chain import (
     ParamChain,
     check_in_simplex,
@@ -147,20 +149,30 @@ def pointwise_fingerprint(
     return PointwiseFingerprint(compose(player, probe, payoff), boundary_mode)
 
 
-@dataclass
+@dataclass(eq=False)
 class FingerprintGrid:
-    """Fingerprint values over the triangular lattice i + j <= resolution."""
+    """Fingerprint values over the triangular lattice i + j <= resolution.
+
+    `table` is an (n + 1) x (n + 1) float array holding the value at node
+    (i/n, j/n) in cell [i, j], n the resolution; the cells off the lattice
+    (i + j > n) are 0.  `values` is the same data as a read-only dict keyed
+    by node (i, j) in lexicographic order, derived from the table on first
+    use."""
 
     resolution: int
     boundary_mode: str
-    values: dict[tuple[int, int], float]
+    table: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def node_points(self):
-        n = self.resolution
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                yield i, j
+    @property
+    def values(self) -> Mapping[tuple[int, int], float]:
+        return MappingProxyType(self._values)
+
+    @cached_property
+    def _values(self) -> dict[tuple[int, int], float]:
+        # a plain dict, so that a grid still pickles once it is cached
+        i, j = _lattice(self.resolution).T
+        return dict(zip(zip(i.tolist(), j.tolist()), self.table[i, j].tolist()))
 
     def to_csv(self, extra_meta: dict | None = None) -> str:
         lines = []
@@ -169,8 +181,8 @@ class FingerprintGrid:
             lines.append(f"# {key}: {meta[key]}")
         lines.append("x,y,value")
         n = self.resolution
-        for i, j in self.node_points():
-            lines.append(f"{i / n:.17g},{j / n:.17g},{self.values[(i, j)]:.17g}")
+        for (i, j), value in self.values.items():
+            lines.append(f"{i / n:.17g},{j / n:.17g},{value:.17g}")
         return "\n".join(lines) + "\n"
 
     def to_json(self, extra_meta: dict | None = None) -> str:
@@ -182,9 +194,7 @@ class FingerprintGrid:
                 "resolution": n,
                 "boundary_mode": self.boundary_mode,
             },
-            "values": [
-                [i / n, j / n, self.values[(i, j)]] for i, j in self.node_points()
-            ],
+            "values": [[i / n, j / n, value] for (i, j), value in self.values.items()],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -195,10 +205,14 @@ class FingerprintGrid:
             meta = dict(doc["meta"])
             n = int(meta.pop("resolution"))
             mode = meta.pop("boundary_mode", CESARO)
-            rows = [(float(px), float(py), float(v)) for px, py, v in doc["values"]]
-        except (ValueError, KeyError, TypeError) as exc:
+            rows = np.array(doc["values"], dtype=float)
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise InputError(f"malformed grid JSON: {exc!r}") from exc
-        return cls(resolution=n, boundary_mode=mode, values=_lattice_values(n, rows), meta=meta)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise InputError(
+                f"malformed grid JSON: values of shape {rows.shape} are not (x, y, value) rows"
+            )
+        return cls(n, _checked_mode(mode), _lattice_values(n, rows), meta)
 
     @classmethod
     def from_csv(cls, text: str) -> "FingerprintGrid":
@@ -219,23 +233,39 @@ class FingerprintGrid:
                 rows.append((float(sx), float(sy), float(sv)))
             except ValueError as exc:
                 raise InputError(f"malformed grid CSV row {line!r}: {exc}") from exc
-        # lattice size (n+1)(n+2)/2 determines the resolution
+        # lattice size (n+1)(n+2)/2 determines the resolution, which a
+        # resolution line must then agree with
         n = round((math.isqrt(8 * len(rows) + 1) - 3) / 2)
-        mode = meta.pop("boundary_mode", CESARO)
         if "resolution" in meta:
-            meta.pop("resolution")
-        return cls(resolution=n, boundary_mode=mode, values=_lattice_values(n, rows), meta=meta)
+            given = meta.pop("resolution")
+            try:
+                resolution = int(given)
+            except ValueError as exc:
+                raise InputError(f"malformed grid CSV resolution line: {exc}") from exc
+            if resolution != n:
+                raise InputError(
+                    f"grid CSV resolution line says {given!r}, but its {len(rows)} rows "
+                    f"give resolution {n}"
+                )
+        mode = _checked_mode(meta.pop("boundary_mode", CESARO))
+        return cls(n, mode, _lattice_values(n, np.array(rows).reshape(-1, 3)), meta)
 
 
-def _lattice(n: int) -> np.ndarray:
-    """Nodes (i, j) with i + j <= n, in lexicographic order, as rows."""
-    return np.argwhere(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
+def _checked_mode(mode) -> str:
+    """A grid file's boundary mode; InputError unless it is one of
+    BOUNDARY_MODES."""
+    if mode not in BOUNDARY_MODES:
+        raise InputError(
+            f"unknown grid boundary mode {mode!r}; expected one of {', '.join(BOUNDARY_MODES)}"
+        )
+    return mode
 
 
-def _lattice_values(n: int, rows) -> dict[tuple[int, int], float]:
-    """Values of (x, y, value) rows keyed by lattice node (x n, y n); InputError
-    unless n >= 1, the values are finite and the coordinates are within
-    `NODE_TOL` of the nodes of the n-lattice, each node once."""
+def _lattice_values(n: int, rows: np.ndarray) -> np.ndarray:
+    """The node table of (x, y, value) rows (an array of shape (count, 3)):
+    the value of each row at [x n, y n], 0 off the lattice; InputError unless
+    n >= 1, the values are finite and the coordinates are within `NODE_TOL`
+    of the nodes of the n-lattice, each node once."""
     if n < 1:
         raise InputError(f"grid resolution {n} ({len(rows)} rows) is below 1")
     count = (n + 1) * (n + 2) // 2
@@ -244,22 +274,26 @@ def _lattice_values(n: int, rows) -> dict[tuple[int, int], float]:
             f"{len(rows)} grid rows do not form the triangular lattice of resolution {n} "
             f"({count} nodes)"
         )
-    table = np.fromiter(itertools.chain.from_iterable(rows), float, 3 * count).reshape(-1, 3)
-    scaled = table[:, :2] * n
+    scaled = rows[:, :2] * n
     nodes = np.rint(scaled)
     with np.errstate(invalid="ignore"):  # a NaN or inf coordinate is off the lattice
         off = ~(np.abs(scaled - nodes) <= NODE_TOL)
-    faulty = np.flatnonzero(off.any(axis=1) | ~np.isfinite(table[:, 2]))
+    faulty = np.flatnonzero(off.any(axis=1) | ~np.isfinite(rows[:, 2]))
     if faulty.size:
         r = faulty[0]
-        row, axis = tuple(table[r].tolist()), int(np.argmax(off[r]))
+        row, axis = tuple(rows[r].tolist()), int(np.argmax(off[r]))
         fault = (f"{'xy'[axis]} = {row[axis]!r} is not a node i/{n} to within {NODE_TOL}"
                  if off[r].any() else f"value {row[2]!r} is not finite")
         raise InputError(f"grid row {r + 1} {row}: {fault}")
-    values = dict(zip(zip(*nodes.astype(int).T.tolist()), table[:, 2].tolist()))
-    if len(values) != count or not all(i >= 0 and j >= 0 and i + j <= n for i, j in values):
+    i, j = nodes.T
+    inside = (i >= 0) & (j >= 0) & (i + j <= n)
+    cells = (i * (n + 1) + j)[inside].astype(int)
+    # a repeated node is counted twice (np.unique on ints imports numpy.ma, about 1 MB)
+    if not inside.all() or np.bincount(cells).max() > 1:
         raise InputError(f"grid rows are not the nodes (i/{n}, j/{n}) with i + j <= {n}")
-    return values
+    table = np.zeros((n + 1) ** 2)
+    table[cells] = rows[:, 2]
+    return table.reshape(n + 1, n + 1)
 
 
 def fingerprint_grid(
@@ -282,10 +316,12 @@ def fingerprint_grid(
         raise AssertionError(
             f"grid value {values[p]} at {tuple(nodes[p].tolist())} outside payoff bounds"
         )
+    table = np.zeros((n + 1, n + 1))
+    table[nodes[:, 0], nodes[:, 1]] = values
     return FingerprintGrid(
         resolution=n,
         boundary_mode=boundary_mode,
-        values=dict(zip(map(tuple, nodes.tolist()), values.tolist())),
+        table=table,
         meta={
             "player": player.name,
             "probe": probe.name,

@@ -30,11 +30,9 @@ class _GridEvaluator:
     fingerprint."""
 
     def __init__(self, grid: FingerprintGrid):
-        n = self.resolution = grid.resolution
-        # nodes outside the triangle stay 0; they are read but never used
-        self.table = np.zeros((n + 1, n + 1))
-        for i, j in grid.node_points():
-            self.table[i, j] = grid.values[(i, j)]
+        self.resolution = grid.resolution
+        # the cells off the lattice hold 0; they are read but never used
+        self.table = grid.table
 
     def __call__(self, x: float, y: float) -> float:
         return float(self.values_at([x], [y])[0])

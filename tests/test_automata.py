@@ -237,6 +237,34 @@ def test_validate_flags_negative_affine_weight():
     assert report.vertex_violations  # affine weights checked exactly at vertices
 
 
+@pytest.mark.parametrize("c", ["1/10000000000000", "1/1" + "0" * 400])
+def test_validate_reports_a_vertex_only_violation_exactly(c):
+    # x - c is -c at (0, 0) and (0, 1): within WEIGHT_TOL of 0 on the lattice,
+    # and at 1/10^400 a float even reads 0 there, so only the exact vertex
+    # values show the violation
+    step = {
+        (0, "C"): (("C", 0, expr_parse(f"x - {c}")), ("D", 0, expr_parse(f"1 + {c} - x"))),
+        (0, "D"): (("C", 0, ParamExpr.one()),),
+    }
+    probe = Probe("V", ("C", "D"), ("0",), (("C", 0, ParamExpr.one()),), step)
+    report = validate_probe(probe)
+    assert report.negativity_violations == []
+    zero, one = Fraction(0), Fraction(1)
+    assert report.vertex_violations == [
+        ((0, "C"), (zero, zero), -Fraction(c)),
+        ((0, "C"), (zero, one), -Fraction(c)),
+    ]
+    text = (
+        "probe V\nalphabet C D\ninit C 0 : 1\n"
+        f"0 C -> C 0 : x - {c}\n0 C -> D 0 : 1 + {c} - x\n0 D -> C 0 : 1\n"
+    )
+    with pytest.raises(ProbeValidationError) as err:
+        parse_probe(text)
+    assert str(err.value) == (
+        f"affine weight for state '0' input 'C' is {-Fraction(c)} at vertex (0.0, 0.0)"
+    )
+
+
 def test_validate_reports_the_lattice_in_weight_then_point_order():
     # two weights reach -1, at different vertices; the report keeps the
     # first in group order, and lists every violation weight by weight

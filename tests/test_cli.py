@@ -344,6 +344,29 @@ def test_distance_rejects_malformed_grid_files(workdir, capsys):
         assert "invalid input" in capsys.readouterr().err, name
 
 
+def test_distance_refuses_grid_files_with_a_wrong_mode_or_resolution(workdir, capsys):
+    for player, fmt in (("pavlov", "csv"), ("allc", "json")):
+        assert main([
+            "fingerprint", str(workdir / f"{player}.player"),
+            "--joss-ann", str(workdir / "tft.player"), "-n", "6", "--format", fmt,
+            "-o", str(workdir / f"{player}.{fmt}"),
+        ]) == 0
+    doc = json.loads((workdir / "allc.json").read_text())
+    doc["meta"]["boundary_mode"] = "bogus"
+    (workdir / "bogus.json").write_text(json.dumps(doc))
+    (workdir / "n9.csv").write_text("# resolution: 9\n" + (workdir / "pavlov.csv").read_text())
+    cases = {
+        ("pavlov.csv", "bogus.json"): "unknown grid boundary mode 'bogus'",
+        ("n9.csv", "allc.json"): "resolution line says '9', but its 28 rows give resolution 6",
+    }
+    for files, message in cases.items():
+        capsys.readouterr()
+        assert main(["distance", *(str(workdir / f) for f in files), "--quad-n", "4"]) == 2
+        assert message in capsys.readouterr().err
+    grids = [str(workdir / "pavlov.csv"), str(workdir / "allc.json")]
+    assert main(["distance", *grids, "--quad-n", "4"]) == 0
+
+
 def test_reproducible_outputs(workdir):
     pairs = [
         f"{workdir / 'allc.player'}:ja:{workdir / 'tft.player'}",

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -218,6 +219,93 @@ def test_grid_files_refuse_off_lattice_coordinates_and_non_finite_values(
     values = list(doc["values"])
     values[3] = [0.5 + 1e-12, 0.0, 2.5]
     assert FingerprintGrid.from_json(json.dumps({**doc, "values": values})).values[(1, 0)] == 2.5
+
+
+_GRID_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 1e308, -1e308]),
+)
+
+
+@st.composite
+def _grids_and_row_orders(draw):
+    n = draw(st.integers(1, 30))
+    count = (n + 1) * (n + 2) // 2
+    values = draw(st.lists(_GRID_VALUES, min_size=count, max_size=count))
+    table = np.zeros((n + 1, n + 1))
+    nodes = np.argwhere(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
+    table[nodes[:, 0], nodes[:, 1]] = values
+    return FingerprintGrid(n, CESARO, table, {"player": "P"}), draw(st.permutations(range(count)))
+
+
+@given(_grids_and_row_orders())
+@settings(max_examples=40, deadline=None)
+def test_grid_files_read_back_bit_identical_in_any_row_order(grid_and_order):
+    grid, order = grid_and_order
+    csv_lines = grid.to_csv().splitlines()
+    body = csv_lines.index("x,y,value") + 1
+    shuffled_csv = csv_lines[:body] + [csv_lines[body + k] for k in order]
+    doc = json.loads(grid.to_json())
+    shuffled_json = {**doc, "values": [doc["values"][k] for k in order]}
+    texts = [
+        (FingerprintGrid.from_csv, grid.to_csv()),
+        (FingerprintGrid.from_csv, "\n".join(shuffled_csv) + "\n"),
+        (FingerprintGrid.from_json, grid.to_json()),
+        (FingerprintGrid.from_json, json.dumps(shuffled_json)),
+    ]
+    for read, text in texts:
+        back = read(text)
+        assert back.resolution == grid.resolution
+        assert back.table.tobytes() == grid.table.tobytes()
+        assert list(back.values.items()) == list(grid.values.items())
+    with pytest.raises(TypeError):  # values is a read-only view of the table
+        back.values[(0, 0)] = 1.0
+    assert pickle.loads(pickle.dumps(back)).values == back.values
+
+
+def test_grid_csv_rows_that_do_not_convert_name_the_row(players, ja_tft, payoff):
+    lines = fingerprint_grid(players["tft"], ja_tft, payoff, 2).to_csv().splitlines()
+    body = lines.index("x,y,value") + 1
+    cases = {
+        "0.5,,2": "could not convert string to float: ''",
+        "0.5,0,2,2": "too many values to unpack (expected 3)",
+        "0x1p-2,0,2": "could not convert string to float: '0x1p-2'",  # float() refuses hex
+    }
+    for row, fault in cases.items():
+        text = "\n".join(lines[: body + 3] + [row] + lines[body + 4 :]) + "\n"
+        with pytest.raises(InputError) as err:
+            FingerprintGrid.from_csv(text)
+        assert str(err.value) == f"malformed grid CSV row {row!r}: {fault}"
+
+
+def test_grid_json_integer_too_large_for_a_float_is_an_input_error():
+    values = [[0, 0, 10**400], [0, 1, 1], [1, 0, 1]]
+    with pytest.raises(InputError, match="malformed grid JSON: OverflowError"):
+        FingerprintGrid.from_json(json.dumps({"meta": {"resolution": 1}, "values": values}))
+
+
+def test_grid_files_refuse_an_unknown_mode_and_a_wrong_resolution_line(
+    players, ja_tft, payoff
+):
+    grid = fingerprint_grid(players["tft"], ja_tft, payoff, 6)
+    doc = json.loads(grid.to_json())
+    bogus_json = json.dumps({**doc, "meta": {**doc["meta"], "boundary_mode": "bogus"}})
+    with pytest.raises(InputError, match="unknown grid boundary mode 'bogus'"):
+        FingerprintGrid.from_json(bogus_json)
+    with pytest.raises(InputError, match="unknown grid boundary mode 'bogus'"):
+        FingerprintGrid.from_csv(grid.to_csv({"boundary_mode": "bogus"}))
+    offset = FingerprintGrid.from_csv(grid.to_csv({"boundary_mode": INTERIOR_OFFSET}))
+    assert offset.boundary_mode == INTERIOR_OFFSET
+    # 28 rows give n = 6; a resolution line must say so, read as an integer
+    # the way JSON's resolution is
+    for given in (6, "06", " +6"):
+        assert FingerprintGrid.from_csv(grid.to_csv({"resolution": given})).resolution == 6
+    message = "resolution line says '9', but its 28 rows give resolution 6"
+    with pytest.raises(InputError, match=message):
+        FingerprintGrid.from_csv(grid.to_csv({"resolution": 9}))
+    for given in ("6.0", "six"):
+        with pytest.raises(InputError, match="malformed grid CSV resolution line: invalid literal"):
+            FingerprintGrid.from_csv(grid.to_csv({"resolution": given}))
 
 
 def test_grid_csv_layout(players, ja_tft, payoff):

@@ -86,6 +86,17 @@ class SingularPointError(NumericError):
         self.point = (x, y)
 
 
+class ClosedFormCheckError(NumericError):
+    """A closed form failed its exact check against the chain modulo a
+    prime, or no (prime, point) of the check could decide it; carries the
+    prime and the point (x, y) that refused it, None when none decided."""
+
+    def __init__(self, message: str, prime: int | None = None, point=None):
+        super().__init__(message)
+        self.prime = prime
+        self.point = point
+
+
 class ReducibleChainError(ProbeFpError):
     """Closed-form mode requires an irreducible chain; carries the classes found."""
 

@@ -17,12 +17,21 @@ bounds its coefficients; w and Dx come from that bound and from degree
 sums, so these values pack without overlap (`_packed_layout`).  TERM_CAP
 caps the number of terms of any intermediate polynomial, counted after
 unpacking.
+
+Each closed form is then checked exactly: the chain's stationary system is
+solved modulo a prime p near 2**61 at one point (a, b), and payoff . pi times
+the form's denominator must equal its numerator there (`_check_exactly`).  A
+wrong form passes with probability at most its degree over p
+(Schwartz-Zippel).  A form holds off the zero sets of the chain's
+generically nonzero weights and of its own denominator; for a Joss-Ann
+probe that is the whole open triangle minus the denominator's zeros.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,13 +43,19 @@ from .automata import PayoffMatrix, PlayerMachine, Probe, _lattice
 from .chain import (
     ParamChain,
     check_in_simplex,
-    closed_classes,
+    classify_supports,
     compose,
-    evaluate,
+    evaluate,  # noqa: F401  (still bound here: perfbench's tracer tests wrap it by this name)
     evaluate_points,
     limit_distributions,
 )
-from .errors import ExpressionSwellError, InputError, ReducibleChainError
+from .errors import (
+    ClosedFormCheckError,
+    ExpressionSwellError,
+    InputError,
+    NumericError,
+    ReducibleChainError,
+)
 from .polyexpr import (
     IntTerms,
     ParamExpr,
@@ -67,11 +82,14 @@ BOUNDARY_TOL = 1e-12
 # many terms (nonzero coefficients of the unpacked polynomial).
 TERM_CAP = 200_000
 
-# Lattice used to cross-check closed forms against the numeric path.
-VALIDATION_N = 20
-AGREEMENT_TOL = 1e-8
-
-GENERIC_POINT = (1.0 / 3.0, 1.0 / 3.0)
+# The exact check of a closed form tries each (prime, a, b) in turn, a and
+# b drawn once from a constant seed so that outputs are reproducible, until
+# one decides: a point where a scale, the system or the form's denominator
+# vanishes modulo the prime cannot.
+_rng = random.Random(0x5EED)
+EXACT_CHECKS = tuple(
+    (p, _rng.randrange(1, p), _rng.randrange(1, p)) for p in (2**61 - 1, 2**61 - 31, 2**61 - 45)
+)
 
 # Largest number of transition-matrix cells (points x states^2) solved in
 # one batch; this caps the memory of a batch at a few times 16 MB.
@@ -313,8 +331,10 @@ def fingerprint_grid(
     outside = ~((float(low) - 1e-9 <= values) & (values <= float(high) + 1e-9))
     if outside.any():
         p = int(np.argmax(outside))
-        raise AssertionError(
-            f"grid value {values[p]} at {tuple(nodes[p].tolist())} outside payoff bounds"
+        i, j = nodes[p].tolist()
+        raise NumericError(
+            f"grid value {float(values[p])!r} at node ({i}, {j}), point ({i / n!r}, {j / n!r}), "
+            f"is outside the payoff bounds [{low}, {high}]"
         )
     table = np.zeros((n + 1, n + 1))
     table[nodes[:, 0], nodes[:, 1]] = values
@@ -337,7 +357,16 @@ def fingerprint_grid(
 
 @dataclass
 class SymbolicFingerprint:
-    """Exact rational-function fingerprint, valid on the open triangle."""
+    """Exact rational-function fingerprint.
+
+    The form holds on the open triangle off the zero sets of the chain's
+    generically nonzero weights and of its denominator `fn.den`; for a
+    Joss-Ann probe that is the whole open triangle minus the zeros of
+    `fn.den`.  Common factors of `fn.num` and `fn.den` are not cancelled.
+
+    `agreement_max_error` is 0.0 once the form has passed its exact check
+    against the chain modulo a prime (`_check_exactly`), and None when it
+    was built with validate=False."""
 
     fn: RationalFn
     meta: dict = field(default_factory=dict)
@@ -452,11 +481,19 @@ def symbolic_fingerprint(
     """Solve the stationary system symbolically and return the fingerprint as
     a rational function of (x, y).
 
-    Requires the chain to be irreducible at the generic interior point
-    (1/3, 1/3); reducible chains raise ReducibleChainError (use grid mode).
+    Requires the chain to be irreducible at generic interior points, that
+    is on its structural support (every weight that is not the zero
+    polynomial is nonzero on a dense open subset of the triangle); reducible
+    chains raise ReducibleChainError (use grid mode).  With `validate`, the
+    form is checked exactly (`_check_exactly`).
     """
     chain = compose(player, probe, payoff)
-    decomposition = closed_classes(evaluate(chain, *GENERIC_POINT)[0])
+    n = chain.n_states
+    support = np.zeros((1, n, n), dtype=bool)
+    for s, row in enumerate(chain.trans):
+        for t, weight in row.items():
+            support[0, s, t] = bool(weight)
+    decomposition = classify_supports(support)[0]
     classes = decomposition.classes
     if len(classes) != 1 or not classes[0].closed:
         raise ReducibleChainError(
@@ -465,7 +502,6 @@ def symbolic_fingerprint(
             classes=decomposition,
         )
 
-    n = chain.n_states
     # Stationary equations pi (I - P) = 0, transposed to columns; the last
     # equation is replaced by the normalization sum(pi) = 1.  By Cramer's
     # rule and cofactor expansion along that last row, the payoff-weighted
@@ -473,7 +509,9 @@ def symbolic_fingerprint(
     # system's, and the system's with the normalization row replaced by the
     # payoff vector.  Common factors of the two are not cancelled: a probe
     # whose weights have a squared factor can give a closed form such as
-    # 9(x - 2y)^4 / 4(x - 2y)^4 (ROADMAP item 3, lowest terms).
+    # 9(x - 2y)^4 / 4(x - 2y)^4, which the exact check accepts, since it
+    # compares num with den times the chain's value (ROADMAP item 3, lowest
+    # terms).
     zero, one = ParamExpr.zero(), ParamExpr.one()
     system = [
         [(one if i == j else zero) - chain.trans[i].get(j, zero) for i in range(n)]
@@ -493,22 +531,89 @@ def symbolic_fingerprint(
         },
     )
     if validate:
-        fp.agreement_max_error = _check_agreement(chain, result)
+        _check_exactly(chain, result)
+        fp.agreement_max_error = 0.0
     return fp
 
 
-def _check_agreement(chain: ParamChain, fn: RationalFn) -> float:
-    """Max |closed form - numeric| over interior nodes of the validation lattice."""
-    n = VALIDATION_N
-    nodes = _lattice(n)
-    nodes = nodes[(nodes[:, 0] > 0) & (nodes[:, 1] > 0) & (nodes.sum(axis=1) < n)]
-    xs, ys = nodes[:, 0] / n, nodes[:, 1] / n
-    worst = float(np.max(np.abs(ratfn_values(fn, xs, ys) - _values(chain, xs, ys))))
-    if worst > AGREEMENT_TOL:
-        raise AssertionError(
-            f"closed form disagrees with numeric path by {worst} (tol {AGREEMENT_TOL})"
-        )
-    return worst
+def _check_exactly(chain: ParamChain, fn: RationalFn) -> None:
+    """Check that `fn` is the chain's stationary payoff, exactly, at the
+    first (p, a, b) of EXACT_CHECKS that can decide it; raise
+    ClosedFormCheckError if it is not, or if none can decide."""
+    for p, a, b in EXACT_CHECKS:
+        verdict = _agrees_modulo(chain, fn, p, a, b)
+        if verdict is None:
+            continue
+        if not verdict:
+            raise ClosedFormCheckError(
+                f"closed form disagrees with the chain modulo the prime {p} "
+                f"at (x, y) = ({a}, {b})",
+                p,
+                (a, b),
+            )
+        return
+    raise ClosedFormCheckError(
+        "no (prime, point) of the exact check could decide the closed form: at each, "
+        "a scale, the stationary system or the form's denominator vanishes modulo the prime"
+    )
+
+
+def _agrees_modulo(chain: ParamChain, fn: RationalFn, p: int, a: int, b: int) -> bool | None:
+    """Whether fn = num / den agrees with the chain at (a, b) modulo the
+    prime p, or None when that point cannot decide.
+
+    The system is the closed form's: the transposed rows of pi (I - P) = 0
+    with the last equation replaced by sum(pi) = 1.  It is solved by
+    Gaussian elimination modulo p, and the point agrees when the init row
+    sums to 1, the dropped equation holds and payoff . pi * den = num.
+    """
+    n = chain.n_states
+    if any(not c.denominator % p for c in chain.payoff):
+        return None
+    payoff = [c.numerator * pow(c.denominator, -1, p) for c in chain.payoff]
+    weights = (w for row in chain.trans for w in row.values())
+    exprs = {id(e): e for e in (*weights, *chain.init, fn.num, fn.den)}
+    x_powers, y_powers = [1], [1]
+    for _ in range(max(e.degree() for e in exprs.values())):
+        x_powers.append(x_powers[-1] * a % p)
+        y_powers.append(y_powers[-1] * b % p)
+    residue = {key: e._residue(x_powers, y_powers, p) for key, e in exprs.items()}
+    if None in residue.values() or not residue[id(fn.den)]:
+        return None
+    matrix = [[0] * n for _ in range(n)]
+    for s, row in enumerate(chain.trans):
+        for t, w in row.items():
+            matrix[s][t] = residue[id(w)]
+    # augmented rows [A | e_last]: A's row j is column j of I - P, and its
+    # last row is all ones
+    rows = [[((i == j) - matrix[i][j]) % p for i in range(n)] + [0] for j in range(n - 1)]
+    pi = _solve_modulo([*rows, [1] * (n + 1)], p)
+    if pi is None:
+        return None
+    mass = sum(residue[id(w)] for w in chain.init) % p
+    dropped = (pi[-1] - sum(matrix[i][-1] * pi[i] for i in range(n))) % p
+    value = sum(c * v for c, v in zip(payoff, pi))
+    return mass == 1 and dropped == 0 and (value * residue[id(fn.den)] - residue[id(fn.num)]) % p == 0
+
+
+def _solve_modulo(rows: list[list[int]], p: int) -> list[int] | None:
+    """The solution modulo the prime p of the n x (n + 1) augmented system
+    `rows`, by Gauss-Jordan elimination with a search for a nonzero pivot;
+    None if the system is singular modulo p.  Overwrites `rows`."""
+    n = len(rows)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        # columns before k are zero in the pivot row
+        inverse = pow(rows[k][k], -1, p)
+        tail = rows[k][k:] = [v * inverse % p for v in rows[k][k:]]
+        for r, row in enumerate(rows):
+            factor = row[k]
+            if factor and r != k:
+                row[k:] = [(v - factor * w) % p for v, w in zip(row[k:], tail)]
+    return [row[n] for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -204,20 +204,36 @@ class ParamExpr:
         num, den = self._exact_ratio(float(x), float(y))
         return num / den
 
+    def _integer_terms(self) -> tuple[int, IntTerms, int]:
+        """(total degree, integer terms, scale), computed once: the
+        polynomial is the integer terms divided by the scale, the lcm of its
+        coefficient denominators."""
+        if self._int_cache is None:
+            (weights,), scale = _integer_row([self])
+            self._int_cache = (self.degree(), weights, scale)
+        return self._int_cache
+
     def _exact_ratio(self, x, y) -> tuple[int, int]:
         # Over the common denominator of the coefficients, x**d and y**d
         # (d the total degree) every term is an integer, so only the sum
         # is normalised.
-        if self._int_cache is None:
-            (weights,), scale = _integer_row([self])
-            self._int_cache = (self.degree(), weights, scale)
-        d, weights, scale = self._int_cache
+        d, weights, scale = self._integer_terms()
         xn, xd = x.as_integer_ratio()
         yn, yd = y.as_integer_ratio()
         total = 0
         for (i, j), weight in weights.items():
             total += weight * xn**i * xd ** (d - i) * yn**j * yd ** (d - j)
         return total, scale * xd**d * yd**d
+
+    def _residue(self, x_powers: Sequence[int], y_powers: Sequence[int], p: int) -> int | None:
+        """The value modulo the prime p at the point whose k-th powers modulo
+        p are x_powers[k] and y_powers[k], k up to the total degree; None
+        when p divides the scale, so that the value has no residue."""
+        _, weights, scale = self._integer_terms()
+        if not scale % p:
+            return None
+        total = sum(w * x_powers[i] * y_powers[j] for (i, j), w in weights.items())
+        return total * pow(scale, -1, p) % p
 
     # -- comparison / rendering --------------------------------------------
 

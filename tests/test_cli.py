@@ -11,6 +11,7 @@ import probefp.simulate as simulate_module
 from probefp import bundled_strategy_path
 from probefp.chain import compose
 from probefp.cli import build_parser, main
+from probefp.polyexpr import ParamExpr, RationalFn, expr_parse, ratfn_equiv
 
 BAD_PROBE = """probe BADSUM
 alphabet C D
@@ -18,6 +19,17 @@ init C 0 : x
 init D 0 : y
 0 C -> C 0 : 1
 0 D -> C 0 : 1
+"""
+
+# One-state probe that copies the player's last move and flips it with
+# weight (x - 2y)^2/4.
+NOISY_TFT = """probe NOISY_TFT
+alphabet C D
+init C 0 : 1
+0 C -> C 0 : 1 - 1/4*(x - 2*y)^2
+0 C -> D 0 : 1/4*(x - 2*y)^2
+0 D -> D 0 : 1 - 1/4*(x - 2*y)^2
+0 D -> C 0 : 1/4*(x - 2*y)^2
 """
 
 CONST_C = """probe CONSTC
@@ -106,7 +118,55 @@ def test_symbolic_output(workdir, capsys):
     assert code == 0
     assert "num: 4*x + 1" in out
     assert "den: 1" in out
-    assert "agreement" in out
+    assert out.endswith(
+        "\nagreement: exact, checked modulo a prime near 2^61; the form holds off the zeros "
+        "of den and of the chain's nonzero weights\n"
+    )
+
+
+def test_symbolic_keeps_a_form_with_a_squared_factor(workdir, capsys):
+    # the flip weight (x - 2y)^2/4 gives 9(x - 2y)^4 / 4(x - 2y)^4, which
+    # the exact check accepts uncancelled
+    (workdir / "noisy_tft.probe").write_text(NOISY_TFT)
+    code = main(["symbolic", str(workdir / "tft.player"), str(workdir / "noisy_tft.probe")])
+    out = capsys.readouterr().out
+    assert code == 0
+    forms = dict(line.split(": ", 1) for line in out.splitlines() if line[:5] in ("num: ", "den: "))
+    fn = RationalFn(expr_parse(forms["num"]), expr_parse(forms["den"]))
+    assert fn.den.degree() == 4
+    assert ratfn_equiv(fn, RationalFn(expr_parse("9/4")))
+
+
+def test_symbolic_wrong_form_exit_3(workdir, capsys, monkeypatch):
+    solve = fingerprint_module._bareiss_last_rows
+
+    def off_by_one(system, last_rows):
+        den, num = solve(system, last_rows)
+        return [den, num + ParamExpr.one()]
+
+    monkeypatch.setattr(fingerprint_module, "_bareiss_last_rows", off_by_one)
+    code = main([
+        "symbolic", str(workdir / "pavlov.player"), "--joss-ann", str(workdir / "tft.player"),
+    ])
+    err = capsys.readouterr().err
+    p, a, b = fingerprint_module.EXACT_CHECKS[0]
+    assert code == 3
+    assert f"closed form disagrees with the chain modulo the prime {p} at (x, y) = ({a}, {b})" in err
+
+
+def test_fingerprint_value_outside_payoff_bounds_exit_3(workdir, capsys, monkeypatch):
+    # 10 added to every value at x = 0.5
+    values = fingerprint_module._values
+    monkeypatch.setattr(
+        fingerprint_module, "_values", lambda *args: values(*args) + (args[1] == 0.5) * 10
+    )
+    code = main([
+        "fingerprint", str(workdir / "allc.player"), "--joss-ann", str(workdir / "tft.player"),
+        "-n", "2",
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "grid value 13.0 at node (1, 0), point (0.5, 0.0), is outside the payoff bounds [0, 5]" in err
 
 
 def test_symbolic_reducible_exit_4(workdir, capsys):

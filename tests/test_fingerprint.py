@@ -22,6 +22,7 @@ from oracles import (
 from probefp.automata import joss_ann, parse_probe, validate_probe
 from probefp.chain import SUPPORT_CUTOFF, ChainClass, ClassDecomposition, compose
 from probefp.errors import (
+    ClosedFormCheckError,
     ExpressionSwellError,
     InputError,
     NegativeWeightError,
@@ -77,6 +78,18 @@ init C 0 : 1
 0 C -> D 0 : 1 - (x - 1/40)^2 + 1/6400
 0 D -> C 0 : 1 - y
 0 D -> D 0 : y
+"""
+
+
+# One-state probe that copies the player's last move and flips it with
+# weight (x - y)^2/4, which vanishes on the line x = y.
+NOISY_XY_PROBE = """probe NOISY_XY
+alphabet C D
+init C 0 : 1
+0 C -> C 0 : 1 - 1/4*(x - y)^2
+0 C -> D 0 : 1/4*(x - y)^2
+0 D -> D 0 : 1 - 1/4*(x - y)^2
+0 D -> C 0 : 1/4*(x - y)^2
 """
 
 
@@ -327,12 +340,23 @@ def test_symbolic_closed_forms(players, ja_tft, payoff):
     assert ratfn_equiv(alld.fn, RationalFn(expr_parse("1 + 4*x")))
 
 
+def test_symbolic_classes_come_from_the_structural_support(players, payoff):
+    # the flip weight (x - y)^2/4 vanishes at (1/3, 1/3), where AllC's chain
+    # splits; off x = y it is irreducible
+    probe = parse_probe(NOISY_XY_PROBE)
+    allc = symbolic_fingerprint(players["allc"], probe, payoff)
+    assert ratfn_equiv(allc.fn, RationalFn(expr_parse("12 - 3*(x - y)^2"), expr_parse("4")))
+    alld = symbolic_fingerprint(players["alld"], probe, payoff)
+    assert ratfn_equiv(alld.fn, RationalFn(expr_parse("1 + (x - y)^2")))
+
+
 def test_symbolic_tft_agrees_with_hand_solution(players, ja_tft, payoff):
     result = symbolic_fingerprint(players["tft"], ja_tft, payoff)
     hand = RationalFn(expr_parse("3*x^2 + 5*x*y + y^2"), expr_parse("(x + y)^2"))
     assert ratfn_equiv(result.fn, hand)
-    assert result.agreement_max_error is not None
-    assert result.agreement_max_error <= 1e-8
+    assert result.agreement_max_error == 0.0
+    unchecked = symbolic_fingerprint(players["tft"], ja_tft, payoff, validate=False)
+    assert unchecked.fn == result.fn and unchecked.agreement_max_error is None
 
 
 def test_symbolic_numeric_agreement_on_interior_lattice(players, ja_tft, payoff):
@@ -495,8 +519,8 @@ def test_symbolic_singular_system_raises(players, payoff, monkeypatch):
     assert compose(players["tft"], probe, payoff).n_states == 3
     monkeypatch.setattr(
         fingerprint_module,
-        "closed_classes",
-        lambda matrix: ClassDecomposition((ChainClass((0, 1, 2), closed=True),)),
+        "classify_supports",
+        lambda support: [ClassDecomposition((ChainClass((0, 1, 2), closed=True),))],
     )
     with pytest.raises(ReducibleChainError) as err:
         symbolic_fingerprint(players["tft"], probe, payoff)
@@ -677,19 +701,63 @@ def test_boundary_discrepancy_matches_per_point_oracle(players, payoff):
 
 
 def test_agreement_check_matches_per_point_oracle(players, payoff):
-    n = fingerprint_module.VALIDATION_N
+    # every exactly checked bundled form against the per-point numeric
+    # oracle at the 171 interior nodes of the 20-lattice, to 1e-8
+    n = 20
     for player, probe in bundled_pairs(players):
         try:
             result = symbolic_fingerprint(player, probe, payoff)
         except ReducibleChainError:
             continue
+        assert result.agreement_max_error == 0.0
         oracle = PointOracle(compose(player, probe, payoff))
         worst = max(
             abs(ratfn_eval(result.fn, i / n, j / n) - oracle.value(i / n, j / n))
             for i in range(1, n)
             for j in range(1, n - i)
         )
-        assert abs(result.agreement_max_error - worst) <= 1e-12
+        assert worst <= 1e-8
+
+
+def _perturbed(fn: RationalFn) -> RationalFn:
+    """fn with 1e-9 added to the coefficient of its numerator's leading term."""
+    key, _ = next(fn.num.sorted_terms())
+    return RationalFn(fn.num + ParamExpr({key: Fraction(1, 10**9)}), fn.den)
+
+
+def test_exact_check_refuses_every_perturbed_form(players, payoff):
+    # a change far below the old float check's 1e-8 tolerance is refused
+    checked = 0
+    for player, probe in bundled_pairs(players) + random_oracle_pairs():
+        try:
+            result = symbolic_fingerprint(player, probe, payoff)
+        except ReducibleChainError:
+            continue
+        chain = compose(player, probe, payoff)
+        with pytest.raises(ClosedFormCheckError) as err:
+            fingerprint_module._check_exactly(chain, _perturbed(result.fn))
+        p, (a, b) = err.value.prime, err.value.point
+        assert (p, a, b) in fingerprint_module.EXACT_CHECKS
+        assert f"modulo the prime {p} at (x, y) = ({a}, {b})" in str(err.value)
+        checked += 1
+    assert checked == 17 + 8  # the irreducible bundled and random pairs
+
+
+def test_exact_check_moves_past_points_that_cannot_decide(players, ja_tft, payoff, monkeypatch):
+    chain = compose(players["tft"], ja_tft, payoff)
+    fn = symbolic_fingerprint(players["tft"], ja_tft, payoff).fn
+    (p, a, b), *rest = fingerprint_module.EXACT_CHECKS
+    # x = y = 0 makes the denominator (x + y)^2 vanish: the next entry decides
+    monkeypatch.setattr(fingerprint_module, "EXACT_CHECKS", ((p, 0, 0), *rest))
+    fingerprint_module._check_exactly(chain, fn)
+    with pytest.raises(ClosedFormCheckError) as err:
+        fingerprint_module._check_exactly(chain, _perturbed(fn))
+    assert (err.value.prime, err.value.point) == (rest[0][0], rest[0][1:])
+    # no entry decides: a typed error that names no prime
+    monkeypatch.setattr(fingerprint_module, "EXACT_CHECKS", ((p, 0, 0), (p, 1, p - 1)))
+    with pytest.raises(ClosedFormCheckError) as err:
+        fingerprint_module._check_exactly(chain, fn)
+    assert err.value.prime is None and "could decide" in str(err.value)
 
 
 def test_negative_weight_between_validation_nodes_names_point_and_row(players, payoff):

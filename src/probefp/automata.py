@@ -14,11 +14,12 @@ File formats are line-oriented with ``#`` comments:
     start STATE ACTION               init ACTION STATE : EXPR
     STATE IN -> NEXT OUT             STATE IN -> OUT NEXT : EXPR
 
-Probe init/transition groups may span several lines.  Every (state, input)
-pair needs a group, and the weights of the init and of each group must sum
-to the constant polynomial 1; both rules are checked whenever a `Probe` is
-built, whether parsed from a file, made by `joss_ann` or constructed in
-library code.
+Probe init/transition groups may span several lines, and the weights of a
+repeated outcome are added.  Every (state, input) pair needs a group; the
+init and each group name actions of the alphabet and states of the probe,
+each outcome once, with weights that sum to the constant polynomial 1.
+These rules are checked whenever a `Probe` is built, whether parsed from a
+file, made by `joss_ann` or constructed in library code.
 """
 
 from __future__ import annotations
@@ -154,43 +155,63 @@ class PlayerMachine:
 
 @dataclass
 class Probe:
-    """Finite-state transducer whose outcome weights are polynomials in (x, y);
-    building one checks that every group exists and sums to 1."""
+    """Finite-state transducer whose outcome weights are polynomials in (x, y).
+
+    Building one checks its groups and compiles its weights once: column 0
+    of `weights` is the zero polynomial, then each distinct nonzero weight,
+    and `columns[key]` holds the column of each outcome of group `key`,
+    "init" or (state, input)."""
 
     name: str
     alphabet: tuple[str, ...]
     state_names: tuple[str, ...]
     init: tuple[Outcome, ...]
     step: dict[tuple[int, str], tuple[Outcome, ...]]
+    weights: PolyTable = field(init=False, repr=False, compare=False)
+    columns: dict[object, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # ("init", init), then ((state, input), outcomes) by state and then by input
+        groups = [("init", self.init)]
         for state in range(self.n_states):
             for action in self.alphabet:
                 if (state, action) not in self.step:
                     raise ProbeFormatError(
                         f"no outcomes for state {self.state_names[state]!r} on input {action!r}"
                     )
-        residuals = {}  # by the weight objects summed, which joss_ann's groups share
-        for key, outcomes in _groups(self):
-            ids = tuple(id(w) for _, _, w in outcomes)
-            if ids not in residuals:
+                groups.append(((state, action), self.step[(state, action)]))
+        column = {ParamExpr.zero(): 0}  # of each distinct weight
+        by_object = {}  # joss_ann's groups share weight objects, so each object is hashed once
+        residuals = {}  # by the columns summed, which groups often share
+        self.columns = {}
+        for key, outcomes in groups:
+            where = _group_name(self, key)
+            for action, state, weight in outcomes:
+                if action not in self.alphabet:
+                    raise ProbeFormatError(
+                        f"outcome action {action!r} of {where} is not in the alphabet"
+                    )
+                if state not in range(self.n_states):
+                    raise ProbeFormatError(
+                        f"outcome next state {state!r} of {where} is not a state of the probe"
+                    )
+                if id(weight) not in by_object:
+                    by_object[id(weight)] = column.setdefault(weight, len(column))
+            if len({outcome[:2] for outcome in outcomes}) < len(outcomes):
+                raise ProbeFormatError(f"{where} repeats an (action, next state) outcome")
+            columns = self.columns[key] = tuple(by_object[id(w)] for _, _, w in outcomes)
+            if columns not in residuals:
                 total = sum((w for _, _, w in outcomes), ParamExpr.zero())
-                residuals[ids] = ParamExpr.one() - total
-            if not residuals[ids].is_zero():
+                residuals[columns] = ParamExpr.one() - total
+            if residuals[columns]:
                 raise ProbeValidationError(
-                    f"weights for {_group_name(self, key)} do not sum to 1;"
-                    f" residual: {residuals[ids].render()}"
+                    f"weights for {where} do not sum to 1; residual: {residuals[columns].render()}"
                 )
+        self.weights = PolyTable(list(column))
 
     @property
     def n_states(self) -> int:
         return len(self.state_names)
-
-
-def _groups(probe: Probe) -> list[tuple[object, tuple[Outcome, ...]]]:
-    """("init", init), then ((state, input), outcomes) by state and then by input."""
-    keys = [(state, action) for state in range(probe.n_states) for action in probe.alphabet]
-    return [("init", probe.init)] + [(key, probe.step[key]) for key in keys]
 
 
 def _group_name(probe: Probe, key) -> str:
@@ -234,31 +255,25 @@ def validate_probe(probe: Probe) -> ProbeValidationReport:
     lattice sample of nonnegativity, affine weights at the vertices, and
     reachability.  Groups and sums are checked whenever a `Probe` is built."""
     report = ProbeValidationReport()
-    weighted = [(key, weight) for key, outcomes in _groups(probe) for _, _, weight in outcomes]
-    # one table column per weight object: joss_ann's groups share theirs,
-    # and so do the repeated weight texts of a parsed file
-    distinct = {id(weight): weight for _, weight in weighted}
-    column = {ident: k for k, ident in enumerate(distinct)}
-    table = PolyTable(list(distinct.values())).evaluate(_LATTICE_XS, _LATTICE_YS)
-    # values[e, p] is weight e at lattice point p; row-major order is the
-    # order of the weights, then of the points, as the report lists them.
-    values = table.T[[column[id(weight)] for _, weight in weighted]]
+    keys = [key for key, group in probe.columns.items() for _ in group]
+    columns = [column for group in probe.columns.values() for column in group]
+    # values[e, p] is outcome e's weight at lattice point p; row-major order
+    # is the order of the outcomes, then of the points, as the report lists them.
+    values = probe.weights.evaluate(_LATTICE_XS, _LATTICE_YS).T[columns]
     lowest = int(values.argmin())
     report.min_weight = float(values.flat[lowest])
     report.min_weight_point = _LATTICE_POINTS[lowest % len(_LATTICE_POINTS)]
     outside = ~((-WEIGHT_TOL <= values) & (values <= 1 + WEIGHT_TOL))
     for e, p in zip(*np.nonzero(outside)):
-        report.negativity_violations.append(
-            (weighted[e][0], _LATTICE_POINTS[p], float(values[e, p]))
-        )
+        report.negativity_violations.append((keys[e], _LATTICE_POINTS[p], float(values[e, p])))
     # exact values of each affine weight at the vertices, where the float
     # lattice can round a tiny negative value to 0.0
-    vertex_values = {
-        ident: [weight.evaluate_exact(vx, vy) for vx, vy in _VERTICES] if weight.is_affine() else []
-        for ident, weight in distinct.items()
-    }
-    for key, weight in weighted:
-        for vertex, exact in zip(_VERTICES, vertex_values[id(weight)]):
+    vertex_values = [
+        [weight.evaluate_exact(vx, vy) for vx, vy in _VERTICES] if weight.is_affine() else []
+        for weight in probe.weights.exprs
+    ]
+    for key, column in zip(keys, columns):
+        for vertex, exact in zip(_VERTICES, vertex_values[column]):
             if exact < 0:
                 report.vertex_violations.append((key, vertex, exact))
 

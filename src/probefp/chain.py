@@ -1,9 +1,10 @@
 """Joint player-probe Markov chains and their limiting distributions.
 
 `compose` builds the parametrized chain over joint states (player state,
-probe state, last player move, last probe move); `evaluate_points`
-instantiates it at many parameter points at once, evaluating each distinct
-weight polynomial once per point and copying it into every cell it fills;
+probe state, last player move, last probe move), whose cells index the
+probe's compiled weights; `evaluate_points` instantiates it at many
+parameter points at once, evaluating each distinct weight polynomial once
+per point and copying it into every cell it fills;
 `limit_distributions` computes the limiting (Cesaro) state distribution at
 each, handling reducible and periodic chains via closed-class decomposition:
 absorption probabilities into each closed class times the unique stationary
@@ -29,7 +30,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .errors import (
 from .polyexpr import ParamExpr, PolyTable
 
 # Evaluated probabilities above this count as support edges; cells with no
-# weight are never evaluated and stay exact 0.0, so this separates structure
+# weight take the zero polynomial, exact 0.0, so this separates structure
 # from roundoff.
 SUPPORT_CUTOFF = 1e-14
 
@@ -67,34 +67,23 @@ class JointState:
 
 @dataclass
 class ParamChain:
-    """Markov chain with polynomial transition weights over joint states."""
+    """Markov chain with polynomial transition weights over joint states.
+
+    `init` and `trans` are the exact form and hold the probe's own weights.
+    The numeric form is `index`: the column of the probe's `weights` that
+    fills each cell of the (n + 1) x n array of transition rows P[s, t] then
+    the init row, flattened row-major, 0 (the zero polynomial) for none."""
 
     states: tuple[JointState, ...]
     init: tuple[ParamExpr, ...]
     trans: tuple[dict[int, ParamExpr], ...]  # sparse rows
     payoff: tuple[Fraction, ...]
+    weights: PolyTable
+    index: np.ndarray
 
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    @cached_property
-    def _weight_table(self) -> tuple[PolyTable, np.ndarray]:
-        """The chain's distinct nonzero weight polynomials, compiled once for
-        evaluation at many points, and the column that fills each cell of
-        the (n + 1) x n array of transition rows P[s, t] then the init row,
-        flattened row-major; a cell with no weight gets one past the last
-        column."""
-        n = self.n_states
-        cells = [(s * n + t, w) for s, row in enumerate(self.trans) for t, w in row.items() if w]
-        cells += [(n * n + t, w) for t, w in enumerate(self.init) if w]
-        # cells mostly share weight objects, so each object is hashed once
-        objects = {id(w): w for _, w in cells}
-        distinct = {w: k for k, w in enumerate(dict.fromkeys(objects.values()))}
-        column = {key: distinct[w] for key, w in objects.items()}
-        index = np.full((n + 1) * n, len(distinct))
-        index[[cell for cell, _ in cells]] = [column[id(w)] for _, w in cells]
-        return PolyTable(list(distinct)), index
 
     def payoff_vector(self) -> np.ndarray:
         return np.array([float(p) for p in self.payoff])
@@ -138,8 +127,9 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
     an outcome with polynomial weight.  Only states reachable under generic
     interior parameters (nonzero weight polynomials) are retained; indexing
     is breadth-first from the initial support, outcomes in canonical
-    (action, state) order.  Every row and the init sum to the constant
-    polynomial 1, since a `Probe` checks its groups when it is built.
+    (action, state) order.  A `Probe` names each outcome of a group once and
+    checks that each group sums to the constant polynomial 1, so each cell
+    records one probe weight and its column, and nothing is added here.
     """
     if player.alphabet != probe.alphabet:
         raise AlphabetMismatchError(
@@ -150,8 +140,8 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
     # keyed by JointState's fields in order: a tuple hashes far faster
     index: dict[tuple[int, int, str, str], int] = {}
     states: list[JointState] = []
-    init_weights: list[ParamExpr] = []
     rows: list[dict[int, ParamExpr]] = []
+    cells: list[int] = []  # row, state, column of each weight; row -1 is the init row
     queue: deque[int] = deque()
 
     def intern(key: tuple[int, int, str, str]) -> int:
@@ -160,35 +150,36 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
         if s is None:
             s = index[key] = len(states)
             states.append(JointState(*key))
-            init_weights.append(ParamExpr.zero())
             rows.append({})
             queue.append(s)
         return s
 
-    for action, probe_state, weight in probe.init:
-        if weight.is_zero():
-            continue
-        s = intern((player.initial_state, probe_state, player.initial_action, action))
-        init_weights[s] = init_weights[s] + weight if init_weights[s] else weight
-
+    for (action, probe_state, _), column in zip(probe.init, probe.columns["init"]):
+        if column:  # not the zero polynomial
+            t = intern((player.initial_state, probe_state, player.initial_action, action))
+            cells += -1, t, column
     while queue:
         s = queue.popleft()
         js = states[s]
         next_player, next_action = player.step[(js.player_state, js.probe_action)]
-        for probe_action, next_probe, weight in probe.step[
-            (js.probe_state, js.player_action)
-        ]:
-            if weight.is_zero():
-                continue
-            t = intern((next_player, next_probe, next_action, probe_action))
-            row = rows[s]
-            row[t] = row[t] + weight if t in row else weight
+        key = (js.probe_state, js.player_action)
+        for (probe_action, next_probe, weight), column in zip(probe.step[key], probe.columns[key]):
+            if column:
+                t = intern((next_player, next_probe, next_action, probe_action))
+                rows[s][t] = weight
+                cells += s, t, column
 
+    n = len(states)
+    columns = np.zeros((n + 1, n), dtype=int)
+    sources, targets, filled = np.array(cells).reshape(-1, 3).T
+    columns[sources, targets] = filled
     return ParamChain(
         states=tuple(states),
-        init=tuple(init_weights),
+        init=tuple(probe.weights.exprs[k] for k in columns[n].tolist()),
         trans=tuple(rows),
         payoff=tuple(payoff.value(js.player_action, js.probe_action) for js in states),
+        weights=probe.weights,
+        index=columns.ravel(),
     )
 
 
@@ -216,10 +207,8 @@ def evaluate_points(chain: ParamChain, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     ys = np.asarray(ys, dtype=float)
     check_in_simplex(xs, ys)
     n = chain.n_states
-    table, index = chain._weight_table
-    # each distinct weight once, then a zero column for the cells with none
-    values = np.zeros((len(xs), len(table.exprs) + 1))
-    values[:, :-1] = table.evaluate(xs, ys)
+    index = chain.index
+    values = chain.weights.evaluate(xs, ys)
     negative = values < -ENTRY_TOL
     # the init weights form row n, after the n transition rows
     rows = np.take(np.maximum(values, 0.0), index, axis=1).reshape(-1, n + 1, n)

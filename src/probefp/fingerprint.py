@@ -489,10 +489,7 @@ def symbolic_fingerprint(
     """
     chain = compose(player, probe, payoff)
     n = chain.n_states
-    support = np.zeros((1, n, n), dtype=bool)
-    for s, row in enumerate(chain.trans):
-        for t, weight in row.items():
-            support[0, s, t] = bool(weight)
+    support = chain.index[: n * n].reshape(1, n, n) > 0
     decomposition = classify_supports(support)[0]
     classes = decomposition.classes
     if len(classes) != 1 or not classes[0].closed:
@@ -571,29 +568,26 @@ def _agrees_modulo(chain: ParamChain, fn: RationalFn, p: int, a: int, b: int) ->
     if any(not c.denominator % p for c in chain.payoff):
         return None
     payoff = [c.numerator * pow(c.denominator, -1, p) for c in chain.payoff]
-    weights = (w for row in chain.trans for w in row.values())
-    exprs = {id(e): e for e in (*weights, *chain.init, fn.num, fn.den)}
+    exprs = (*chain.weights.exprs, fn.num, fn.den)
     x_powers, y_powers = [1], [1]
-    for _ in range(max(e.degree() for e in exprs.values())):
+    for _ in range(max(e.degree() for e in exprs)):
         x_powers.append(x_powers[-1] * a % p)
         y_powers.append(y_powers[-1] * b % p)
-    residue = {key: e._residue(x_powers, y_powers, p) for key, e in exprs.items()}
-    if None in residue.values() or not residue[id(fn.den)]:
+    *residues, num, den = (e._residue(x_powers, y_powers, p) for e in exprs)
+    if None in residues or num is None or not den:
         return None
-    matrix = [[0] * n for _ in range(n)]
-    for s, row in enumerate(chain.trans):
-        for t, w in row.items():
-            matrix[s][t] = residue[id(w)]
+    cells = [residues[k] for k in chain.index.tolist()]
+    matrix = [cells[s * n : (s + 1) * n] for s in range(n)]
     # augmented rows [A | e_last]: A's row j is column j of I - P, and its
     # last row is all ones
     rows = [[((i == j) - matrix[i][j]) % p for i in range(n)] + [0] for j in range(n - 1)]
     pi = _solve_modulo([*rows, [1] * (n + 1)], p)
     if pi is None:
         return None
-    mass = sum(residue[id(w)] for w in chain.init) % p
+    mass = sum(cells[n * n :]) % p
     dropped = (pi[-1] - sum(matrix[i][-1] * pi[i] for i in range(n))) % p
     value = sum(c * v for c, v in zip(payoff, pi))
-    return mass == 1 and dropped == 0 and (value * residue[id(fn.den)] - residue[id(fn.num)]) % p == 0
+    return mass == 1 and dropped == 0 and (value * den - num) % p == 0
 
 
 def _solve_modulo(rows: list[list[int]], p: int) -> list[int] | None:

@@ -27,6 +27,7 @@ from probefp.chain import (
     SIMPLEX_TOL,
     SUPPORT_CUTOFF,
     ParamChain,
+    compose,
     evaluate,
 )
 from probefp.errors import (
@@ -543,6 +544,25 @@ def random_oracle_pairs() -> list[tuple[PlayerMachine, Probe]]:
     """A fixed corpus of 40 random player/probe pairs (at most 4 states each)."""
     rng = random.Random(2024)
     return [(random_player(rng, 4), random_probe(rng, 4)) for _ in range(40)]
+
+
+def irreducible_random_pairs(count: int) -> list[tuple[PlayerMachine, Probe]]:
+    """`count` seeded random player/probe pairs (at most 4 states each) whose
+    joint chain has at most 20 states and is irreducible on its structural
+    support: `support_classes` over the chain's nonzero weights finds one
+    class, holding every state.  The state cap keeps the closed forms quick:
+    the first 32 pairs take about 0.3 s together, while the first 31-state
+    chain of the same stream takes about 9 s."""
+    rng = random.Random(2025)
+    payoff = PayoffMatrix.default_prisoners_dilemma()
+    pairs = []
+    while len(pairs) < count:
+        player, probe = random_player(rng, 4), random_probe(rng, 4)
+        chain = compose(player, probe, payoff)
+        support = [[bool(row.get(t)) for t in range(chain.n_states)] for row in chain.trans]
+        if chain.n_states <= 20 and len(support_classes(support)) == 1:
+            pairs.append((player, probe))
+    return pairs
 
 
 def random_interior_point(rng: random.Random, margin: float = 0.05):

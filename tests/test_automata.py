@@ -207,6 +207,39 @@ def test_probe_merges_duplicate_outcomes():
     assert outcomes_as_dict(p.step[(0, "C")]) == {("C", 0): ParamExpr.one()}
 
 
+def test_construction_refuses_a_repeated_outcome():
+    # the parsers merge repeats; a Probe built directly is refused, naming
+    # the group, since each cell of the joint chain takes one probe weight
+    half = expr_parse("1/2")
+    step = {(0, "C"): (("C", 0, ONE),), (0, "D"): (("C", 0, ONE),)}
+    with pytest.raises(ProbeFormatError) as err:
+        Probe("R", ("C", "D"), ("0",), (("C", 0, half), ("C", 0, half)), step)
+    assert str(err.value) == "init repeats an (action, next state) outcome"
+    repeated = {**step, (0, "D"): (("C", 0, half), ("D", 0, ONE - half), ("C", 0, ONE - half))}
+    with pytest.raises(ProbeFormatError) as err:
+        Probe("R", ("C", "D"), ("0",), (("C", 0, ONE),), repeated)
+    assert str(err.value) == "state '0' input 'D' repeats an (action, next state) outcome"
+
+
+@pytest.mark.parametrize(
+    "outcome, message",
+    [
+        (("X", 0, ONE), "outcome action 'X' of {} is not in the alphabet"),
+        (("C", 5, ONE), "outcome next state 5 of {} is not a state of the probe"),
+    ],
+)
+def test_construction_refuses_an_outcome_outside_the_probe(outcome, message):
+    # such a probe used to be accepted, and validate_probe and compose then
+    # raised a bare KeyError such as (5, 'C') or (0, 'X')
+    step = {(0, "C"): (("C", 0, ONE),), (0, "D"): (("C", 0, ONE),)}
+    with pytest.raises(ProbeFormatError) as err:
+        Probe("O", ("C", "D"), ("0",), (outcome,), step)
+    assert str(err.value) == message.format("init")
+    with pytest.raises(ProbeFormatError) as err:
+        Probe("O", ("C", "D"), ("0",), (("C", 0, ONE),), {**step, (0, "D"): (outcome,)})
+    assert str(err.value) == message.format("state '0' input 'D'")
+
+
 # -- validate_probe -----------------------------------------------------------
 
 

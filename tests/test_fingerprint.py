@@ -15,6 +15,7 @@ from oracles import (
     PointOracle,
     bareiss_det,
     cycle_average_payoff,
+    irreducible_random_pairs,
     random_oracle_pairs,
     random_player,
     strongly_connected_player,
@@ -728,7 +729,8 @@ def _perturbed(fn: RationalFn) -> RationalFn:
 def test_exact_check_refuses_every_perturbed_form(players, payoff):
     # a change far below the old float check's 1e-8 tolerance is refused
     checked = 0
-    for player, probe in bundled_pairs(players) + random_oracle_pairs():
+    pairs = bundled_pairs(players) + random_oracle_pairs() + irreducible_random_pairs(32)
+    for player, probe in pairs:
         try:
             result = symbolic_fingerprint(player, probe, payoff)
         except ReducibleChainError:
@@ -740,7 +742,7 @@ def test_exact_check_refuses_every_perturbed_form(players, payoff):
         assert (p, a, b) in fingerprint_module.EXACT_CHECKS
         assert f"modulo the prime {p} at (x, y) = ({a}, {b})" in str(err.value)
         checked += 1
-    assert checked == 17 + 8  # the irreducible bundled and random pairs
+    assert checked == 17 + 8 + 32  # the irreducible bundled and random pairs
 
 
 def test_exact_check_moves_past_points_that_cannot_decide(players, ja_tft, payoff, monkeypatch):

@@ -128,6 +128,10 @@ class PlayerMachine:
                         f"missing transition for state {self.state_names[state]!r}"
                         f" on input {action!r}"
                     )
+        if len(self.step) > self.n_states * len(self.alphabet):
+            pairs = {(state, action) for state in range(self.n_states) for action in self.alphabet}
+            extra = next(key for key in self.step if key not in pairs)
+            raise PlayerFormatError(f"transition for {extra!r}, not a (state, input) pair")
         for (state, action), (nxt, out) in self.step.items():
             if out not in self.alphabet:
                 raise PlayerFormatError(
@@ -180,6 +184,10 @@ class Probe:
                         f"no outcomes for state {self.state_names[state]!r} on input {action!r}"
                     )
                 groups.append(((state, action), self.step[(state, action)]))
+        if len(self.step) > len(groups) - 1:
+            pairs = {key for key, _ in groups[1:]}
+            extra = next(key for key in self.step if key not in pairs)
+            raise ProbeFormatError(f"outcomes for {extra!r}, not a (state, input) pair")
         column = {ParamExpr.zero(): 0}  # of each distinct weight
         by_object = {}  # joss_ann's groups share weight objects, so each object is hashed once
         residuals = {}  # by the columns summed, which groups often share

@@ -13,18 +13,20 @@ the interval of [0, 1) between consecutive cumulative probabilities it
 falls in: the count of those probabilities at or below it, one comparison
 each, kept in the smallest unsigned integer type that holds it.  The ranks
 of a group of k consecutive rounds form one index into a table of k-round
-successors, so one `take` advances every lane k rounds, and the same index
-reads the payoffs of the group's k rounds from a table of payoff paths.
-Everything runs a chunk of `_CHUNK` (4096) rounds at a time: each lane
-draws the chunk's uniforms in one call, the chunk is ranked at once, one
-walk crosses all of its groups, and its payoffs are summed as one array, so
-memory is O(lanes x `_CHUNK`) whatever the round count.  The payoffs are
-those of a round-by-round walk, summed in the same per-chunk order, so
-estimates do not depend on k.
+successors, so one `take` advances every lane k rounds.  The same index
+reads, from a table of payoff-class counts, how many of the group's k
+rounds end in each of the chain's distinct exact payoffs.  Everything runs
+a chunk of `_CHUNK` (4096) rounds at a time: each lane draws the chunk's
+uniforms in one call, the chunk is ranked at once, one walk crosses all of
+its groups, and one `take` of count rows pays its whole groups, so memory
+is O(lanes x `_CHUNK`) whatever the round count.  A lane's mean is the
+exact mean of its paid payoffs, summed in integers over their common
+denominator and rounded once, so it depends on neither k nor `_CHUNK`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +36,8 @@ from .chain import ParamChain, compose, evaluate
 
 RNG_ID = "numpy-pcg64"
 
-# Rounds drawn, ranked, walked and paid per step of every lane.  Each chunk's
-# payoffs are summed as one (lanes, rounds) array, an order the estimates
-# depend on under a non-integer payoff; the chunk bounds the memory of the
-# per-round arrays.
+# Rounds drawn, ranked, walked and paid per step of every lane; the chunk
+# bounds the memory of the per-round arrays, and no estimate depends on it.
 _CHUNK = 4096
 # Entries of each k-round table; larger caps measured no faster and cost
 # memory.
@@ -79,8 +79,10 @@ class _GameTable:
     Rounds are played `k` at a time.  A rank tuple (r_0, ..., r_{k-1}) of k
     consecutive rounds has the index t = sum(r_i * R**i), and
     `after[j, t * n + s]` is the state after j + 1 of those rounds from
-    state s, and `payoff_path[t * n + s, j]` is the payoff of that state.
-    Both depend only on `step`, so they are built once per call; k is the
+    state s.  The payoff classes are the chain's distinct exact payoffs,
+    `values`, and state s pays `values[classes[s]]`; `counts[t * n + s, c]`
+    is the number of the k states after each round whose class is c.  Both
+    tables depend only on `step`, so they are built once per call; k is the
     largest value, at most `_GROUP_CAP`, with R**k * n <= `_TABLE_CAP`, and
     k = 1 when R**2 * n exceeds it.
     """
@@ -113,7 +115,8 @@ class _GameTable:
         while k < _GROUP_CAP and n_ranks ** (k + 1) * n <= _TABLE_CAP:
             k += 1
         self.k = k
-        self.payoff = chain.payoff_vector()
+        self.values = sorted(set(chain.payoff))
+        self.classes = np.array([self.values.index(p) for p in chain.payoff], dtype=np.int64)
         # after[j, t * n + s] depends on t only through r_0, ..., r_j, so row
         # j is its first R**(j + 1) * n entries, `period`, repeated; each
         # period is the one before (at first the states 0..n-1) advanced one
@@ -121,11 +124,12 @@ class _GameTable:
         shift = np.arange(n_ranks)[:, None] * n
         period = np.arange(n)
         self.after = np.empty((k, n_ranks**k * n), dtype=np.int64)
-        self.payoff_path = np.empty((n_ranks**k * n, k))
         for j in range(k):
             period = self.step.take(period + shift).ravel()
             self.after[j].reshape(-1, period.size)[:] = period
-            self.payoff_path.reshape(-1, period.size, k)[:, :, j] = self.payoff.take(period)
+        # a count is at most k <= _GROUP_CAP, so one byte holds it
+        onehot = np.eye(len(self.values), dtype=np.uint8)[self.classes]
+        self.counts = onehot.take(self.after, axis=0).sum(axis=0, dtype=np.uint8)
 
         self.init_cdf = np.cumsum(init)
         self.init_cdf[-1] = 1.0
@@ -153,14 +157,16 @@ def _run_lanes(
     first = np.array([g.random() for g in generators])
     states = np.searchsorted(table.init_cdf, first, side="right")
 
-    totals = np.zeros(lanes)
+    # paid[lane, c]: the lane's paid rounds whose payoff class is c
+    paid = np.zeros((lanes, len(table.values)), dtype=np.int64)
+    lane = np.arange(lanes)
     counted = 0
     if burn_in == 0:
-        totals += table.payoff[states]
+        np.add.at(paid, (lane, table.classes[states]), 1)
         counted = 1
     done = 1  # rounds simulated so far (round 1 is the initial draw)
 
-    k, n_ranks, n = table.k, len(table.cuts) + 1, len(table.payoff)
+    k, n_ranks, n = table.k, len(table.cuts) + 1, len(table.classes)
     groups = -(-_CHUNK // k)
     add, take = np.add, table.after[-1].take
     # Columns past a short last chunk keep uniforms of the chunk before, or
@@ -190,11 +196,26 @@ def _run_lanes(
         states = table.after[span - 1 - (used - 1) * k].take(tuples[-1])
         start = max(burn_in - done, 0)
         if start < span:
-            paid = table.payoff_path.take(tuples.T, axis=0).reshape(lanes, -1)
-            totals += paid[:, start:span].sum(axis=1)
+            # groups lo..hi-1 lie inside the paid rounds, and each pays its
+            # count row; the rounds of the at most two groups cut by the
+            # burn-in or the chunk's end are paid one by one
+            lo = -(-start // k)
+            hi = max(span // k, lo)
+            paid += table.counts.take(tuples[lo:hi], axis=0).sum(axis=0, dtype=np.int64)
+            cut = np.r_[start : min(lo * k, span), hi * k : span]
+            ends = table.after[(cut % k)[:, None], tuples[cut // k]]
+            np.add.at(paid, (lane, table.classes[ends]), 1)
             counted += span - start
         done += span
-    return totals / counted
+    # each mean is the exact sum of the paid payoffs over their count, in
+    # integers over the payoffs' common denominator, rounded once by the
+    # integer division
+    denominator = math.lcm(*(v.denominator for v in table.values))
+    numerators = [v.numerator * (denominator // v.denominator) for v in table.values]
+    return np.array([
+        sum(c * v for c, v in zip(row, numerators)) / (denominator * counted)
+        for row in paid.tolist()
+    ])
 
 
 def _check_args(rounds: int, burn_in: int) -> None:

@@ -7,7 +7,7 @@ floats, the integration oracle uses closed-form monomial integrals
 over the triangle, the determinant oracle is a general pivoting Bareiss
 elimination, the fingerprint oracle solves one point at a time, and the
 Monte Carlo oracle picks each round's outcome with one searchsorted in
-its state's cumulative row.
+its state's cumulative row and takes the exact mean of the paid payoffs.
 """
 
 from __future__ import annotations
@@ -289,42 +289,31 @@ def searchsorted_table(chain: ParamChain, x: float, y: float):
     successors = [list(row) for row in chain.trans]
     init_cdf = np.cumsum(init)
     init_cdf[-1] = 1.0
-    return cumulative, successors, init_cdf, chain.payoff_vector()
+    return cumulative, successors, init_cdf
 
 
 def run_lanes_searchsorted(
     chain: ParamChain, x: float, y: float, rounds: int, burn_in: int, seeds
 ) -> np.ndarray:
-    """Per-lane mean payoff after burn-in, each round picking each lane's
+    """Per-lane mean payoff after burn-in, each round picking the lane's
     outcome with one searchsorted of its uniform in its state's cumulative
-    row; payoffs are summed over chunks of 4096 rounds."""
-    cumulative, successors, init_cdf, payoff = searchsorted_table(chain, x, y)
-    chunk = 4096
-    lanes = len(seeds)
-    generators = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
-    first = np.array([g.random() for g in generators])
-    states = np.searchsorted(init_cdf, first, side="right").tolist()
-    totals = np.zeros(lanes)
-    counted = 0
-    if burn_in == 0:
-        totals += payoff[states]
-        counted = 1
-    done = 1
-    traj = np.empty((lanes, chunk), dtype=np.int64)
-    while done < rounds:
-        span = min(chunk, rounds - done)
-        for lane, gen in enumerate(generators):
-            state = states[lane]
-            for t, u in enumerate(gen.random(span).tolist()):
-                state = successors[state][cumulative[state].searchsorted(u, side="right")]
-                traj[lane, t] = state
-            states[lane] = state
-        start = max(burn_in - done, 0)
-        if start < span:
-            totals += payoff[traj[:, start:span]].sum(axis=1)
-            counted += span - start
-        done += span
-    return totals / counted
+    row.  A mean is the exact sum of the paid rounds' `chain.payoff`
+    fractions, tallied by state, over their count, rounded once."""
+    cumulative, successors, init_cdf = searchsorted_table(chain, x, y)
+    means = []
+    for seed in seeds:
+        gen = np.random.Generator(np.random.PCG64(int(seed)))
+        state = int(np.searchsorted(init_cdf, gen.random(), side="right"))
+        visits = [0] * chain.n_states  # paid rounds that end in each state
+        if burn_in == 0:
+            visits[state] += 1
+        for done, u in enumerate(gen.random(rounds - 1).tolist(), start=1):
+            state = successors[state][cumulative[state].searchsorted(u, side="right")]
+            if done >= burn_in:
+                visits[state] += 1
+        total = sum(count * payoff for count, payoff in zip(visits, chain.payoff))
+        means.append(float(total / (rounds - burn_in)))
+    return np.array(means)
 
 
 # ---------------------------------------------------------------------------

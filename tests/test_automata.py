@@ -69,6 +69,15 @@ def test_missing_transition_names_state_and_input():
     assert "'0'" in str(err.value) and "'D'" in str(err.value)
 
 
+def test_validate_refuses_a_transition_outside_the_player():
+    # compose used to ignore such a transition
+    machine = parse_player(TFT_TEXT)
+    machine.step[(5, "Q")] = (0, "C")
+    with pytest.raises(PlayerFormatError) as err:
+        machine.validate()
+    assert str(err.value) == "transition for (5, 'Q'), not a (state, input) pair"
+
+
 def test_duplicate_rule():
     text = "player P\nalphabet C D\nstart 0 C\n0 C -> 0 C\n0 C -> 0 D\n0 D -> 0 D\n"
     with pytest.raises(PlayerFormatError, match="duplicate"):
@@ -238,6 +247,16 @@ def test_construction_refuses_an_outcome_outside_the_probe(outcome, message):
     with pytest.raises(ProbeFormatError) as err:
         Probe("O", ("C", "D"), ("0",), (("C", 0, ONE),), {**step, (0, "D"): (outcome,)})
     assert str(err.value) == message.format("state '0' input 'D'")
+
+
+@pytest.mark.parametrize("key", [(3, "X"), (0, "E")])
+def test_construction_refuses_a_group_outside_the_probe(key):
+    # such a group used to be accepted and silently ignored; the parsers
+    # refuse its line, so only direct construction could make one
+    step = {(0, "C"): (("C", 0, ONE),), (0, "D"): (("C", 0, ONE),)}
+    with pytest.raises(ProbeFormatError) as err:
+        Probe("G", ("C", "D"), ("0",), (("C", 0, ONE),), {**step, key: (("C", 0, ONE),)})
+    assert str(err.value) == f"outcomes for {key!r}, not a (state, input) pair"
 
 
 # -- validate_probe -----------------------------------------------------------

@@ -14,6 +14,7 @@ from oracles import (
 )
 from probefp.automata import PayoffMatrix, joss_ann
 from probefp.chain import compose, evaluate
+from probefp import simulate
 from probefp.errors import OutOfSimplexError
 from probefp.fingerprint import value_at
 from probefp.simulate import (
@@ -179,7 +180,7 @@ def test_rank_table_matches_searchsorted_at_every_cut(players, ja_tft):
         n = chain.n_states
         for x, y in POINTS:
             table = _GameTable(chain, x, y)
-            cumulative, successors, _, _ = searchsorted_table(chain, x, y)
+            cumulative, successors, _ = searchsorted_table(chain, x, y)
             cuts = table.cuts
             us = np.concatenate(([0.0], cuts, np.nextafter(cuts, 0), np.nextafter(cuts, 1)))
             us = us[us < 1]
@@ -235,8 +236,9 @@ def test_largest_uniform_takes_each_rows_last_outcome_of_positive_weight(players
 
 
 def test_lanes_match_searchsorted_oracle(players, ja_tft):
-    # 4796 rounds span a full and a partial chunk of payoff sums; a payoff in
-    # sevenths makes the sums depend on their order
+    # 4796 rounds span a full and a partial chunk; under a payoff in sevenths
+    # a float sum of the payoffs would depend on its order, the exact mean
+    # does not
     seeds = np.array([5, 6])
     runs = 0
     for c, chain in enumerate(_chains(players, ja_tft)):
@@ -276,16 +278,19 @@ def test_k_round_table_is_k_single_steps(players, ja_tft, const_c_probe):
     chains, tables = _tables_of_every_k(players, ja_tft, const_c_probe)
     for chain, table in zip(chains, tables):
         n, n_ranks = chain.n_states, len(table.cuts) + 1
-        step, after = table.step.tolist(), table.after.tolist()
-        payoff, payoff_path = table.payoff.tolist(), table.payoff_path.tolist()
+        step, after, counts = table.step.tolist(), table.after.tolist(), table.counts.tolist()
+        assert table.values == sorted(set(chain.payoff))
+        assert [table.values[c] for c in table.classes] == list(chain.payoff)
         for t in range(n_ranks**table.k):
             for s in range(n):
                 state, digits = s, t
+                tally = [0] * len(table.values)
                 for j in range(table.k):
                     state = step[digits % n_ranks * n + state]
                     digits //= n_ranks
                     assert after[j][t * n + s] == state
-                    assert payoff_path[t * n + s][j] == payoff[state]
+                    tally[table.values.index(chain.payoff[state])] += 1
+                assert counts[t * n + s] == tally
 
 
 def test_lanes_match_searchsorted_oracle_at_group_edges(players, ja_tft, const_c_probe):
@@ -303,3 +308,32 @@ def test_lanes_match_searchsorted_oracle_at_group_edges(players, ja_tft, const_c
                 expected = run_lanes_searchsorted(chain, 0.25, 0.35, rounds, burn_in, seeds)
                 got = _run_lanes(table, rounds, burn_in, seeds)
                 assert np.array_equal(got, expected), (chain.n_states, k, rounds, burn_in)
+
+
+def test_chunk_and_k_do_not_change_an_estimate(players, ja_tft, monkeypatch):
+    # chunks that end inside a group or far from one, and table caps that
+    # take k down to 1; a payoff with a 30-digit denominator would overflow
+    # any int64 sum of numerators
+    huge = PayoffMatrix({
+        ("C", "C"): 3 + Fraction(1, 10**30),
+        ("C", "D"): Fraction(0),
+        ("D", "C"): Fraction(5),
+        ("D", "D"): Fraction(1),
+    })
+    chains = _chains(players, ja_tft) + [compose(players["pavlov"], ja_tft, huge)]
+    seeds = np.array([5, 6, 7])
+    settings = [(4096, 4096), (37, 4096), (1000, 4096), (4096, 64), (37, 16), (1000, 256)]
+    ks = set()
+    for chain in chains:
+        runs = []
+        for chunk, cap in settings:
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+            monkeypatch.setattr(simulate, "_TABLE_CAP", cap)
+            table = _GameTable(chain, 0.25, 0.35)
+            ks.add(table.k)
+            runs.append(_run_lanes(table, 4796, 301, seeds))
+        for run in runs[1:]:
+            assert np.array_equal(run, runs[0]), chain.n_states
+    assert len(ks) >= 4 and 1 in ks
+    expected = run_lanes_searchsorted(chains[-1], 0.25, 0.35, 4796, 301, seeds)
+    assert np.array_equal(runs[0], expected)

@@ -40,7 +40,7 @@ from .errors import (
     OutOfSimplexError,
     SingularSystemError,
 )
-from .polyexpr import ParamExpr, PolyTable
+from .polyexpr import PolyTable
 
 # Evaluated probabilities above this count as support edges; cells with no
 # weight take the zero polynomial, exact 0.0, so this separates structure
@@ -69,14 +69,13 @@ class JointState:
 class ParamChain:
     """Markov chain with polynomial transition weights over joint states.
 
-    `init` and `trans` are the exact form and hold the probe's own weights.
-    The numeric form is `index`: the column of the probe's `weights` that
-    fills each cell of the (n + 1) x n array of transition rows P[s, t] then
-    the init row, flattened row-major, 0 (the zero polynomial) for none."""
+    `index` is the column of the probe's `weights` that fills each cell of
+    the (n + 1) x n array of transition rows P[s, t] then the init row,
+    flattened row-major, 0 (the zero polynomial) for none; `successors`
+    lists the targets of each of those rows in the probe's outcome order."""
 
     states: tuple[JointState, ...]
-    init: tuple[ParamExpr, ...]
-    trans: tuple[dict[int, ParamExpr], ...]  # sparse rows
+    successors: tuple[tuple[int, ...], ...]
     payoff: tuple[Fraction, ...]
     weights: PolyTable
     index: np.ndarray
@@ -126,10 +125,10 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
     deterministically; the probe reads the player's previous move and draws
     an outcome with polynomial weight.  Only states reachable under generic
     interior parameters (nonzero weight polynomials) are retained; indexing
-    is breadth-first from the initial support, outcomes in canonical
-    (action, state) order.  A `Probe` names each outcome of a group once and
-    checks that each group sums to the constant polynomial 1, so each cell
-    records one probe weight and its column, and nothing is added here.
+    is breadth-first from the initial support, each row's outcomes in the
+    probe's order.  A `Probe` names each outcome of a group once and checks
+    that each group sums to the constant polynomial 1, so each cell records
+    one probe weight's column, and nothing is added here.
     """
     if player.alphabet != probe.alphabet:
         raise AlphabetMismatchError(
@@ -140,8 +139,8 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
     # keyed by JointState's fields in order: a tuple hashes far faster
     index: dict[tuple[int, int, str, str], int] = {}
     states: list[JointState] = []
-    rows: list[dict[int, ParamExpr]] = []
-    cells: list[int] = []  # row, state, column of each weight; row -1 is the init row
+    rows: dict[int, list[int]] = {-1: []}  # successors of each row; -1 is the init row
+    cells: list[int] = []  # row, state, column of each weight
     queue: deque[int] = deque()
 
     def intern(key: tuple[int, int, str, str]) -> int:
@@ -150,23 +149,24 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
         if s is None:
             s = index[key] = len(states)
             states.append(JointState(*key))
-            rows.append({})
+            rows[s] = []
             queue.append(s)
         return s
 
     for (action, probe_state, _), column in zip(probe.init, probe.columns["init"]):
         if column:  # not the zero polynomial
             t = intern((player.initial_state, probe_state, player.initial_action, action))
+            rows[-1].append(t)
             cells += -1, t, column
     while queue:
         s = queue.popleft()
         js = states[s]
         next_player, next_action = player.step[(js.player_state, js.probe_action)]
         key = (js.probe_state, js.player_action)
-        for (probe_action, next_probe, weight), column in zip(probe.step[key], probe.columns[key]):
+        for (probe_action, next_probe, _), column in zip(probe.step[key], probe.columns[key]):
             if column:
                 t = intern((next_player, next_probe, next_action, probe_action))
-                rows[s][t] = weight
+                rows[s].append(t)
                 cells += s, t, column
 
     n = len(states)
@@ -175,8 +175,7 @@ def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamC
     columns[sources, targets] = filled
     return ParamChain(
         states=tuple(states),
-        init=tuple(probe.weights.exprs[k] for k in columns[n].tolist()),
-        trans=tuple(rows),
+        successors=tuple(tuple(rows[s]) for s in [*range(n), -1]),
         payoff=tuple(payoff.value(js.player_action, js.probe_action) for js in states),
         weights=probe.weights,
         index=columns.ravel(),

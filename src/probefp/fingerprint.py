@@ -510,10 +510,8 @@ def symbolic_fingerprint(
     # compares num with den times the chain's value (ROADMAP item 3, lowest
     # terms).
     zero, one = ParamExpr.zero(), ParamExpr.one()
-    system = [
-        [(one if i == j else zero) - chain.trans[i].get(j, zero) for i in range(n)]
-        for j in range(n - 1)
-    ]
+    cells = [chain.weights.exprs[k] for k in chain.index[: n * n].tolist()]
+    system = [[(one if i == j else zero) - cells[i * n + j] for i in range(n)] for j in range(n - 1)]
     norm_row = [one] * n
     payoff_row = [ParamExpr.const(w) for w in chain.payoff]
     den, num = _bareiss_last_rows(system, [norm_row, payoff_row])

@@ -2,9 +2,10 @@
 
 The joint play of a deterministic player against an evaluated probe is a
 finite Markov chain, so each trajectory is driven purely by inverse-CDF
-draws over the probe's outcome distributions, taken in canonical outcome
-order.  Replicates run in vectorized lockstep, each on its own seeded PCG64
-stream, so a replicate inside `estimate` reproduces `play_once` bit for bit.
+draws over the probe's outcomes in its own order (canonical for parsed and
+Joss-Ann probes).  Replicates run in vectorized lockstep, each on its own
+seeded PCG64 stream, so a replicate inside `estimate` reproduces
+`play_once` bit for bit.
 
 Each draw takes the first outcome of its state's row whose cumulative
 probability exceeds the uniform.  The draws go through tables built once
@@ -69,12 +70,12 @@ class _GameTable:
 
     Outcome selection is inverse-CDF sampling: a uniform u in [0, 1) takes
     the first outcome of its state's row whose cumulative probability
-    exceeds u, with the outcomes of each row of `chain.trans` in canonical
-    order, as the initial draw does over `init_cdf`.  The distinct cumulative
-    probabilities in (0, 1), `cuts`, split [0, 1) into R = len(cuts) + 1
-    intervals, and `step[r * n + s]` is the successor of state s for every u
-    in interval r.  `ranks` counts a uniform's r, the number of cuts <= u,
-    one comparison per cut.
+    exceeds u, in the order of `chain.successors`, whose last row, the
+    init row, gives `init_cdf` and `init_states`.  The distinct cumulative
+    probabilities in (0, 1) of the other rows, `cuts`, split [0, 1) into
+    R = len(cuts) + 1 intervals, and `step[r * n + s]` is the successor of
+    state s for every u in interval r.  `ranks` counts a uniform's r, the
+    number of cuts <= u, one comparison per cut.
 
     Rounds are played `k` at a time.  A rank tuple (r_0, ..., r_{k-1}) of k
     consecutive rounds has the index t = sum(r_i * R**i), and
@@ -89,18 +90,21 @@ class _GameTable:
 
     def __init__(self, chain: ParamChain, x: float, y: float):
         matrix, init = evaluate(chain, x, y)
-        n = len(chain.trans)
+        n = chain.n_states
 
-        # Each row of the composed chain lists the probe's outcomes with
-        # nonzero weight polynomials in canonical order, one successor each.
+        # Each row of the chain, init last, lists its outcomes in the probe's
+        # order; the uniforms above the row's rounded sum go to the first
+        # outcome at that sum, not to a later one of weight 0 at this point.
         rows = []
-        for s, row in enumerate(chain.trans):
-            rows.append(np.cumsum(matrix[s, list(row)]))
-            rows[-1][-1] = 1.0
+        for probs, row in zip((*matrix, init), chain.successors):
+            rows.append(np.cumsum(probs[list(row)]))
+            rows[-1][rows[-1].argmax() :] = 1.0
+        *rows, self.init_cdf = rows
+        self.init_states = np.array(chain.successors[n], dtype=np.int64)
         cumulative = np.concatenate(rows)
-        lengths = [len(row) for row in chain.trans]
+        lengths = [len(row) for row in rows]
         firsts = np.cumsum(lengths) - lengths
-        successors = np.array([t for row in chain.trans for t in row], dtype=np.int64)
+        successors = np.array([t for row in chain.successors[:n] for t in row], dtype=np.int64)
         self.cuts = np.unique(cumulative[(cumulative > 0) & (cumulative < 1)])
 
         # No cumulative probability lies inside an interval, so a uniform
@@ -131,9 +135,6 @@ class _GameTable:
         onehot = np.eye(len(self.values), dtype=np.uint8)[self.classes]
         self.counts = onehot.take(self.after, axis=0).sum(axis=0, dtype=np.uint8)
 
-        self.init_cdf = np.cumsum(init)
-        self.init_cdf[-1] = 1.0
-
     def ranks(self, uniforms: np.ndarray) -> np.ndarray:
         """Interval index of each uniform, the number of cuts <= u, as a new
         C-contiguous array of the smallest unsigned type holding len(cuts)."""
@@ -155,7 +156,7 @@ def _run_lanes(
     generators = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
 
     first = np.array([g.random() for g in generators])
-    states = np.searchsorted(table.init_cdf, first, side="right")
+    states = table.init_states[np.searchsorted(table.init_cdf, first, side="right")]
 
     # paid[lane, c]: the lane's paid rounds whose payoff class is c
     paid = np.zeros((lanes, len(table.values)), dtype=np.int64)

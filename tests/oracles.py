@@ -135,6 +135,49 @@ def scalar_evaluator(expr: ParamExpr):
     return value
 
 
+def chain_rows(chain: ParamChain) -> tuple[list[dict[int, ParamExpr]], dict[int, ParamExpr]]:
+    """Each transition row of `chain` as {target: weight}, and its init row
+    the same way, in `successors` order, read from the probe's weights
+    through `index`."""
+    n = chain.n_states
+    exprs, index = chain.weights.exprs, chain.index.tolist()
+    rows = [
+        {t: exprs[index[s * n + t]] for t in targets} for s, targets in enumerate(chain.successors)
+    ]
+    return rows[:n], rows[n]
+
+
+def compose_by_search(player: PlayerMachine, probe: Probe):
+    """The joint chain of `player` against `probe` by a plain breadth-first
+    search over their steps: the joint states as (player state, probe
+    state, player action, probe action) in order of discovery, each state's
+    row as [(target, weight)] in the order of the probe's outcomes, and the
+    init row the same way.  Outcomes whose weight is the zero polynomial
+    are left out."""
+    states: list[tuple[int, int, str, str]] = []
+    number: dict[tuple[int, int, str, str], int] = {}
+
+    def visit(key: tuple[int, int, str, str]) -> int:
+        if key not in number:
+            number[key] = len(states)
+            states.append(key)
+        return number[key]
+
+    start_state, start_action = player.initial_state, player.initial_action
+    init = [
+        (visit((start_state, q, start_action, a)), w) for a, q, w in probe.init if not w.is_zero()
+    ]
+    rows = []
+    while len(rows) < len(states):  # the states not yet expanded are the queue
+        player_state, probe_state, player_action, probe_action = states[len(rows)]
+        next_state, next_action = player.step[(player_state, probe_action)]
+        outcomes = probe.step[(probe_state, player_action)]
+        rows.append(
+            [(visit((next_state, q, next_action, a)), w) for a, q, w in outcomes if not w.is_zero()]
+        )
+    return states, rows, init
+
+
 def all_cells_points(chain: ParamChain, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrices (N, n, n) and initial distributions (N, n) at
     points where the chain is valid, from one `PolyTable` column per cell of
@@ -143,8 +186,9 @@ def all_cells_points(chain: ParamChain, xs, ys) -> tuple[np.ndarray, np.ndarray]
     divided by its sum."""
     n = chain.n_states
     zero = ParamExpr.zero()
-    cells = [row.get(t, zero) for row in chain.trans for t in range(n)]
-    values = PolyTable(cells + list(chain.init)).evaluate(xs, ys)
+    trans, init = chain_rows(chain)
+    cells = [row.get(t, zero) for row in trans + [init] for t in range(n)]
+    values = PolyTable(cells).evaluate(xs, ys)
     rows = np.maximum(values, 0.0).reshape(-1, n + 1, n)
     rows /= rows.sum(axis=2)[:, :, None]
     return rows[:, :n], rows[:, n]
@@ -154,8 +198,9 @@ def chain_sum_residuals(chain: ParamChain) -> list[dict]:
     """1 minus the sum of each transition row of `chain` and then of its
     init, as {exponents: coefficient} with the zero terms left out, summed
     one term at a time: all empty for a chain of distributions."""
+    trans, init = chain_rows(chain)
     residuals = []
-    for weights in [list(row.values()) for row in chain.trans] + [list(chain.init)]:
+    for weights in [list(row.values()) for row in trans + [init]]:
         total = {(0, 0): Fraction(-1)}
         for weight in weights:
             for key, coeff in weight.terms.items():
@@ -176,8 +221,10 @@ class PointOracle:
 
     def __init__(self, chain: ParamChain):
         self.n = chain.n_states
-        self.trans = [[(t, scalar_evaluator(w)) for t, w in row.items()] for row in chain.trans]
-        self.init = [scalar_evaluator(w) for w in chain.init]
+        trans, init = chain_rows(chain)
+        self.trans = [[(t, scalar_evaluator(w)) for t, w in row.items()] for row in trans]
+        zero = ParamExpr.zero()
+        self.init = [scalar_evaluator(init.get(t, zero)) for t in range(self.n)]
         self.payoff = chain.payoff_vector()
 
     def evaluate(self, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
@@ -278,18 +325,20 @@ def offset_point(x: float, y: float) -> tuple[float, float]:
 
 
 def searchsorted_table(chain: ParamChain, x: float, y: float):
-    """Sampling table of the chain at one point: for each joint state, its
-    outcomes' cumulative probabilities in `cumulative[s]` and one successor
-    each in `successors[s]`."""
+    """Sampling table of the chain at one point: for each joint state, and
+    last for the init row, its outcomes' cumulative probabilities in
+    `cumulative[s]`, 1.0 from the first that equals the row's sum on, and
+    one successor each in `successors[s]`."""
     matrix, init = evaluate(chain, x, y)
+    trans, first = chain_rows(chain)
+    successors = [list(row) for row in trans + [first]]
     cumulative = []
-    for s, row in enumerate(chain.trans):
-        cumulative.append(np.cumsum(matrix[s, list(row)]))
-        cumulative[-1][-1] = 1.0
-    successors = [list(row) for row in chain.trans]
-    init_cdf = np.cumsum(init)
-    init_cdf[-1] = 1.0
-    return cumulative, successors, init_cdf
+    for probs, row in zip([*matrix, init], successors):
+        sums = np.cumsum(probs[row])
+        top = min(i for i, total in enumerate(sums.tolist()) if total == sums[-1])
+        sums[top:] = 1.0
+        cumulative.append(sums)
+    return cumulative, successors
 
 
 def run_lanes_searchsorted(
@@ -299,11 +348,12 @@ def run_lanes_searchsorted(
     outcome with one searchsorted of its uniform in its state's cumulative
     row.  A mean is the exact sum of the paid rounds' `chain.payoff`
     fractions, tallied by state, over their count, rounded once."""
-    cumulative, successors, init_cdf = searchsorted_table(chain, x, y)
+    cumulative, successors = searchsorted_table(chain, x, y)
     means = []
     for seed in seeds:
         gen = np.random.Generator(np.random.PCG64(int(seed)))
-        state = int(np.searchsorted(init_cdf, gen.random(), side="right"))
+        # the init row is last
+        state = successors[-1][cumulative[-1].searchsorted(gen.random(), side="right")]
         visits = [0] * chain.n_states  # paid rounds that end in each state
         if burn_in == 0:
             visits[state] += 1
@@ -548,7 +598,8 @@ def irreducible_random_pairs(count: int) -> list[tuple[PlayerMachine, Probe]]:
     while len(pairs) < count:
         player, probe = random_player(rng, 4), random_probe(rng, 4)
         chain = compose(player, probe, payoff)
-        support = [[bool(row.get(t)) for t in range(chain.n_states)] for row in chain.trans]
+        trans, _ = chain_rows(chain)
+        support = [[bool(row.get(t)) for t in range(chain.n_states)] for row in trans]
         if chain.n_states <= 20 and len(support_classes(support)) == 1:
             pairs.append((player, probe))
     return pairs

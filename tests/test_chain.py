@@ -9,11 +9,14 @@ from oracles import (
     all_cells_points,
     cesaro_average,
     cesaro_average_literal,
+    chain_rows,
     chain_sum_residuals,
+    compose_by_search,
     limit_distribution_point,
     mixing_probe,
     offset_point,
     random_interior_point,
+    random_oracle_pairs,
     random_player,
     random_probe,
     strongly_connected_player,
@@ -51,8 +54,9 @@ def test_compose_allc_vs_ja_tft(players, ja_tft, payoff):
         ("C", "D"),
     ]
     expected_row = {0: expr_parse("1 - y"), 1: expr_parse("y")}
-    assert chain.trans[0] == expected_row
-    assert chain.trans[1] == expected_row
+    trans, _ = chain_rows(chain)
+    assert trans[0] == expected_row
+    assert trans[1] == expected_row
     assert chain.payoff == (Fraction(3), Fraction(0))
 
 
@@ -61,7 +65,8 @@ def test_compose_tft_vs_constant_c(players, const_c_probe, payoff):
     assert chain.n_states == 1
     assert chain.states[0].player_action == "C"
     assert chain.states[0].probe_action == "C"
-    assert chain.trans[0] == {0: expr_parse("1")}
+    trans, _ = chain_rows(chain)
+    assert trans[0] == {0: expr_parse("1")}
 
 
 def test_compose_alld_vs_ja_tft(players, ja_tft, payoff):
@@ -71,8 +76,57 @@ def test_compose_alld_vs_ja_tft(players, ja_tft, payoff):
         ("D", "D"),
     ]
     expected_row = {0: expr_parse("x"), 1: expr_parse("1 - x")}
-    assert chain.trans[0] == expected_row
-    assert chain.trans[1] == expected_row
+    trans, _ = chain_rows(chain)
+    assert trans[0] == expected_row
+    assert trans[1] == expected_row
+
+
+def _d_first_probe() -> Probe:
+    """A two-state probe built directly with each group's outcomes in
+    non-canonical order, D before C."""
+    x, y, rest = expr_parse("x"), expr_parse("y"), expr_parse("1 - x - y")
+    return Probe(
+        name="DFIRST",
+        alphabet=("C", "D"),
+        state_names=("0", "1"),
+        init=(("D", 1, x + y), ("C", 0, rest)),
+        step={
+            (0, "C"): (("D", 1, y), ("C", 0, x + rest)),
+            (0, "D"): (("D", 0, x), ("C", 1, y + rest)),
+            (1, "C"): (("D", 0, x + y), ("C", 1, rest)),
+            (1, "D"): (("D", 1, rest), ("C", 0, x), ("C", 1, y)),
+        },
+    )
+
+
+def test_compose_matches_breadth_first_search(players, payoff):
+    # the states, each row's targets in the probe's outcome order, and each
+    # cell's weight, against a plain search over the two machines' steps
+    bases = list(players.values())
+    pairs = [(p, joss_ann(base)) for base in bases for p in bases] + random_oracle_pairs()
+    rng = random.Random(6)
+    pairs += [(random_player(rng, 6), random_probe(rng, 6)) for _ in range(300)]
+    pairs += [(p, _d_first_probe()) for p in bases]
+    unsorted = 0
+    for player, probe in pairs:
+        chain = compose(player, probe, payoff)
+        states, rows, init = compose_by_search(player, probe)
+        n = chain.n_states
+        assert [
+            (js.player_state, js.probe_state, js.player_action, js.probe_action)
+            for js in chain.states
+        ] == states
+        rows.append(init)
+        assert chain.successors == tuple(tuple(t for t, _ in row) for row in rows)
+        exprs, index = chain.weights.exprs, chain.index.tolist()
+        for s, row in enumerate(rows):
+            for t, weight in row:
+                assert exprs[index[s * n + t]] == weight
+        assert np.count_nonzero(chain.index) == sum(map(len, rows))
+        if probe.name == "DFIRST":
+            unsorted += any(list(row) != sorted(row) for row in chain.successors)
+    # against most players, some row's outcome order is not its targets' order
+    assert unsorted >= 4
 
 
 def test_compose_alphabet_mismatch(players, payoff):

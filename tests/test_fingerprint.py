@@ -14,6 +14,7 @@ import probefp.fingerprint as fingerprint_module
 from oracles import (
     PointOracle,
     bareiss_det,
+    chain_rows,
     cycle_average_payoff,
     irreducible_random_pairs,
     random_oracle_pairs,
@@ -384,7 +385,7 @@ def _reference_closed_form(player, probe, payoff) -> RationalFn:
     chain = compose(player, probe, payoff)
     n = chain.n_states
     zero, one = ParamExpr.zero(), ParamExpr.one()
-    p = [[row.get(j, zero) for j in range(n)] for row in chain.trans]
+    p = [[row.get(j, zero) for j in range(n)] for row in chain_rows(chain)[0]]
     a = [[(one if i == j else zero) - p[i][j] for i in range(n)] for j in range(n)]
     payoff_row = [ParamExpr.const(w) for w in chain.payoff]
     num = bareiss_det(a[:-1] + [payoff_row])

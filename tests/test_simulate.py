@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from oracles import (
+    chain_rows,
     mixing_probe,
+    random_oracle_pairs,
     random_player,
     random_probe,
     run_lanes_searchsorted,
     searchsorted_table,
     strongly_connected_player,
 )
-from probefp.automata import PayoffMatrix, joss_ann
+from probefp.automata import PayoffMatrix, joss_ann, parse_probe
 from probefp.chain import compose, evaluate
 from probefp import simulate
 from probefp.errors import OutOfSimplexError
@@ -180,7 +182,7 @@ def test_rank_table_matches_searchsorted_at_every_cut(players, ja_tft):
         n = chain.n_states
         for x, y in POINTS:
             table = _GameTable(chain, x, y)
-            cumulative, successors, _ = searchsorted_table(chain, x, y)
+            cumulative, successors = searchsorted_table(chain, x, y)
             cuts = table.cuts
             us = np.concatenate(([0.0], cuts, np.nextafter(cuts, 0), np.nextafter(cuts, 1)))
             us = us[us < 1]
@@ -227,12 +229,53 @@ def test_largest_uniform_takes_each_rows_last_outcome_of_positive_weight(players
         matrix, _ = evaluate(chain, x, y)
         table = _GameTable(chain, x, y)
         rank = int(table.ranks(np.array([u]))[0])
+        trans, _ = chain_rows(chain)
         for s in range(n):
-            row = list(chain.trans[s])
+            row = list(trans[s])
             last = max(i for i, t in enumerate(row) if matrix[s, t] > 0)
             assert table.step[rank * n + s] == row[last]
             if y > 0:
                 assert last == len(row) - 1
+
+
+# On the edge x + y = 1 its last init outcome has weight 0, and the other
+# two sum to 0.9999999999999999 at (0.875, 0.125).
+EDGE_INIT_PROBE = """probe EDGEINIT
+alphabet C D
+init C 0 : 1/5 + 4/5*x + 7/15*y
+init D 0 : 1/3*y
+init D 1 : 4/5 - 4/5*x - 4/5*y
+0 C -> C 0 : 1
+0 D -> C 0 : 1
+1 C -> C 1 : 1
+1 D -> C 1 : 1
+"""
+
+
+def test_largest_uniform_starts_in_the_last_state_of_positive_initial_probability(
+    players, payoff
+):
+    # where the init row's sum rounds below 1, u = 1 - 2**-53 lies above it;
+    # the initial draw follows the rule of every row and takes the init
+    # row's last outcome of positive weight: not the chain's last state, of
+    # initial probability 0, nor an outcome of weight 0 (EDGE_INIT_PROBE)
+    u = 1 - 2.0**-53
+    pairs = random_oracle_pairs()
+    cases = [
+        (*pairs[8], 0.38356113676553627, 0.5010101590562377),
+        (*pairs[22], 0.9016189778449342, 0.09823032585247607),
+        (players["allc"], parse_probe(EDGE_INIT_PROBE), 0.875, 0.125),
+    ]
+    for player, probe, x, y in cases:
+        chain = compose(player, probe, payoff)
+        _, init = evaluate(chain, x, y)
+        first = list(chain.successors[-1])
+        assert np.cumsum(init[first])[-1] < 1
+        expected = [t for t in first if init[t] > 0][-1]
+        table = _GameTable(chain, x, y)
+        assert table.init_states[np.searchsorted(table.init_cdf, u, side="right")] == expected
+        cumulative, successors = searchsorted_table(chain, x, y)
+        assert successors[-1][cumulative[-1].searchsorted(u, side="right")] == expected
 
 
 def test_lanes_match_searchsorted_oracle(players, ja_tft):

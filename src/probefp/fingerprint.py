@@ -8,15 +8,16 @@ closed form solves the stationary system symbolically over the polynomial
 ring using fraction-free (Bareiss) elimination, yielding a rational function
 of (x, y).
 
-The elimination scales each row to integer coefficients and packs each
-polynomial into one integer, x -> 2**w and y -> 2**(w * (Dx + 1)).  That
-map is a ring homomorphism, so the Bareiss steps run on Python integers.
-Every value that is tested for zero or unpacked is a minor with at most one
-row besides the system's, and Hadamard's inequality on the unit torus
-bounds its coefficients; w and Dx come from that bound and from degree
-sums, so these values pack without overlap (`_packed_layout`).  TERM_CAP
-caps the number of terms of any intermediate polynomial, counted after
-unpacking.
+The system's rows are read through the chain's index from the probe's
+integer weights, each row over the lcm of its cells' denominators
+(`_integer_system`), and each distinct cell is packed once into one integer,
+x -> 2**w and y -> 2**(w * (Dx + 1)), a ring homomorphism, so the Bareiss
+steps run on Python integers.  Every value that is tested for zero or
+unpacked is a minor with at most one row besides the system's, and
+Hadamard's inequality on the unit torus bounds its coefficients; w and Dx
+come from that bound and from degree sums, so these values pack without
+overlap.  TERM_CAP caps the number of terms of any intermediate polynomial,
+counted after unpacking.
 
 Each closed form is then checked exactly: the chain's stationary system is
 solved modulo a prime p near 2**61 at one point (a, b), and payoff . pi times
@@ -62,7 +63,6 @@ from .polyexpr import (
     RationalFn,
     _exact_quotient,
     _from_integer,
-    _integer_row,
     _pack,
     _unpack,
     ratfn_eval,
@@ -379,42 +379,8 @@ class SymbolicFingerprint:
         return ratfn_values(self.fn, xs, ys)
 
 
-def _packed_layout(system: list[list[IntTerms]], last_rows: list[list[IntTerms]]):
-    """(width, x_span) of a packing that every minor of the matrix formed
-    by `system` and at most one of `last_rows` survives: every coefficient
-    of such a minor is below 2**(width - 1) in magnitude and every power of
-    x below x_span.
-
-    For a row r let S_r = sum over its cells of (sum of |coefficients|)**2,
-    at least 1.  On the unit torus |x| = |y| = 1 no cell exceeds its sum of
-    |coefficients|, so by Hadamard's inequality no minor exceeds the product
-    of sqrt(S_r) over its rows, and a coefficient of a polynomial is at most
-    its maximum on the torus.  A minor's rows are some system rows and at
-    most one last row, so sqrt(prod S_system * max S_last) bounds every
-    coefficient.  Its x-degree is at most the sum of its rows' x-degrees
-    and at most the sum of its columns'.
-    """
-    n_system = len(system)
-    rows = [*system, *last_rows]
-    column_degrees = [0] * len(rows[0])
-    sizes, degrees = [], []
-    for row in rows:
-        size = degree = 0
-        for col, terms in enumerate(row):
-            if terms:
-                size += sum(map(abs, terms.values())) ** 2
-                cell_degree = max(i for i, _ in terms)
-                degree = max(degree, cell_degree)
-                column_degrees[col] = max(column_degrees[col], cell_degree)
-        sizes.append(max(size, 1))
-        degrees.append(degree)
-    bound = math.prod(sizes[:n_system]) * max(sizes[n_system:])
-    x_degree = min(sum(degrees[:n_system]) + max(degrees[n_system:]), sum(column_degrees))
-    return math.isqrt(bound).bit_length() + 1, x_degree + 1
-
-
 def _bareiss_last_rows(
-    system: list[list[ParamExpr]], last_rows: list[list[ParamExpr]]
+    system: list[list[IntTerms]], last_rows: list[list[IntTerms]], scales: list[int]
 ) -> list[ParamExpr]:
     """Determinants of `system` completed by each of `last_rows`, from one
     fraction-free (Bareiss) elimination that pivots on the system rows and
@@ -426,39 +392,53 @@ def _bareiss_last_rows(
     pivot search or row exchange is needed, and every division by the
     previous pivot is exact.  A zero pivot means the system is singular.
 
-    Every row is first scaled to integer coefficients.  That multiplies each
-    determinant by the product of the scales of its rows and leaves the
-    support of every intermediate entry as it is; each result is divided by
-    its last row's scale, so the two determinants share the factor of the
-    system rows.
+    Each row is a polynomial row times a scale (`_integer_system`), which
+    multiplies each determinant by its rows' scales and keeps the support of
+    every intermediate entry; each result is divided by its last row's scale
+    (`scales`), so the two determinants share the system rows' factor.
 
-    Each integer polynomial is then packed into one integer by x -> 2**w,
-    y -> 2**(w * x_span) (`polyexpr._pack`), a ring homomorphism, so the
-    elimination runs on big integers and every step's exact polynomial
-    quotient is the integer quotient.  Every pivot, every intermediate entry
-    and both results are minors with at most one last row, and
-    `_packed_layout` chooses w and x_span from Hadamard's bound so that each
-    such minor packs without overlap: a pivot is zero iff its packed value
-    is, and the two results unpack exactly.  TERM_CAP counts the terms of
-    every intermediate entry, as before packing; an entry is unpacked to
-    count them only when it spans more than TERM_CAP digits.
+    Each distinct cell object is measured and packed once, x -> 2**w and
+    y -> 2**(w * x_span) (`polyexpr._pack`), a ring homomorphism, so every
+    step's exact polynomial quotient is the integer quotient.  Every pivot,
+    intermediate entry and result is a minor with at most one last row, and
+    packs without overlap.  Let S_r = sum over row r's cells of (sum of
+    |coefficients|)**2, at least 1.  On the unit torus |x| = |y| = 1 no cell
+    exceeds its sum of |coefficients|, so by Hadamard's inequality such a
+    minor, and so each of its coefficients, is at most sqrt(prod S_system *
+    max S_last) < 2**(w - 1); its x-degree is at most the sum of its rows'
+    x-degrees and at most that of its columns', below x_span.  So a pivot is
+    zero iff its packed value is, and the results unpack exactly.  Zero
+    entries of a row with a zero pivot-column entry stay zero, unvisited.
+    TERM_CAP counts the terms of every intermediate entry, as before
+    packing; an entry is unpacked to count them only past TERM_CAP digits.
     """
-    a = [_integer_row(row)[0] for row in system]
-    tails, scales = zip(*map(_integer_row, last_rows))
-    width, x_span = _packed_layout(a, tails)
-    a = [[_pack(terms, width, x_span) for terms in row] for row in a]
-    tails = [[_pack(terms, width, x_span) for terms in row] for row in tails]
+    n_system = len(system)
+    rows = [*system, *last_rows]
+    cells = {id(terms): terms for row in rows for terms in row}
+    size = {key: sum(map(abs, terms.values())) ** 2 for key, terms in cells.items()}
+    degree = {key: max(terms, default=(0, 0))[0] for key, terms in cells.items()}
+    keys = [list(map(id, row)) for row in rows]
+    sizes = [max(sum(map(size.__getitem__, row)), 1) for row in keys]
+    degrees = [max(map(degree.__getitem__, row)) for row in keys]
+    column_degrees = [max(map(degree.__getitem__, column)) for column in zip(*keys)]
+    bound = math.prod(sizes[:n_system]) * max(sizes[n_system:])
+    width = math.isqrt(bound).bit_length() + 1
+    x_span = min(sum(degrees[:n_system]) + max(degrees[n_system:]), sum(column_degrees)) + 1
+    packed = {key: _pack(terms, width, x_span) for key, terms in cells.items()}
+    a = [list(map(packed.__getitem__, row)) for row in keys]
     previous = 1
-    for k, pivot_row in enumerate(a):
+    for k, pivot_row in enumerate(a[:n_system]):
         pivot = pivot_row[k]
         if not pivot:
             raise ReducibleChainError(
                 "stationary system is singular over the polynomial ring; "
                 "use grid mode instead"
             )
-        for row in [*a[k + 1 :], *tails]:
+        for row in a[k + 1 :]:
             factor = row[k]
             for j in range(k + 1, len(row)):
+                if not (factor or row[j]):
+                    continue
                 entry = _exact_quotient(pivot * row[j] - factor * pivot_row[j], previous)
                 if entry.bit_length() // width >= TERM_CAP:
                     terms = len(_unpack(entry, width, x_span))
@@ -466,10 +446,42 @@ def _bareiss_last_rows(
                         raise ExpressionSwellError(terms, TERM_CAP)
                 row[j] = entry
         previous = pivot
-    return [
-        _from_integer(_unpack(row[-1], width, x_span), scale)
-        for row, scale in zip(tails, scales)
+    tails = zip(a[n_system:], scales)
+    return [_from_integer(_unpack(row[-1], width, x_span), scale) for row, scale in tails]
+
+
+def _integer_system(chain: ParamChain) -> tuple[list[list[IntTerms]], list[int]]:
+    """The n - 1 stationary rows (row j is column j of I - P), the
+    normalisation row and the payoff row, each times the lcm of its
+    coefficient denominators, and those scales.  Row j shares, by reference,
+    the forms of -w and 1 - w of the weights that `chain.index[j::n]` names,
+    copied once per row whose scale exceeds the weight's own."""
+    n = chain.n_states
+    _, terms, weight_scale = zip(*(e._integer_terms() for e in chain.weights.exprs))
+    negated = [{key: -c for key, c in t.items()} for t in terms]
+    # after each -w, each 1 - w over w's scale s: s - w, less a zero constant
+    forms = negated + [
+        {key: c for key, c in {**cell, (0, 0): s + cell.get((0, 0), 0)}.items() if c}
+        for cell, s in zip(negated, weight_scale)
     ]
+    form_scale = weight_scale * 2
+    index = chain.index.tolist()
+    rows, scales = [], []
+    for j in range(n - 1):
+        column = index[j : n * n : n]
+        column[j] += len(negated)
+        scale = math.lcm(*(form_scale[f] for f in set(column)))
+        shared = {}
+        for f in set(column):
+            m = scale // form_scale[f]
+            shared[f] = forms[f] if m == 1 else {key: c * m for key, c in forms[f].items()}
+        rows.append([shared[f] for f in column])
+        scales.append(scale)
+    payoff_scale = math.lcm(*(c.denominator for c in chain.payoff))
+    payoff_row = [
+        {(0, 0): c.numerator * payoff_scale // c.denominator} if c else {} for c in chain.payoff
+    ]
+    return [*rows, [{(0, 0): 1}] * n, payoff_row], [*scales, 1, payoff_scale]
 
 
 def symbolic_fingerprint(
@@ -509,12 +521,8 @@ def symbolic_fingerprint(
     # 9(x - 2y)^4 / 4(x - 2y)^4, which the exact check accepts, since it
     # compares num with den times the chain's value (ROADMAP item 3, lowest
     # terms).
-    zero, one = ParamExpr.zero(), ParamExpr.one()
-    cells = [chain.weights.exprs[k] for k in chain.index[: n * n].tolist()]
-    system = [[(one if i == j else zero) - cells[i * n + j] for i in range(n)] for j in range(n - 1)]
-    norm_row = [one] * n
-    payoff_row = [ParamExpr.const(w) for w in chain.payoff]
-    den, num = _bareiss_last_rows(system, [norm_row, payoff_row])
+    rows, scales = _integer_system(chain)
+    den, num = _bareiss_last_rows(rows[:-2], rows[-2:], scales[-2:])
     result = RationalFn(num, den)
 
     fp = SymbolicFingerprint(
@@ -590,21 +598,24 @@ def _agrees_modulo(chain: ParamChain, fn: RationalFn, p: int, a: int, b: int) ->
 
 def _solve_modulo(rows: list[list[int]], p: int) -> list[int] | None:
     """The solution modulo the prime p of the n x (n + 1) augmented system
-    `rows`, by Gauss-Jordan elimination with a search for a nonzero pivot;
-    None if the system is singular modulo p.  Overwrites `rows`."""
+    `rows`, by forward elimination with a search for a nonzero pivot and
+    back-substitution; None if the system is singular modulo p.  Overwrites
+    `rows`."""
     n = len(rows)
     for k in range(n):
         pivot = next((r for r in range(k, n) if rows[r][k]), None)
         if pivot is None:
             return None
         rows[k], rows[pivot] = rows[pivot], rows[k]
-        # columns before k are zero in the pivot row
+        # no later step reads a column up to k, so those entries are left
         inverse = pow(rows[k][k], -1, p)
-        tail = rows[k][k:] = [v * inverse % p for v in rows[k][k:]]
-        for r, row in enumerate(rows):
+        tail = rows[k][k + 1 :] = [v * inverse % p for v in rows[k][k + 1 :]]
+        for row in rows[k + 1 :]:
             factor = row[k]
-            if factor and r != k:
-                row[k:] = [(v - factor * w) % p for v, w in zip(row[k:], tail)]
+            if factor:
+                row[k + 1 :] = [(v - factor * w) % p for v, w in zip(row[k + 1 :], tail)]
+    for k in reversed(range(n)):
+        rows[k][n] = (rows[k][n] - sum(rows[k][i] * rows[i][n] for i in range(k + 1, n))) % p
     return [row[n] for row in rows]
 
 

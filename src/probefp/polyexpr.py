@@ -209,8 +209,9 @@ class ParamExpr:
         polynomial is the integer terms divided by the scale, the lcm of its
         coefficient denominators."""
         if self._int_cache is None:
-            (weights,), scale = _integer_row([self])
-            self._int_cache = (self.degree(), weights, scale)
+            scale = lcm(*(c.denominator for c in self._terms.values()))
+            terms = {key: c.numerator * scale // c.denominator for key, c in self._terms.items()}
+            self._int_cache = (self.degree(), terms, scale)
         return self._int_cache
 
     def _exact_ratio(self, x, y) -> tuple[int, int]:
@@ -502,23 +503,11 @@ def expr_parse(text: str) -> ParamExpr:
 # Integer term maps and Kronecker-packed integers
 # ---------------------------------------------------------------------------
 
-# The closed-form elimination scales each row of its system to integer
-# coefficients, {(i, j): int}, and then packs each polynomial into one
-# integer: x -> 2**width and y -> 2**(width * x_span) is a ring homomorphism
-# Z[x, y] -> Z, so products, differences and exact quotients of packed
-# values are the packed products, differences and quotients, computed by
-# Python's big-integer arithmetic.
+# The closed-form elimination packs each integer polynomial {(i, j): int}
+# into one integer: x -> 2**width and y -> 2**(width * x_span) is a ring
+# homomorphism Z[x, y] -> Z, so products, differences and exact quotients of
+# packed values are the packed ones, computed by big-integer arithmetic.
 IntTerms = dict[Exponents, int]
-
-
-def _integer_row(row: Sequence[ParamExpr]) -> tuple[list[IntTerms], int]:
-    """The row's polynomials times the lcm of all their coefficient
-    denominators, as integer term maps, and that lcm."""
-    scale = lcm(*(c.denominator for e in row for c in e._terms.values()))
-    return [
-        {key: c.numerator * (scale // c.denominator) for key, c in e._terms.items()}
-        for e in row
-    ], scale
 
 
 def _from_integer(terms: IntTerms, divisor: int) -> ParamExpr:

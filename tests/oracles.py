@@ -433,6 +433,26 @@ def bareiss_det(matrix: list[list[ParamExpr]]) -> ParamExpr:
     return det if sign == 1 else -det
 
 
+def integer_row(row: list[ParamExpr]) -> tuple[list[dict[tuple[int, int], int]], int]:
+    """The row's polynomials times the lcm of all their coefficient
+    denominators, as integer term maps, and that lcm."""
+    scale = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
+    return [{key: int(c * scale) for key, c in e.terms.items()} for e in row], scale
+
+
+def closed_form_rows(chain: ParamChain) -> list[list[ParamExpr]]:
+    """The closed form's n + 1 rows by polynomial arithmetic: the n - 1
+    stationary rows (row j is column j of I - P), the normalisation row of
+    ones and the payoff row."""
+    n = chain.n_states
+    zero, one = ParamExpr.zero(), ParamExpr.one()
+    cells = [chain.weights.exprs[k] for k in chain.index[: n * n].tolist()]
+    system = [
+        [(one if i == j else zero) - cells[i * n + j] for i in range(n)] for j in range(n - 1)
+    ]
+    return [*system, [one] * n, [ParamExpr.const(w) for w in chain.payoff]]
+
+
 # ---------------------------------------------------------------------------
 # Deterministic limit cycles against a constant opponent
 # ---------------------------------------------------------------------------
@@ -591,7 +611,7 @@ def irreducible_random_pairs(count: int) -> list[tuple[PlayerMachine, Probe]]:
     support: `support_classes` over the chain's nonzero weights finds one
     class, holding every state.  The state cap keeps the closed forms quick:
     the first 32 pairs take about 0.3 s together, while the first 31-state
-    chain of the same stream takes about 9 s."""
+    chain of the same stream takes about 6 s."""
     rng = random.Random(2025)
     payoff = PayoffMatrix.default_prisoners_dilemma()
     pairs = []

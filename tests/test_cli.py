@@ -140,8 +140,8 @@ def test_symbolic_keeps_a_form_with_a_squared_factor(workdir, capsys):
 def test_symbolic_wrong_form_exit_3(workdir, capsys, monkeypatch):
     solve = fingerprint_module._bareiss_last_rows
 
-    def off_by_one(system, last_rows):
-        den, num = solve(system, last_rows)
+    def off_by_one(system, last_rows, scales):
+        den, num = solve(system, last_rows, scales)
         return [den, num + ParamExpr.one()]
 
     monkeypatch.setattr(fingerprint_module, "_bareiss_last_rows", off_by_one)

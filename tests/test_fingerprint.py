@@ -15,7 +15,9 @@ from oracles import (
     PointOracle,
     bareiss_det,
     chain_rows,
+    closed_form_rows,
     cycle_average_payoff,
+    integer_row,
     irreducible_random_pairs,
     random_oracle_pairs,
     random_player,
@@ -439,6 +441,95 @@ def test_closed_forms_with_mixed_denominators_match_oracle(players, payoff):
             assert fn == _reference_closed_form(players[name], probe, game_payoff)
 
 
+# Probe whose groups halve x or split into thirds: against TFT, PAVLOV and
+# ALLD the columns of I - P, and with them the rows of the integer system,
+# have scales 1, 2, 3 and 6, and the diagonal cell 1 - (1 - x/2) = x/2 drops
+# its constant term.
+HALVES_AND_THIRDS_PROBE = """probe HALVES
+alphabet C D
+init C 0 : 1
+0 C -> C 0 : 1 - 1/2*x
+0 C -> D 1 : 1/2*x
+0 D -> C 0 : 1/3
+0 D -> C 1 : 2/3
+1 C -> D 1 : 1
+1 D -> C 0 : 1
+"""
+
+
+def test_integer_system_matches_scaled_polynomial_rows(players, payoff):
+    # each row built from the probe's integer weights, and its scale, equal
+    # the row formed by polynomial arithmetic scaled by `integer_row`, and
+    # each closed form of at most 12 states equals the pivoting oracle's
+    # (the oracle takes about 15 s on the 7 larger random chains, whose forms
+    # still pass the exact check)
+    probe = parse_probe(HALVES_AND_THIRDS_PROBE)
+    rational = payoff.with_overrides([("C", "C", Fraction(7, 2)), ("D", "C", Fraction(16, 3))])
+    names = ("tft", "pavlov", "alld")
+    cases = [(players[name], probe, game) for name in names for game in (payoff, rational)]
+    pairs = bundled_pairs(players) + irreducible_random_pairs(32)
+    cases += [(player, probe, payoff) for player, probe in pairs]
+    row_scales, checked = set(), 0
+    for player, probe, game in cases:
+        chain = compose(player, probe, game)
+        rows, scales = fingerprint_module._integer_system(chain)
+        expected = [integer_row(row) for row in closed_form_rows(chain)]
+        assert rows == [row for row, _ in expected]
+        assert scales == [scale for _, scale in expected]
+        if probe.name == "HALVES":
+            row_scales.update(scales[:-2])
+        try:
+            fn = symbolic_fingerprint(player, probe, game).fn
+        except ReducibleChainError:
+            continue
+        if chain.n_states <= 12:
+            assert fn == _reference_closed_form(player, probe, game)
+            checked += 1
+    assert row_scales == {1, 2, 3, 6}
+    assert checked == 6 + 17 + 25
+
+
+def _rational_solve(rows: list[list[int]]) -> list[Fraction] | None:
+    """The solution over the rationals of an n x (n + 1) augmented integer
+    system by Gauss-Jordan elimination; None if it is singular."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] for row in rows]
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return None
+        a[k], a[pivot] = a[pivot], a[k]
+        for r in range(n):
+            if r != k and a[r][k]:
+                factor = a[r][k] / a[k][k]
+                a[r] = [v - factor * w for v, w in zip(a[r], a[k])]
+    return [a[k][n] / a[k][k] for k in range(n)]
+
+
+def test_modular_solve_matches_rational_solve():
+    # small sparse integer systems modulo a prime far above their
+    # determinants, so singular modulo p exactly when singular over the
+    # rationals; a third have one row a combination of two others
+    p = fingerprint_module.EXACT_CHECKS[0][0]
+    rng = random.Random(61)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, 0, -3, -1, 1, 2)) for _ in range(n + 1)] for _ in range(n)]
+        if n > 2 and rng.random() < 1 / 3:
+            r, s, t = rng.sample(range(n), 3)
+            c, d = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[r][:n] = [c * u + d * v for u, v in zip(rows[s][:n], rows[t][:n])]
+        expected = _rational_solve(rows)
+        solution = fingerprint_module._solve_modulo([[v % p for v in row] for row in rows], p)
+        if expected is None:
+            assert solution is None
+            singular += 1
+        else:
+            assert solution == [v.numerator * pow(v.denominator, -1, p) % p for v in expected]
+    assert singular >= 100
+
+
 def test_symbolic_one_state_chain(players, const_c_probe, payoff):
     # TFT against a probe that always cooperates never leaves (C, C): the
     # stationary system has no rows and the closed form is the payoff
@@ -477,8 +568,10 @@ def _int_matrix(draw):
 @settings(max_examples=150, deadline=None)
 def test_packed_elimination_matches_determinant_oracle(matrix):
     system, tails = matrix
+    rows = [integer_row(row)[0] for row in system]
+    last_rows, scales = zip(*map(integer_row, tails))
     try:
-        results = _bareiss_last_rows(system, tails)
+        results = _bareiss_last_rows(rows, list(last_rows), scales)
     except ReducibleChainError:
         # only a vanishing leading minor of the system stops the elimination
         assert any(
@@ -497,7 +590,9 @@ def test_packed_elimination_at_the_hadamard_bound():
     monomial = expr_parse("x^2*y")
     rows = [[monomial.scale(s) for s in row] for row in sign]
     negated = [-e for e in rows[3]]
-    det, negated_det = _bareiss_last_rows(rows[:3], [rows[3], negated])
+    system = [integer_row(row)[0] for row in rows[:3]]
+    last_rows, scales = zip(*map(integer_row, [rows[3], negated]))
+    det, negated_det = _bareiss_last_rows(system, list(last_rows), scales)
     assert det == expr_parse("16*x^8*y^4") == bareiss_det(rows)
     assert negated_det == -det
 

@@ -59,10 +59,9 @@ from .errors import (
 )
 from .polyexpr import (
     IntTerms,
-    ParamExpr,
     RationalFn,
     _exact_quotient,
-    _from_integer,
+    _integer_ratfn,
     _pack,
     _unpack,
     ratfn_eval,
@@ -94,6 +93,12 @@ EXACT_CHECKS = tuple(
 # Largest number of transition-matrix cells (points x states^2) solved in
 # one batch; this caps the memory of a batch at a few times 16 MB.
 BATCH_CELLS = 2**21
+
+# A grid value is a convex combination of the payoffs, rounded: normalising
+# pi and taking pi . payoff each err by at most n 2**-53 max |payoff| to first
+# order, n the state count.  The slack is twice their sum, or 1e-9 if larger,
+# as it is for |payoff| <= 1000 and n <= 2251.
+PAYOFF_SLACK_PER_STATE = 2**-51
 
 # A grid file's coordinate x is node i when |x n - i| <= NODE_TOL: files written
 # here give < 1e-12, and 1e-9 admits x typed to 12 digits for n up to 1000.
@@ -328,7 +333,8 @@ def fingerprint_grid(
     nodes = _lattice(n)
     values = _values(chain, nodes[:, 0] / n, nodes[:, 1] / n, boundary_mode)
     low, high = payoff.bounds()
-    outside = ~((float(low) - 1e-9 <= values) & (values <= float(high) + 1e-9))
+    slack = max(1e-9, chain.n_states * PAYOFF_SLACK_PER_STATE * float(max(abs(low), abs(high))))
+    outside = ~((float(low) - slack <= values) & (values <= float(high) + slack))
     if outside.any():
         p = int(np.argmax(outside))
         i, j = nodes[p].tolist()
@@ -362,7 +368,9 @@ class SymbolicFingerprint:
     The form holds on the open triangle off the zero sets of the chain's
     generically nonzero weights and of its denominator `fn.den`; for a
     Joss-Ann probe that is the whole open triangle minus the zeros of
-    `fn.den`.  Common factors of `fn.num` and `fn.den` are not cancelled.
+    `fn.den`.  `fn` has integer coefficients with no common integer factor
+    and den's leading coefficient positive; polynomial common factors of
+    `fn.num` and `fn.den` are not cancelled.
 
     `agreement_max_error` is 0.0 once the form has passed its exact check
     against the chain modulo a prime (`_check_exactly`), and None when it
@@ -380,8 +388,8 @@ class SymbolicFingerprint:
 
 
 def _bareiss_last_rows(
-    system: list[list[IntTerms]], last_rows: list[list[IntTerms]], scales: list[int]
-) -> list[ParamExpr]:
+    system: list[list[IntTerms]], last_rows: list[list[IntTerms]]
+) -> list[IntTerms]:
     """Determinants of `system` completed by each of `last_rows`, from one
     fraction-free (Bareiss) elimination that pivots on the system rows and
     carries every last row along.
@@ -394,8 +402,8 @@ def _bareiss_last_rows(
 
     Each row is a polynomial row times a scale (`_integer_system`), which
     multiplies each determinant by its rows' scales and keeps the support of
-    every intermediate entry; each result is divided by its last row's scale
-    (`scales`), so the two determinants share the system rows' factor.
+    every intermediate entry; the determinants are returned as integer
+    terms, so the two share the system rows' factor.
 
     Each distinct cell object is measured and packed once, x -> 2**w and
     y -> 2**(w * x_span) (`polyexpr._pack`), a ring homomorphism, so every
@@ -446,14 +454,13 @@ def _bareiss_last_rows(
                         raise ExpressionSwellError(terms, TERM_CAP)
                 row[j] = entry
         previous = pivot
-    tails = zip(a[n_system:], scales)
-    return [_from_integer(_unpack(row[-1], width, x_span), scale) for row, scale in tails]
+    return [_unpack(row[-1], width, x_span) for row in a[n_system:]]
 
 
-def _integer_system(chain: ParamChain) -> tuple[list[list[IntTerms]], list[int]]:
+def _integer_system(chain: ParamChain) -> tuple[list[list[IntTerms]], int]:
     """The n - 1 stationary rows (row j is column j of I - P), the
     normalisation row and the payoff row, each times the lcm of its
-    coefficient denominators, and those scales.  Row j shares, by reference,
+    coefficient denominators, and the payoff row's.  Row j shares, by reference,
     the forms of -w and 1 - w of the weights that `chain.index[j::n]` names,
     copied once per row whose scale exceeds the weight's own."""
     n = chain.n_states
@@ -466,7 +473,7 @@ def _integer_system(chain: ParamChain) -> tuple[list[list[IntTerms]], list[int]]
     ]
     form_scale = weight_scale * 2
     index = chain.index.tolist()
-    rows, scales = [], []
+    rows = []
     for j in range(n - 1):
         column = index[j : n * n : n]
         column[j] += len(negated)
@@ -476,12 +483,11 @@ def _integer_system(chain: ParamChain) -> tuple[list[list[IntTerms]], list[int]]
             m = scale // form_scale[f]
             shared[f] = forms[f] if m == 1 else {key: c * m for key, c in forms[f].items()}
         rows.append([shared[f] for f in column])
-        scales.append(scale)
     payoff_scale = math.lcm(*(c.denominator for c in chain.payoff))
     payoff_row = [
         {(0, 0): c.numerator * payoff_scale // c.denominator} if c else {} for c in chain.payoff
     ]
-    return [*rows, [{(0, 0): 1}] * n, payoff_row], [*scales, 1, payoff_scale]
+    return [*rows, [{(0, 0): 1}] * n, payoff_row], payoff_scale
 
 
 def symbolic_fingerprint(
@@ -520,10 +526,11 @@ def symbolic_fingerprint(
     # whose weights have a squared factor can give a closed form such as
     # 9(x - 2y)^4 / 4(x - 2y)^4, which the exact check accepts, since it
     # compares num with den times the chain's value (ROADMAP item 3, lowest
-    # terms).
-    rows, scales = _integer_system(chain)
-    den, num = _bareiss_last_rows(rows[:-2], rows[-2:], scales[-2:])
-    result = RationalFn(num, den)
+    # terms).  Both determinants carry the system rows' scales, which cancel;
+    # the payoff row's scale divides the numerator, so it multiplies den.
+    rows, payoff_scale = _integer_system(chain)
+    den, num = _bareiss_last_rows(rows[:-2], rows[-2:])
+    result = _integer_ratfn(num, {key: c * payoff_scale for key, c in den.items()})
 
     fp = SymbolicFingerprint(
         fn=result,

@@ -42,13 +42,6 @@ def _grlex(key: Exponents) -> tuple[int, int]:
     return (key[0] + key[1], key[0])
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """gcd over the rationals: gcd(p1/q1, p2/q2) = gcd(p1,p2)/lcm(q1,q2)."""
-    num = gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
 class ParamExpr:
     """Immutable exact polynomial in the two probe parameters."""
 
@@ -112,13 +105,6 @@ class ParamExpr:
         if not self._terms:
             return Fraction(0)
         return max(abs(c) for c in self._terms.values())
-
-    def content(self) -> Fraction:
-        """gcd of all coefficients (nonnegative); 0 for the zero polynomial."""
-        acc = Fraction(0)
-        for coeff in self._terms.values():
-            acc = _frac_gcd(acc, abs(coeff))
-        return acc
 
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the graded-lex leading term; 0 for the zero polynomial."""
@@ -510,11 +496,6 @@ def expr_parse(text: str) -> ParamExpr:
 IntTerms = dict[Exponents, int]
 
 
-def _from_integer(terms: IntTerms, divisor: int) -> ParamExpr:
-    """The polynomial terms / divisor."""
-    return _wrap({key: Fraction(c, divisor) for key, c in terms.items()})
-
-
 def _pack(terms: IntTerms, width: int, x_span: int) -> int:
     """The polynomial's value at x = 2**width, y = 2**(width * x_span)."""
     return sum(c << width * (i + x_span * j) for (i, j), c in terms.items())
@@ -562,12 +543,11 @@ DEN_ZERO_RTOL = 1e-12
 
 
 class RationalFn:
-    """Quotient of two ParamExpr values, normalized on construction.
-
-    Normalization removes the common rational content of numerator and
-    denominator and makes the denominator's graded-lex leading coefficient
-    positive.  Polynomial (multivariate) common factors are not cancelled;
-    equivalence testing uses exact cross-multiplication instead.
+    """Quotient of two ParamExpr values, in normal form on construction:
+    integer coefficients with no common integer factor, and the
+    denominator's graded-lex leading coefficient positive.  Polynomial
+    (multivariate) common factors are not cancelled; equivalence testing
+    uses exact cross-multiplication instead.
     """
 
     __slots__ = ("num", "den")
@@ -575,19 +555,11 @@ class RationalFn:
     def __init__(self, num: ParamExpr, den: ParamExpr | None = None):
         if den is None:
             den = ParamExpr.one()
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        num_content = num.content()
-        den_content = den.content()
-        common = _frac_gcd(num_content, den_content)
-        if common not in (0, 1):
-            num = num.scale(Fraction(1) / common)
-            den = den.scale(Fraction(1) / common)
-        if den.leading_coefficient() < 0:
-            num = -num
-            den = -den
-        self.num = num
-        self.den = den
+        _, num_terms, num_scale = num._integer_terms()
+        _, den_terms, den_scale = den._integer_terms()
+        num_terms = {key: c * den_scale for key, c in num_terms.items()}
+        fn = _integer_ratfn(num_terms, {key: c * num_scale for key, c in den_terms.items()})
+        self.num, self.den = fn.num, fn.den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFn):
@@ -599,6 +571,23 @@ class RationalFn:
 
     def __repr__(self) -> str:
         return f"RationalFn({self.num.render()!r}, {self.den.render()!r})"
+
+
+def _integer_ratfn(num: IntTerms, den: IntTerms) -> RationalFn:
+    """num / den in normal form: both divided by the gcd of all their
+    coefficients, and negated if den's graded-lex leading coefficient is
+    negative.  Each polynomial's integer form is filled in at scale 1."""
+    if not den:
+        raise ZeroDivisionError("rational function with zero denominator")
+    common = gcd(*num.values(), *den.values())
+    if den[max(den, key=_grlex)] < 0:
+        common = -common
+    primitive = [{key: c // common for key, c in terms.items()} for terms in (num, den)]
+    fn = RationalFn.__new__(RationalFn)
+    fn.num, fn.den = (_wrap({key: Fraction(c) for key, c in terms.items()}) for terms in primitive)
+    for expr, terms in zip((fn.num, fn.den), primitive):
+        expr._int_cache = (expr.degree(), terms, 1)
+    return fn
 
 
 def ratfn_eval(f: RationalFn, x: float, y: float) -> float:

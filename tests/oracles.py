@@ -440,6 +440,22 @@ def integer_row(row: list[ParamExpr]) -> tuple[list[dict[tuple[int, int], int]],
     return [{key: int(c * scale) for key, c in e.terms.items()} for e in row], scale
 
 
+def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
+    """gcd over the rationals: gcd(p1/q1, p2/q2) = gcd(p1, p2) / lcm(q1, q2)."""
+    return Fraction(math.gcd(a.numerator, b.numerator), math.lcm(a.denominator, b.denominator))
+
+
+def ratfn_normal_form(num: ParamExpr, den: ParamExpr) -> tuple[ParamExpr, ParamExpr]:
+    """num and den divided by the rational gcd of all their coefficients,
+    then negated if den's graded-lex leading coefficient is negative."""
+    common = Fraction(0)
+    for coeff in [*num.terms.values(), *den.terms.values()]:
+        common = _frac_gcd(common, coeff)
+    if den.leading_coefficient() < 0:
+        common = -common
+    return num.scale(1 / common), den.scale(1 / common)
+
+
 def closed_form_rows(chain: ParamChain) -> list[list[ParamExpr]]:
     """The closed form's n + 1 rows by polynomial arithmetic: the n - 1
     stationary rows (row j is column j of I - P), the normalisation row of

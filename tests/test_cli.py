@@ -11,7 +11,7 @@ import probefp.simulate as simulate_module
 from probefp import bundled_strategy_path
 from probefp.chain import compose
 from probefp.cli import build_parser, main
-from probefp.polyexpr import ParamExpr, RationalFn, expr_parse, ratfn_equiv
+from probefp.polyexpr import RationalFn, expr_parse, ratfn_equiv
 
 BAD_PROBE = """probe BADSUM
 alphabet C D
@@ -140,9 +140,9 @@ def test_symbolic_keeps_a_form_with_a_squared_factor(workdir, capsys):
 def test_symbolic_wrong_form_exit_3(workdir, capsys, monkeypatch):
     solve = fingerprint_module._bareiss_last_rows
 
-    def off_by_one(system, last_rows, scales):
-        den, num = solve(system, last_rows, scales)
-        return [den, num + ParamExpr.one()]
+    def off_by_one(system, last_rows):
+        den, num = solve(system, last_rows)
+        return [den, {**num, (0, 0): num.get((0, 0), 0) + 1}]
 
     monkeypatch.setattr(fingerprint_module, "_bareiss_last_rows", off_by_one)
     code = main([

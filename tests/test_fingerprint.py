@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from oracles import (
     random_player,
     strongly_connected_player,
 )
-from probefp.automata import joss_ann, parse_probe, validate_probe
+from probefp.automata import PayoffMatrix, joss_ann, parse_probe, validate_probe
 from probefp.chain import SUPPORT_CUTOFF, ChainClass, ClassDecomposition, compose
 from probefp.errors import (
     ClosedFormCheckError,
@@ -159,6 +160,27 @@ def test_grid_alld_bottom_row(players, ja_tft, payoff):
     grid = fingerprint_grid(players["alld"], ja_tft, payoff, 4)
     row = [grid.values[(i, 0)] for i in range(5)]
     assert row == pytest.approx([1, 2, 3, 4, 5], abs=1e-12)
+
+
+@pytest.mark.parametrize("constant", [10**7, 10**8, 10**20, -(10**20)])
+def test_grid_accepts_large_payoffs_rounded_outside_their_bounds(players, ja_tft, constant):
+    # a constant payoff's grid is the constant rounded a few ulps off it;
+    # with the old absolute slack of 1e-9, 10**7 failed for TFT and 10**8
+    # for 9 of these 10 grids
+    flat = PayoffMatrix({move: Fraction(constant) for move in product("CD", repeat=2)})
+    for player in players.values():
+        for mode in (CESARO, INTERIOR_OFFSET):
+            grid = fingerprint_grid(player, ja_tft, flat, 20, mode)
+            n_states = compose(player, ja_tft, flat).n_states
+            slack = n_states * fingerprint_module.PAYOFF_SLACK_PER_STATE * abs(constant)
+            assert np.abs(np.array(list(grid.values.values())) - constant).max() <= slack
+
+
+def test_grid_payoff_slack_stays_1e_9_for_small_payoffs(players, ja_tft, payoff, monkeypatch):
+    values = fingerprint_module._values
+    monkeypatch.setattr(fingerprint_module, "_values", lambda *args: values(*args) + 2e-9)
+    with pytest.raises(NumericError, match="outside the payoff bounds"):
+        fingerprint_grid(players["alld"], ja_tft, payoff, 4)
 
 
 def test_grid_determinism(players, ja_tft, payoff):
@@ -412,6 +434,30 @@ def test_closed_forms_match_pivoting_determinant_oracle(players, payoff):
     assert checked == 17 + 8 + 3
 
 
+def test_affine_payoffs_give_the_affine_fingerprint(players, payoff):
+    # F under a M + b is a F + b: the closed forms exactly, the grids to
+    # within 1e-12 of the payoffs' scale |a| max |M| + |b|
+    pairs = bundled_pairs(players) + random_oracle_pairs()
+    bound = max(map(abs, payoff.entries.values()))
+    forms = 0
+    for a, b in [(Fraction(2, 3), Fraction(-5, 7)), (10**20, 3), (-1, 0), (0, 10**20)]:
+        affine = PayoffMatrix({move: a * v + b for move, v in payoff.entries.items()})
+        tol = 1e-12 * float(abs(a) * bound + abs(b))
+        for player, probe in pairs:
+            grid = fingerprint_grid(player, probe, payoff, 12).values
+            affine_grid = fingerprint_grid(player, probe, affine, 12).values
+            for node, value in grid.items():
+                assert abs(affine_grid[node] - (float(a) * value + float(b))) <= tol
+            try:
+                fn = symbolic_fingerprint(player, probe, payoff).fn
+            except ReducibleChainError:
+                continue
+            expected = RationalFn(fn.num.scale(a) + fn.den.scale(b), fn.den)
+            assert ratfn_equiv(symbolic_fingerprint(player, probe, affine).fn, expected)
+            forms += 1
+    assert forms == 4 * (17 + 8)
+
+
 # Probe whose weights mix denominators (3, 7, 4, 5, 6) within and across
 # rows, so that every row of the stationary system has its own integer scale.
 MIXED_DENOMINATOR_PROBE = """probe MIXED
@@ -458,8 +504,9 @@ init C 0 : 1
 
 
 def test_integer_system_matches_scaled_polynomial_rows(players, payoff):
-    # each row built from the probe's integer weights, and its scale, equal
-    # the row formed by polynomial arithmetic scaled by `integer_row`, and
+    # each row built from the probe's integer weights, and the payoff row's
+    # scale, equal the row formed by polynomial arithmetic scaled by
+    # `integer_row` and its scale, and
     # each closed form of at most 12 states equals the pivoting oracle's
     # (the oracle takes about 15 s on the 7 larger random chains, whose forms
     # still pass the exact check)
@@ -472,10 +519,11 @@ def test_integer_system_matches_scaled_polynomial_rows(players, payoff):
     row_scales, checked = set(), 0
     for player, probe, game in cases:
         chain = compose(player, probe, game)
-        rows, scales = fingerprint_module._integer_system(chain)
+        rows, payoff_scale = fingerprint_module._integer_system(chain)
         expected = [integer_row(row) for row in closed_form_rows(chain)]
         assert rows == [row for row, _ in expected]
-        assert scales == [scale for _, scale in expected]
+        scales = [scale for _, scale in expected]
+        assert payoff_scale == scales[-1]
         if probe.name == "HALVES":
             row_scales.update(scales[:-2])
         try:
@@ -569,9 +617,9 @@ def _int_matrix(draw):
 def test_packed_elimination_matches_determinant_oracle(matrix):
     system, tails = matrix
     rows = [integer_row(row)[0] for row in system]
-    last_rows, scales = zip(*map(integer_row, tails))
+    last_rows = [integer_row(row)[0] for row in tails]
     try:
-        results = _bareiss_last_rows(rows, list(last_rows), scales)
+        results = _bareiss_last_rows(rows, last_rows)
     except ReducibleChainError:
         # only a vanishing leading minor of the system stops the elimination
         assert any(
@@ -579,7 +627,7 @@ def test_packed_elimination_matches_determinant_oracle(matrix):
             for k in range(1, len(system) + 1)
         )
         return
-    assert results == [bareiss_det(system + [tail]) for tail in tails]
+    assert list(map(ParamExpr, results)) == [bareiss_det(system + [tail]) for tail in tails]
 
 
 def test_packed_elimination_at_the_hadamard_bound():
@@ -591,8 +639,8 @@ def test_packed_elimination_at_the_hadamard_bound():
     rows = [[monomial.scale(s) for s in row] for row in sign]
     negated = [-e for e in rows[3]]
     system = [integer_row(row)[0] for row in rows[:3]]
-    last_rows, scales = zip(*map(integer_row, [rows[3], negated]))
-    det, negated_det = _bareiss_last_rows(system, list(last_rows), scales)
+    last_rows = [integer_row(row)[0] for row in (rows[3], negated)]
+    det, negated_det = map(ParamExpr, _bareiss_last_rows(system, last_rows))
     assert det == expr_parse("16*x^8*y^4") == bareiss_det(rows)
     assert negated_det == -det
 

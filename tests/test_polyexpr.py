@@ -1,11 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import random_interior_point, scalar_evaluator
+from oracles import random_interior_point, ratfn_normal_form, scalar_evaluator
 from probefp.errors import ExactDivisionError, ExprSyntaxError, SingularPointError
 from probefp.fingerprint import symbolic_fingerprint
 from probefp.polyexpr import (
@@ -292,6 +293,24 @@ def test_ratfn_normalization():
     # leading denominator coefficient is made positive
     g = RationalFn(expr_parse("x"), expr_parse("-x + 1") - ParamExpr.const(2))
     assert g.den.leading_coefficient() > 0
+
+
+@given(_polys, _polys.filter(lambda p: not p.is_zero()))
+@example(ParamExpr.zero(), expr_parse("-6/5*x + 4/15"))
+@example(expr_parse("3/4*y - 1/2"), expr_parse("-9/8*x^2 + 3/10*y"))
+@settings(max_examples=200, deadline=None)
+def test_ratfn_normal_form_matches_the_rational_content_oracle(num, den):
+    # integer coefficients with no common factor, den's leading coefficient
+    # positive, and each part's integer form its terms at scale 1
+    f = RationalFn(num, den)
+    assert (f.num, f.den) == ratfn_normal_form(num, den)
+    coeffs = [*f.num.terms.values(), *f.den.terms.values()]
+    assert all(c.denominator == 1 for c in coeffs)
+    assert math.gcd(*(c.numerator for c in coeffs)) == 1
+    assert f.den.leading_coefficient() > 0
+    for part in (f.num, f.den):
+        assert part._integer_terms() == ParamExpr(part.terms)._integer_terms()
+        assert part._integer_terms()[2] == 1
 
 
 def test_ratfn_equiv_examples():

@@ -24,6 +24,7 @@ file, made by `joss_ann` or constructed in library code.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -493,6 +494,24 @@ def parse_probe(text: str) -> Probe:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _joss_ann_outcomes(alphabet: tuple[str, ...]) -> tuple[tuple[Outcome, ...], ...]:
+    """The merged canonical outcomes of a Joss-Ann group, at state 0, for
+    each base move in `alphabet`'s order: C with weight 1 - y and D with
+    weight y after C; C with weight x and D with weight 1 - x after D.
+
+    They depend only on the base move, and one state is shared by every
+    outcome, so the canonical order is the actions' order.  Built once per
+    alphabet; every probe shares the tuples and their weight objects."""
+    x = ParamExpr.var_x()
+    y = ParamExpr.var_y()
+    rest = ParamExpr.one() - x - y
+    return tuple(
+        _canonical_outcomes([("C", 0, x), ("D", 0, y), (move, 0, rest)], alphabet)
+        for move in alphabet
+    )
+
+
 def joss_ann(base: PlayerMachine) -> Probe:
     """Two-parameter probe built on a base strategy: with probability x play
     C, with probability y play D, otherwise play the base strategy's move.
@@ -504,16 +523,7 @@ def joss_ann(base: PlayerMachine) -> Probe:
         raise ProbeValidationError(
             f"joss_ann requires the binary alphabet C/D, got {base.alphabet}"
         )
-    x = ParamExpr.var_x()
-    y = ParamExpr.var_y()
-    rest = ParamExpr.one() - x - y
-
-    # The merged weights depend only on the base move, and one state is
-    # shared by every outcome, so the canonical order is the actions' order.
-    weights = {
-        move: _canonical_outcomes([("C", 0, x), ("D", 0, y), (move, 0, rest)], base.alphabet)
-        for move in base.alphabet
-    }
+    weights = dict(zip(base.alphabet, _joss_ann_outcomes(base.alphabet)))
 
     def spread(move: str, state: int) -> tuple[Outcome, ...]:
         return tuple((action, state, weight) for action, _, weight in weights[move])

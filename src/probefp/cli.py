@@ -408,7 +408,8 @@ def _cmd_simulate(args) -> int:
     if result.stderr > 0:
         z = (result.mean - exact) / result.stderr
     else:
-        z = 0.0 if result.mean == exact else float("inf")
+        # no finite z, and strict JSON has no Infinity: written as null
+        z = 0.0 if result.mean == exact else None
     doc = {
         "meta": {**meta, "rng": RNG_ID},
         "point": {"x": x, "y": y},

@@ -3,9 +3,12 @@
 The joint play of a deterministic player against an evaluated probe is a
 finite Markov chain, so each trajectory is driven purely by inverse-CDF
 draws over the probe's outcomes in its own order (canonical for parsed and
-Joss-Ann probes).  Replicates run in vectorized lockstep, each on its own
-seeded PCG64 stream, so a replicate inside `estimate` reproduces
-`play_once` bit for bit.
+Joss-Ann probes).  Replicates run in vectorized lockstep, and replicate k of
+a call with seed s plays numpy's `PCG64(s + k)` stream, for any s >= 0, so
+a replicate inside `estimate` reproduces `play_once` bit for bit.  The
+streams' states are computed for all replicates at once (`_seed_words`):
+numpy's `SeedSequence` hash, run over every lane in one pass of uint32
+arrays, gives each lane the state words `PCG64(s + k)` would compute.
 
 Each draw takes the first outcome of its state's row whose cumulative
 probability exceeds the uniform.  The draws go through tables built once
@@ -27,7 +30,9 @@ denominator and rounded once, so it depends on neither k nor `_CHUNK`.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +52,14 @@ _TABLE_CAP = 4096
 # `_TABLE_CAP` does not bound k.  Groups of k rounds cost k Horner steps and
 # `_CHUNK` / k walk steps per chunk; 32 and 64 measured alike.
 _GROUP_CAP = 64
+
+# Constants of numpy's `SeedSequence`, O'Neill's `seed_seq` hash from the
+# PCG paper (HMC-CS-2014-0905): its pool of 4 words, the multipliers of the
+# entropy hash (A) and of the state hash (B), and of the pool's mixing.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass
@@ -144,16 +157,102 @@ class _GameTable:
         return ranks
 
 
+def _hash_constants(first: int, multiplier: int, steps: int) -> np.ndarray:
+    """The multipliers of `steps` steps of a `SeedSequence` hash, as a column:
+    step t xors row t into its word and multiplies it by row t + 1."""
+    constants = [first]
+    for _ in range(steps):
+        constants.append(constants[-1] * multiplier & 0xFFFFFFFF)
+    return np.array(constants, dtype=np.uint32)[:, None]
+
+
+def _hashmix(words: np.ndarray, constants: np.ndarray, t: int, steps: int) -> np.ndarray:
+    """Hash steps t, ..., t + steps - 1, one per row of `words` (or of its
+    one row, repeated), over every lane at once."""
+    hashed = words ^ constants[t : t + steps]
+    hashed *= constants[t + 1 : t + steps + 1]
+    return hashed ^ hashed >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`SeedSequence`'s mix of hashed words y into pool words x."""
+    mixed = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return mixed ^ mixed >> 16
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """Row i is `SeedSequence(seeds[i]).generate_state(4, np.uint64)`, the
+    state words that `PCG64(seeds[i])` seeds itself with, for every lane in
+    one pass.
+
+    A seed's entropy is its little-endian 32-bit words, at least one.  The
+    pool hashes the first 4, zero-padded; then each pool word, hashed, is
+    mixed into every other, and each word after the 4th, hashed, into every
+    pool word of the lanes that have it.  The pool, cycled, hashes into 8
+    words, paired little-endian into 4.  Every step's constants are the same
+    in every lane, and the steps that mix one word into the pool's others
+    are independent, so each is one operation on arrays of lanes."""
+    seeds = [operator.index(s) for s in seeds]
+    if min(seeds) < 0:
+        raise ValueError("expected non-negative integer")
+    lengths = np.array([max(-(-s.bit_length() // 32), 1) for s in seeds])
+    width = max(_POOL, int(lengths.max()))
+    data = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
+    # entropy[i]: word i of every lane
+    entropy = np.frombuffer(data, "<u4").reshape(len(seeds), width).T.astype(np.uint32)
+
+    constants = _hash_constants(_INIT_A, _MULT_A, _POOL * width + _POOL * (_POOL - 1))
+    pool = _hashmix(entropy[:_POOL], constants, 0, _POOL)
+    t = _POOL
+    for src in range(_POOL):
+        others = [dst for dst in range(_POOL) if dst != src]
+        hashed = _hashmix(pool[src : src + 1], constants, t, _POOL - 1)
+        pool[others] = _mix(pool[others], hashed)
+        t += _POOL - 1
+    for src in range(_POOL, width):
+        hashed = _hashmix(entropy[src : src + 1], constants, t, _POOL)
+        pool = np.where(lengths > src, _mix(pool, hashed), pool)
+        t += _POOL
+
+    constants = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+    state = _hashmix(np.tile(pool, (2, 1)), constants, 0, 2 * _POOL)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _fixed_state() -> type:
+    """A numpy `ISeedSequence` whose `generate_state` returns the words it is
+    made with; made on first use, so that importing probefp does not import
+    numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedState(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return FixedState
+
+
+def _generators(seeds) -> list:
+    """A numpy `Generator` on the stream of `PCG64(s)` for each seed s >= 0:
+    PCG64 seeds itself from the words `_seed_words` computes."""
+    state = _fixed_state()
+    return [np.random.Generator(np.random.PCG64(state(w))) for w in _seed_words(seeds)]
+
+
 def _run_lanes(
     table: _GameTable,
     rounds: int,
     burn_in: int,
-    seeds: np.ndarray,
+    seeds,
 ) -> np.ndarray:
     """Per-lane mean payoff over rounds after burn-in; lane i consumes the
     uniform stream of PCG64(seeds[i]) exactly as a standalone run would."""
     lanes = len(seeds)
-    generators = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
+    generators = _generators(seeds)
 
     first = np.array([g.random() for g in generators])
     states = table.init_states[np.searchsorted(table.init_cdf, first, side="right")]
@@ -238,7 +337,7 @@ def play_once(
     `burn_in` rounds.  Identical inputs give identical output."""
     _check_args(rounds, burn_in)
     table = _GameTable(compose(player, probe, payoff), x, y)
-    return float(_run_lanes(table, rounds, burn_in, np.array([seed]))[0])
+    return float(_run_lanes(table, rounds, burn_in, [seed])[0])
 
 
 def estimate(
@@ -266,8 +365,7 @@ def estimate(
     if chain is None:
         chain = compose(player, probe, payoff)
     table = _GameTable(chain, x, y)
-    seeds = np.array([seed + k for k in range(replicates)])
-    means = _run_lanes(table, rounds, burn_in, seeds)
+    means = _run_lanes(table, rounds, burn_in, range(seed, seed + replicates))
     return SimEstimate(
         mean=float(np.mean(means)),
         stderr=float(np.std(means, ddof=1) / np.sqrt(replicates)),

@@ -316,6 +316,27 @@ def test_simulate_deterministic_pair_reports_zero_stderr(workdir):
     assert doc["z_score"] == 0.0
 
 
+def test_simulate_zero_stderr_off_the_exact_value_writes_null_z(workdir):
+    # STFT opens with D, so at the origin TFT and STFT alternate (C, D) and
+    # (D, C): every replicate's mean over 101 rounds is 250/101, the
+    # long-run value 5/2, and no z is finite; strict JSON has no Infinity
+    (workdir / "stft.player").write_text("player STFT\nalphabet C D\nstart 0 D\n0 C -> 0 C\n0 D -> 0 D\n")
+    out_file = workdir / "stft_sim.json"
+    code = main([
+        "simulate", str(workdir / "tft.player"), "0", "0", "--joss-ann", str(workdir / "stft.player"),
+        "--rounds", "101", "--burn-in", "0", "--replicates", "2", "--seed", "3", "-o", str(out_file),
+    ])
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(out_file.read_text(), parse_constant=refuse)
+    assert (doc["estimate"]["mean"], doc["estimate"]["stderr"]) == (250 / 101, 0.0)
+    assert doc["exact_fingerprint"] == 2.5
+    assert doc["z_score"] is None
+
+
 def test_grim_near_edge_cli(workdir):
     out_file = workdir / "grim_sim.json"
     code = main([

@@ -1,11 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import exact_l2_distance, random_polynomial, scalar_evaluator
-from probefp.automata import joss_ann
+from oracles import exact_l2_distance, random_oracle_pairs, random_polynomial, scalar_evaluator
+from probefp.automata import PayoffMatrix, joss_ann
 from probefp.errors import OutOfSimplexError
 from probefp.fingerprint import fingerprint_grid, pointwise_fingerprint, symbolic_fingerprint
 from probefp.metrics import (
@@ -207,3 +208,25 @@ def test_distance_matrix_rejects_resolution_below_one():
             distance_matrix(corpus, n)
         with pytest.raises(ValueError, match="quadrature resolution must be >= 1"):
             l2_distance(*(f for _, f in corpus), n)
+
+
+def test_affine_payoffs_give_the_affine_distances(players, ja_tft, payoff):
+    # F under a M + b is a F + b, so the distances scale by |a| and ignore b.
+    # Scaling every payoff by -1 or a power of 2 commutes with every rounding,
+    # so the matrix scales exactly; a shift holds within 1e-12 of the
+    # payoffs' scale |b| + max |M|.
+    pairs = [(player, ja_tft) for player in players.values()] + random_oracle_pairs()[:6]
+
+    def matrix(game_payoff: PayoffMatrix) -> np.ndarray:
+        corpus = [(f"s{k}", pointwise_fingerprint(player, probe, game_payoff))
+                  for k, (player, probe) in enumerate(pairs)]
+        return distance_matrix(corpus, 12).d
+
+    base = matrix(payoff)
+    assert base.max() > 1
+    for a in (2, -1, Fraction(1, 4)):
+        assert np.array_equal(matrix(payoff.scaled(a)), abs(float(a)) * base)
+    bound = max(map(abs, payoff.entries.values()))
+    for b in (Fraction(-5, 7), 10**6):
+        shifted = matrix(PayoffMatrix({move: v + b for move, v in payoff.entries.items()}))
+        assert np.abs(shifted - base).max() <= 1e-12 * float(abs(b) + bound)

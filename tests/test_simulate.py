@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,9 @@ from probefp.simulate import (
     _TABLE_CAP,
     SimEstimate,
     _GameTable,
+    _generators,
     _run_lanes,
+    _seed_words,
     default_burn_in,
     estimate,
     play_once,
@@ -380,3 +385,76 @@ def test_chunk_and_k_do_not_change_an_estimate(players, ja_tft, monkeypatch):
     assert len(ks) >= 4 and 1 in ks
     expected = run_lanes_searchsorted(chains[-1], 0.25, 0.35, 4796, 301, seeds)
     assert np.array_equal(runs[0], expected)
+
+
+def _stream_seeds() -> list[int]:
+    """Seeds 0-39, four seeds across each of the entropy's word boundaries
+    at 2**32, 2**64 and 2**128 (4 words to 5) and 2**160 (5 to 6), and 50
+    random seeds below 2**300."""
+    seeds = list(range(40))
+    for start in (2**32 - 2, 2**64 - 2, 2**128 - 2, 2**160 - 1):
+        seeds += range(start, start + 4)
+    rng = random.Random(300)
+    return seeds + [rng.randrange(2**300) for _ in range(50)]
+
+
+def test_seed_words_are_seed_sequence_states():
+    seeds = _stream_seeds()
+    words = _seed_words(seeds)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    for seed, row in zip(seeds, words):
+        assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64)), seed
+    # one lane alone, and numpy integers
+    assert np.array_equal(_seed_words([2**200]), _seed_words([1, 2**200])[1:])
+    assert np.array_equal(_seed_words(np.array([38, 39])), words[38:40])
+
+
+def test_lanes_play_the_pcg64_streams_of_their_seeds():
+    seeds = _stream_seeds()
+    for seed, generator in zip(seeds, _generators(seeds)):
+        expected = np.random.Generator(np.random.PCG64(seed)).random(1000)
+        assert np.array_equal(generator.random(1000), expected), seed
+
+
+def test_negative_seed_is_refused_as_pcg64_refuses_it(players, ja_tft, payoff):
+    with pytest.raises(ValueError):
+        np.random.PCG64(-1)
+    with pytest.raises(ValueError):
+        _seed_words([3, -1])
+    with pytest.raises(ValueError):
+        play_once(players["tft"], ja_tft, payoff, 0.2, 0.3, 100, 10, -1)
+    with pytest.raises(ValueError):
+        estimate(players["tft"], ja_tft, payoff, 0.2, 0.3, 100, 10, replicates=4, seed=-2)
+
+
+def test_import_leaves_numpy_random_unimported():
+    # numpy.random costs about 10 ms to import, and only simulate uses it
+    src = Path(simulate.__file__).resolve().parent.parent
+    check = "import sys, probefp; print('numpy.random' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", check], env={"PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "False"
+
+
+def test_affine_payoffs_give_the_affine_estimate(players, ja_tft, payoff):
+    # F under a M + b is a F + b.  Scaling every payoff by -1 or a power of 2
+    # commutes with every rounding, so the mean and stderr scale exactly; a
+    # shift moves each replicate mean by b up to one rounding, so both hold
+    # within 1e-12 of the payoffs' scale |b| + max |M|.
+    pairs = [(player, ja_tft) for player in players.values()] + random_oracle_pairs()[:6]
+    bound = max(map(abs, payoff.entries.values()))
+    kwargs = dict(rounds=3000, burn_in=300, replicates=4, seed=5)
+    for player, probe in pairs:
+        base = estimate(player, probe, payoff, 0.25, 0.35, **kwargs)
+        for a in (2, -1, Fraction(1, 4)):
+            scaled = estimate(player, probe, payoff.scaled(a), 0.25, 0.35, **kwargs)
+            assert scaled.mean == float(a) * base.mean
+            assert scaled.stderr == abs(float(a)) * base.stderr
+        for b in (Fraction(-5, 7), 10**6):
+            shifted = PayoffMatrix({move: v + b for move, v in payoff.entries.items()})
+            result = estimate(player, probe, shifted, 0.25, 0.35, **kwargs)
+            tol = 1e-12 * float(abs(b) + bound)
+            assert abs(result.mean - (base.mean + float(b))) <= tol
+            assert abs(result.stderr - base.stderr) <= tol

@@ -162,10 +162,11 @@ class PlayerMachine:
 class Probe:
     """Finite-state transducer whose outcome weights are polynomials in (x, y).
 
-    Building one checks its groups and compiles its weights once: column 0
-    of `weights` is the zero polynomial, then each distinct nonzero weight,
-    and `columns[key]` holds the column of each outcome of group `key`,
-    "init" or (state, input)."""
+    Building one checks its groups and compiles its weights: column 0 of
+    `weights` is the zero polynomial, then each distinct nonzero weight, and
+    `columns[key]` holds the column of each outcome of group `key`, "init"
+    or (state, input).  Probes built on the same weight objects share one
+    read-only table and its sums (`_shared_weights`)."""
 
     name: str
     alphabet: tuple[str, ...]
@@ -189,9 +190,12 @@ class Probe:
             pairs = {key for key, _ in groups[1:]}
             extra = next(key for key in self.step if key not in pairs)
             raise ProbeFormatError(f"outcomes for {extra!r}, not a (state, input) pair")
-        column = {ParamExpr.zero(): 0}  # of each distinct weight
-        by_object = {}  # joss_ann's groups share weight objects, so each object is hashed once
-        residuals = {}  # by the columns summed, which groups often share
+        objects = {}  # id -> weight object, each distinct object once, in group order
+        for _, outcomes in groups:
+            for _, _, weight in outcomes:
+                objects.setdefault(id(weight), weight)
+        shared = _shared_weights(_Identity(tuple(objects.values())))
+        column = dict(zip(objects, shared.columns))
         self.columns = {}
         for key, outcomes in groups:
             where = _group_name(self, key)
@@ -204,19 +208,15 @@ class Probe:
                     raise ProbeFormatError(
                         f"outcome next state {state!r} of {where} is not a state of the probe"
                     )
-                if id(weight) not in by_object:
-                    by_object[id(weight)] = column.setdefault(weight, len(column))
             if len({outcome[:2] for outcome in outcomes}) < len(outcomes):
                 raise ProbeFormatError(f"{where} repeats an (action, next state) outcome")
-            columns = self.columns[key] = tuple(by_object[id(w)] for _, _, w in outcomes)
-            if columns not in residuals:
-                total = sum((w for _, _, w in outcomes), ParamExpr.zero())
-                residuals[columns] = ParamExpr.one() - total
-            if residuals[columns]:
+            columns = self.columns[key] = tuple(column[id(w)] for _, _, w in outcomes)
+            if shared.residual(columns):
                 raise ProbeValidationError(
-                    f"weights for {where} do not sum to 1; residual: {residuals[columns].render()}"
+                    f"weights for {where} do not sum to 1; "
+                    f"residual: {shared.residual(columns).render()}"
                 )
-        self.weights = PolyTable(list(column))
+        self.weights = shared.table
 
     @property
     def n_states(self) -> int:
@@ -226,6 +226,48 @@ class Probe:
 def _group_name(probe: Probe, key) -> str:
     """How every message names the group `key` of `probe`."""
     return "init" if key == "init" else f"state {probe.state_names[key[0]]!r} input {key[1]!r}"
+
+
+class _Identity:
+    """Objects as a cache key that is equal only to the same objects; the
+    key holds them, so none of their ids is reused while it is cached."""
+
+    __slots__ = ("objects", "ids")
+
+    def __init__(self, objects: tuple):
+        self.objects = objects
+        self.ids = tuple(map(id, objects))
+
+    def __hash__(self) -> int:
+        return hash(self.ids)
+
+    def __eq__(self, other) -> bool:
+        return self.ids == other.ids
+
+
+class _SharedWeights:
+    """The compiled table of a tuple of distinct weight objects, shared by
+    every probe built on those objects (every Joss-Ann probe over an
+    alphabet, say): column 0 of `table` is the zero polynomial, then each
+    distinct weight value in order, `columns[k]` is object k's column, and
+    `residual(columns)` is 1 minus the sum of those columns, computed once."""
+
+    def __init__(self, objects: tuple[ParamExpr, ...]):
+        column = {ParamExpr.zero(): 0}
+        self.columns = tuple(column.setdefault(weight, len(column)) for weight in objects)
+        self.table = PolyTable(list(column))
+        self._residuals = {}
+
+    def residual(self, columns: tuple[int, ...]) -> ParamExpr:
+        if columns not in self._residuals:
+            total = sum((self.table.exprs[c] for c in columns), ParamExpr.zero())
+            self._residuals[columns] = ParamExpr.one() - total
+        return self._residuals[columns]
+
+
+@functools.lru_cache(maxsize=32)
+def _shared_weights(objects: _Identity) -> _SharedWeights:
+    return _SharedWeights(objects.objects)
 
 
 @dataclass
@@ -278,8 +320,7 @@ def validate_probe(probe: Probe) -> ProbeValidationReport:
     # exact values of each affine weight at the vertices, where the float
     # lattice can round a tiny negative value to 0.0
     vertex_values = [
-        [weight.evaluate_exact(vx, vy) for vx, vy in _VERTICES] if weight.is_affine() else []
-        for weight in probe.weights.exprs
+        _vertex_values(weight) if weight.is_affine() else [] for weight in probe.weights.exprs
     ]
     for key, column in zip(keys, columns):
         for vertex, exact in zip(_VERTICES, vertex_values[column]):
@@ -299,6 +340,13 @@ def validate_probe(probe: Probe) -> ProbeValidationReport:
                     frontier.append(nxt)
     report.unreachable_states = sorted(set(range(probe.n_states)) - reached)
     return report
+
+
+def _vertex_values(weight: ParamExpr) -> list[Fraction]:
+    """An affine weight's exact values at (0, 0), (1, 0) and (0, 1), read
+    from its coefficients."""
+    c00, c10, c01 = (weight._terms.get(key, Fraction(0)) for key in ((0, 0), (1, 0), (0, 1)))
+    return [c00, c00 + c10, c00 + c01]
 
 
 def _raise_on_invalid(probe: Probe, report: ProbeValidationReport) -> None:

@@ -206,6 +206,12 @@ def _read_file(path: str) -> tuple[str, str]:
     return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
 
 
+def _file_kind(text: str) -> str:
+    """The first word of a file's first significant line: "player" or
+    "probe" in a player or probe file."""
+    return next((line.split()[0] for _, line in _significant_lines(text)), "")
+
+
 def _load_player(path: str):
     text, digest = _read_file(path)
     return parse_player(text), digest
@@ -272,7 +278,7 @@ def _cmd_validate(args) -> int:
     for path in args.files:
         try:
             text, _ = _read_file(path)
-            kind = next((line.split()[0] for _, line in _significant_lines(text)), "")
+            kind = _file_kind(text)
             if kind == "player":
                 machine = parse_player(text)
                 print(f"{path}: OK player {machine.name} ({machine.n_states} states)")
@@ -318,11 +324,20 @@ def _fingerprint_source(spec: str, settings: dict, payoff):
     path = Path(spec)
     if path.suffix in (".json", ".csv") or (path.exists() and ":" not in spec):
         text, digest = _read_file(spec)
-        grid = (
-            FingerprintGrid.from_json(text)
-            if text.lstrip().startswith("{")
-            else FingerprintGrid.from_csv(text)
-        )
+        try:
+            grid = (
+                FingerprintGrid.from_json(text)
+                if text.lstrip().startswith("{")
+                else FingerprintGrid.from_csv(text)
+            )
+        except InputError:
+            kind = _file_kind(text)
+            if kind in ("player", "probe"):
+                raise UsageError(
+                    f"source {spec!r} is a {kind} file, neither a grid file nor a PLAYER:PROBE "
+                    "pair; give a player and its probe as PLAYER:PROBE or PLAYER:ja[:BASE]"
+                ) from None
+            raise
         name = grid.meta.get("player", path.stem)
         return name, make_grid_evaluator(grid), [digest]
     player_path, sep, probe_spec = spec.partition(":")

@@ -226,7 +226,13 @@ class FingerprintGrid:
         try:
             doc = json.loads(text)
             meta = dict(doc["meta"])
-            n = int(meta.pop("resolution"))
+            given = meta.pop("resolution")
+            # int()'s rule for text, which refuses 6.0; int() would truncate 6.5
+            if isinstance(given, (float, bool)):
+                raise InputError(
+                    f"malformed grid JSON: resolution {json.dumps(given)} is not an integer"
+                )
+            n = int(given)
             mode = meta.pop("boundary_mode", CESARO)
             rows = np.array(doc["values"], dtype=float)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -240,22 +246,17 @@ class FingerprintGrid:
     @classmethod
     def from_csv(cls, text: str) -> "FingerprintGrid":
         meta = {}
-        rows = []
+        lines = []
         for line in text.splitlines():
             line = line.strip()
-            if not line:
+            if not line or line == "x,y,value":
                 continue
             if line.startswith("#"):
                 key, _, value = line[1:].partition(":")
                 meta[key.strip()] = value.strip()
-                continue
-            if line == "x,y,value":
-                continue
-            try:
-                sx, sy, sv = line.split(",")
-                rows.append((float(sx), float(sy), float(sv)))
-            except ValueError as exc:
-                raise InputError(f"malformed grid CSV row {line!r}: {exc}") from exc
+            else:
+                lines.append(line)
+        rows = _csv_rows(lines, text)
         # lattice size (n+1)(n+2)/2 determines the resolution, which a
         # resolution line must then agree with
         n = round((math.isqrt(8 * len(rows) + 1) - 3) / 2)
@@ -271,7 +272,36 @@ class FingerprintGrid:
                     f"give resolution {n}"
                 )
         mode = _checked_mode(meta.pop("boundary_mode", CESARO))
-        return cls(n, mode, _lattice_values(n, np.array(rows).reshape(-1, 3)), meta)
+        return cls(n, mode, _lattice_values(n, rows), meta)
+
+
+# float() strips only ASCII whitespace from an ASCII field, and np.loadtxt
+# strips these separators too ("1.5\x1f" is one float, not the other)
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _csv_rows(lines: list[str], text: str) -> np.ndarray:
+    """The (count, 3) array of a grid CSV's data lines, each field as
+    float() reads it; InputError names the first line that does not
+    convert.  One np.loadtxt call converts them; where it refuses (a field
+    of `1_0` or of non-ASCII digits, which float() reads, or a faulty one),
+    the lines are converted one by one instead."""
+    if lines and not any(c in text for c in _LOADTXT_ONLY_SPACE):
+        try:
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if rows.shape[1] == 3:
+                return rows
+    rows = []
+    for line in lines:
+        try:
+            sx, sy, sv = line.split(",")
+            rows.append((float(sx), float(sy), float(sv)))
+        except ValueError as exc:
+            raise InputError(f"malformed grid CSV row {line!r}: {exc}") from exc
+    return np.array(rows).reshape(-1, 3)
 
 
 def _checked_mode(mode) -> str:

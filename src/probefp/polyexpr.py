@@ -294,6 +294,8 @@ class PolyTable:
         self.mixed = np.flatnonzero(
             (self.coeffs > 0).any(axis=0) & (self.coeffs < 0).any(axis=0)
         )
+        for array in (self.coeffs, self.powers, self.mixed):
+            array.flags.writeable = False  # probes may share one table
 
     def evaluate(self, xs, ys) -> np.ndarray:
         """Values (N, E) of every polynomial at the points (xs[p], ys[p])."""

@@ -8,6 +8,7 @@ over the triangle, the determinant oracle is a general pivoting Bareiss
 elimination, the fingerprint oracle solves one point at a time, and the
 Monte Carlo oracle picks each round's outcome with one searchsorted in
 its state's cumulative row and takes the exact mean of the paid payoffs.
+The grid CSV oracle converts each field with float(), one line at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from probefp.chain import (
 )
 from probefp.errors import (
     ExactDivisionError,
+    InputError,
     NegativeWeightError,
     OutOfSimplexError,
     SingularSystemError,
@@ -771,3 +773,32 @@ def random_polynomial(rng: random.Random, max_degree: int = 3, coeff_range: int 
                 if c:
                     terms[(i, j)] = Fraction(c)
     return ParamExpr(terms)
+
+
+# ---------------------------------------------------------------------------
+# Grid CSV rows, read the plain way
+# ---------------------------------------------------------------------------
+
+
+def grid_csv_by_float(text: str) -> tuple[dict, np.ndarray]:
+    """The meta lines and the (count, 3) rows of a grid CSV, each field read
+    with float() one line at a time; InputError names the first data line
+    that does not split into three floats."""
+    meta = {}
+    rows = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].partition(":")
+            meta[key.strip()] = value.strip()
+            continue
+        if line == "x,y,value":
+            continue
+        try:
+            sx, sy, sv = line.split(",")
+            rows.append((float(sx), float(sy), float(sv)))
+        except ValueError as exc:
+            raise InputError(f"malformed grid CSV row {line!r}: {exc}") from exc
+    return meta, np.array(rows).reshape(-1, 3)

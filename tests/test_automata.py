@@ -2,19 +2,23 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import random_player, random_probe, scalar_evaluator
 from probefp.automata import (
+    _VERTICES,
     VALIDATION_LATTICE_N,
     WEIGHT_TOL,
     PayoffMatrix,
     Probe,
+    _vertex_values,
     joss_ann,
     parse_player,
     parse_probe,
     validate_probe,
 )
+from probefp.chain import compose
 from probefp.errors import (
     PlayerFormatError,
     ProbeFormatError,
@@ -407,11 +411,41 @@ def joss_ann_per_transition(base):
     )
 
 
-def test_joss_ann_matches_per_transition_construction(players):
+def test_joss_ann_matches_per_transition_construction(players, payoff):
+    # joss_ann's probes share one read-only weight table; a build with a
+    # fresh weight object per outcome compiles its own, which must be equal
     rng = random.Random(97)
-    bases = list(players.values()) + [random_player(rng, 5) for _ in range(6)]
+    bases = list(players.values()) + [random_player(rng, 5) for _ in range(40)]
     for base in bases:
-        assert joss_ann(base) == joss_ann_per_transition(base), base.name
+        probe, fresh = joss_ann(base), joss_ann_per_transition(base)
+        assert probe == fresh, base.name
+        assert probe.weights is joss_ann(base).weights
+        assert probe.weights is not fresh.weights
+        assert probe.columns == fresh.columns
+        assert probe.weights.exprs == fresh.weights.exprs
+        for name in ("coeffs", "powers", "mixed"):
+            shared = getattr(probe.weights, name)
+            assert np.array_equal(shared, getattr(fresh.weights, name))
+            assert not shared.flags.writeable
+        chain, fresh_chain = compose(base, probe, payoff), compose(base, fresh, payoff)
+        assert chain.states == fresh_chain.states
+        assert np.array_equal(chain.index, fresh_chain.index)
+        assert chain.successors == fresh_chain.successors
+        assert chain.payoff == fresh_chain.payoff
+        assert validate_probe(probe) == validate_probe(fresh)
+
+
+def test_vertex_values_are_the_exact_values_at_the_vertices(players):
+    rng = random.Random(53)
+    probes = [joss_ann(base) for base in players.values()]
+    probes += [random_probe(rng, 4) for _ in range(20)]
+    weights = [w for probe in probes for w in probe.weights.exprs]
+    weights += [expr_parse(text) for text in ("0", "-1/3", "2/7 - 3/7*x", "1/2*y - 5/9*x + 1/6")]
+    for weight in weights:
+        if weight.is_affine():
+            exact = [weight.evaluate_exact(vx, vy) for vx, vy in _VERTICES]
+            assert _vertex_values(weight) == exact, weight
+            assert all(type(v) is Fraction for v in _vertex_values(weight))
 
 
 def test_joss_ann_at_origin_reduces_to_base(players):

@@ -271,6 +271,27 @@ def test_distance_usage_errors(workdir):
     assert main(["distance", one, one]) == 64
 
 
+def test_distance_refuses_a_player_or_probe_file_alone(workdir, capsys, monkeypatch):
+    reads = []
+    read_file = cli_module._read_file
+    monkeypatch.setattr(cli_module, "_read_file", lambda path: reads.append(path) or read_file(path))
+    (workdir / "tft.csv").write_bytes((workdir / "tft.player").read_bytes())
+    pair = f"{workdir / 'allc.player'}:ja:{workdir / 'tft.player'}"
+    for name, kind in (("pavlov.player", "player"), ("constc.probe", "probe"),
+                       ("tft.csv", "player")):
+        capsys.readouterr()
+        reads.clear()
+        assert main(["distance", str(workdir / name), pair, "--quad-n", "4"]) == 64, name
+        err = capsys.readouterr().err
+        assert f"source {str(workdir / name)!r} is a {kind} file, neither a grid file nor a " in err
+        assert "PLAYER:PROBE or PLAYER:ja[:BASE]" in err
+        assert reads == [str(workdir / name)]  # read once, before the pair
+    # the sibling case: no file and no colon
+    capsys.readouterr()
+    assert main(["distance", str(workdir / "missing"), pair, "--quad-n", "4"]) == 64
+    assert "is neither a grid file nor a PLAYER:PROBE pair" in capsys.readouterr().err
+
+
 def test_simulate_report(workdir):
     out_file = workdir / "sim.json"
     code = main([

@@ -18,13 +18,14 @@ from oracles import (
     chain_rows,
     closed_form_rows,
     cycle_average_payoff,
+    grid_csv_by_float,
     integer_row,
     irreducible_random_pairs,
     random_oracle_pairs,
     random_player,
     strongly_connected_player,
 )
-from probefp.automata import PayoffMatrix, joss_ann, parse_probe, validate_probe
+from probefp.automata import PayoffMatrix, PlayerMachine, joss_ann, parse_probe, validate_probe
 from probefp.chain import SUPPORT_CUTOFF, ChainClass, ClassDecomposition, compose
 from probefp.errors import (
     ClosedFormCheckError,
@@ -40,6 +41,7 @@ from probefp.fingerprint import (
     INTERIOR_OFFSET,
     FingerprintGrid,
     _bareiss_last_rows,
+    _lattice_values,
     boundary_discrepancy,
     _offset_toward_centroid,
     fingerprint_grid,
@@ -309,12 +311,101 @@ def test_grid_csv_rows_that_do_not_convert_name_the_row(players, ja_tft, payoff)
         "0.5,,2": "could not convert string to float: ''",
         "0.5,0,2,2": "too many values to unpack (expected 3)",
         "0x1p-2,0,2": "could not convert string to float: '0x1p-2'",  # float() refuses hex
+        # np.loadtxt strips a unit separator as whitespace; float() refuses it
+        "0.5\x1f,0,2": "could not convert string to float: '0.5\\x1f'",
     }
     for row, fault in cases.items():
         text = "\n".join(lines[: body + 3] + [row] + lines[body + 4 :]) + "\n"
         with pytest.raises(InputError) as err:
             FingerprintGrid.from_csv(text)
         assert str(err.value) == f"malformed grid CSV row {row!r}: {fault}"
+
+
+_FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+# field texts that float() and np.loadtxt may read differently: special
+# spellings, short strings, and (half the time) a float spelled between
+# stray characters
+_CSV_PADDING = st.sampled_from(["", " ", "\x1f", "\x1f\t", "\u2000", "\xa0", "\x00", "_", "\ufeff"])
+_PADDED_FLOATS = st.tuples(
+    _CSV_PADDING,
+    st.one_of(st.floats().map(repr), st.floats().map("{:e}".format),
+              st.floats(allow_nan=False, allow_infinity=False).map(float.hex),
+              st.floats().map(lambda v: repr(v).translate(_FULLWIDTH))),
+    _CSV_PADDING,
+).map("".join)
+_CSV_FIELDS = st.one_of(
+    st.sampled_from([
+        "1_0", "0_0.5", "1e1_0", "1__0", "_1", "１", "٣", "0x1p-2", "0x1.8p1", "nan", "-nan",
+        "inf", "-Infinity", "-0", "+0.0", "5e-324", "4.9e-324", "2.2250738585072014e-308",
+        "1e-330", "1e400", "", " ", "+.5", "5.", "0.5e", "1d5", "nan(1)", "0.5 0", "'0.5'",
+    ]),
+    st.text(alphabet="0123456789._+-eEinfa \t\x1f\u2000１٣x", max_size=8),
+    _PADDED_FLOATS,
+    _PADDED_FLOATS,
+)
+
+
+@st.composite
+def _grid_csv_texts(draw):
+    """A grid CSV at a small n whose fields spell its node coordinates and
+    finite values in one of several ASCII ways, which np.loadtxt reads,
+    except for up to two fields drawn from `_CSV_FIELDS`; now and then a
+    line has a stray comma."""
+    n = draw(st.integers(1, 3))
+    rows = []
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            value = draw(_GRID_VALUES)
+            rows.append([
+                draw(st.sampled_from([repr(c), f"{c:e}", f" {c!r}\t", f"{c:.17g}"]))
+                for c in (i / n, j / n)
+            ] + [draw(st.sampled_from([repr(value), f"{value:.17g}", f"{value:e}"]))])
+    for r, k, field in draw(st.lists(
+        st.tuples(st.integers(0, len(rows) - 1), st.integers(0, 2), _CSV_FIELDS), max_size=2
+    )):
+        rows[r][k] = field
+    lines = ["# player: P", "x,y,value"]
+    for fields in rows:
+        line = ",".join(fields)
+        if draw(st.integers(0, 29)) == 0:
+            line += draw(st.sampled_from([",", ",1"]))
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _csv_outcome(read):
+    try:
+        return read()
+    except InputError as exc:
+        return str(exc)
+
+
+@given(_grid_csv_texts())
+@settings(max_examples=500, deadline=None)
+def test_grid_csv_reads_every_field_as_float_does(text):
+    def by_float():
+        meta, rows = grid_csv_by_float(text)
+        n = round((math.isqrt(8 * len(rows) + 1) - 3) / 2)
+        return meta, _lattice_values(n, rows)
+
+    expected = _csv_outcome(by_float)
+    got = _csv_outcome(lambda: FingerprintGrid.from_csv(text))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, FingerprintGrid), got
+        assert got.meta == expected[0]
+        assert got.table.tobytes() == expected[1].tobytes()
+
+
+def test_grid_csv_reads_underscores_and_non_ascii_digits(players, ja_tft, payoff):
+    # float() reads these and np.loadtxt does not; node (0, 1/2) becomes 10
+    lines = fingerprint_grid(players["tft"], ja_tft, payoff, 2).to_csv().splitlines()
+    body = lines.index("x,y,value") + 1
+    for row in ("0,0_0.5,1_0", "０,０.５,１０", "0,٠.٥,١٠"):
+        text = "\n".join(lines[: body + 1] + [row] + lines[body + 2 :]) + "\n"
+        assert FingerprintGrid.from_csv(text).values[(0, 1)] == 10.0
 
 
 def test_grid_json_integer_too_large_for_a_float_is_an_input_error():
@@ -345,6 +436,25 @@ def test_grid_files_refuse_an_unknown_mode_and_a_wrong_resolution_line(
     for given in ("6.0", "six"):
         with pytest.raises(InputError, match="malformed grid CSV resolution line: invalid literal"):
             FingerprintGrid.from_csv(grid.to_csv({"resolution": given}))
+
+
+def test_grid_json_resolution_must_be_an_integer(players, ja_tft, payoff):
+    doc = json.loads(fingerprint_grid(players["tft"], ja_tft, payoff, 6).to_json())
+
+    def with_resolution(given):
+        return json.dumps({**doc, "meta": {**doc["meta"], "resolution": given}})
+
+    # int() would truncate each of these to 6, or read true as 1
+    for given, shown in ((6.5, "6.5"), (6.9999, "6.9999"), (6.0, "6.0"), (True, "true"),
+                         (False, "false")):
+        with pytest.raises(InputError) as err:
+            FingerprintGrid.from_json(with_resolution(given))
+        assert str(err.value) == f"malformed grid JSON: resolution {shown} is not an integer"
+    for given in (6, "06", " +6"):
+        assert FingerprintGrid.from_json(with_resolution(given)).resolution == 6
+    for given in ("6.0", "six", None):
+        with pytest.raises(InputError, match="malformed grid JSON"):
+            FingerprintGrid.from_json(with_resolution(given))
 
 
 def test_grid_csv_layout(players, ja_tft, payoff):
@@ -456,6 +566,53 @@ def test_affine_payoffs_give_the_affine_fingerprint(players, payoff):
             assert ratfn_equiv(symbolic_fingerprint(player, probe, affine).fn, expected)
             forms += 1
     assert forms == 4 * (17 + 8)
+
+
+_SWAP = {"C": "D", "D": "C"}
+
+
+def _dual_player(player: PlayerMachine) -> PlayerMachine:
+    """The player with C and D swapped in every move it reads and plays."""
+    return PlayerMachine(
+        name=player.name,
+        alphabet=player.alphabet,
+        state_names=player.state_names,
+        initial_state=player.initial_state,
+        initial_action=_SWAP[player.initial_action],
+        step={(s, _SWAP[a]): (t, _SWAP[out]) for (s, a), (t, out) in player.step.items()},
+    )
+
+
+def _swap_xy(poly: ParamExpr) -> ParamExpr:
+    return ParamExpr({(j, i): c for (i, j), c in poly.terms.items()})
+
+
+def test_swapping_c_and_d_swaps_x_and_y(players, payoff):
+    # relabel C <-> D in the player, the Joss-Ann base and the payoff's
+    # indices: the joint chains are isomorphic with x and y swapped, so
+    # F'(y, x) = F(x, y), on the grids to rounding and for closed forms exactly
+    dual_payoff = PayoffMatrix({(_SWAP[a], _SWAP[b]): v for (a, b), v in payoff.entries.items()})
+    n = 12
+    forms = 0
+    for base in players.values():
+        probe, dual_probe = joss_ann(base), joss_ann(_dual_player(base))
+        for player in players.values():
+            dual = _dual_player(player)
+            for mode in (CESARO, INTERIOR_OFFSET):
+                table = fingerprint_grid(player, probe, payoff, n, mode).table
+                dual_table = fingerprint_grid(dual, dual_probe, dual_payoff, n, mode).table
+                gap = np.abs(dual_table.T - table)
+                assert (gap <= 1e-12 * (np.abs(table) + 1)).all(), (player.name, base.name, mode)
+            try:
+                fn = symbolic_fingerprint(player, probe, payoff).fn
+            except ReducibleChainError:
+                with pytest.raises(ReducibleChainError):
+                    symbolic_fingerprint(dual, dual_probe, dual_payoff)
+                continue
+            dual_fn = symbolic_fingerprint(dual, dual_probe, dual_payoff).fn
+            assert ratfn_equiv(RationalFn(_swap_xy(dual_fn.num), _swap_xy(dual_fn.den)), fn)
+            forms += 1
+    assert forms == 17
 
 
 # Probe whose weights mix denominators (3, 7, 4, 5, 6) within and across

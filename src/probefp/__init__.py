@@ -14,7 +14,6 @@ from .automata import (  # noqa: F401
 )
 from .chain import (  # noqa: F401
     ParamChain,
-    closed_classes,
     compose,
     evaluate,
     evaluate_points,

@@ -165,8 +165,9 @@ class Probe:
     Building one checks its groups and compiles its weights: column 0 of
     `weights` is the zero polynomial, then each distinct nonzero weight, and
     `columns[key]` holds the column of each outcome of group `key`, "init"
-    or (state, input).  Probes built on the same weight objects share one
-    read-only table and its sums (`_shared_weights`)."""
+    or (state, input).  Probes whose weight objects are equal values, in
+    the same order, share one read-only table and its sums
+    (`_shared_weights`)."""
 
     name: str
     alphabet: tuple[str, ...]
@@ -194,7 +195,7 @@ class Probe:
         for _, outcomes in groups:
             for _, _, weight in outcomes:
                 objects.setdefault(id(weight), weight)
-        shared = _shared_weights(_Identity(tuple(objects.values())))
+        shared = _shared_weights(tuple(objects.values()))
         column = dict(zip(objects, shared.columns))
         self.columns = {}
         for key, outcomes in groups:
@@ -228,33 +229,17 @@ def _group_name(probe: Probe, key) -> str:
     return "init" if key == "init" else f"state {probe.state_names[key[0]]!r} input {key[1]!r}"
 
 
-class _Identity:
-    """Objects as a cache key that is equal only to the same objects; the
-    key holds them, so none of their ids is reused while it is cached."""
-
-    __slots__ = ("objects", "ids")
-
-    def __init__(self, objects: tuple):
-        self.objects = objects
-        self.ids = tuple(map(id, objects))
-
-    def __hash__(self) -> int:
-        return hash(self.ids)
-
-    def __eq__(self, other) -> bool:
-        return self.ids == other.ids
-
-
 class _SharedWeights:
-    """The compiled table of a tuple of distinct weight objects, shared by
-    every probe built on those objects (every Joss-Ann probe over an
-    alphabet, say): column 0 of `table` is the zero polynomial, then each
-    distinct weight value in order, `columns[k]` is object k's column, and
-    `residual(columns)` is 1 minus the sum of those columns, computed once."""
+    """The compiled table of a tuple of weight objects, shared by every
+    probe whose weight objects are equal to those, in order (every Joss-Ann
+    probe over an alphabet, or one probe file parsed again): column 0 of
+    `table` is the zero polynomial, then each distinct nonzero weight value
+    in order, `columns[k]` is weight k's column, and `residual(columns)` is
+    1 minus the sum of those columns, computed once."""
 
-    def __init__(self, objects: tuple[ParamExpr, ...]):
+    def __init__(self, weights: tuple[ParamExpr, ...]):
         column = {ParamExpr.zero(): 0}
-        self.columns = tuple(column.setdefault(weight, len(column)) for weight in objects)
+        self.columns = tuple(column.setdefault(weight, len(column)) for weight in weights)
         self.table = PolyTable(list(column))
         self._residuals = {}
 
@@ -266,8 +251,8 @@ class _SharedWeights:
 
 
 @functools.lru_cache(maxsize=32)
-def _shared_weights(objects: _Identity) -> _SharedWeights:
-    return _SharedWeights(objects.objects)
+def _shared_weights(weights: tuple[ParamExpr, ...]) -> _SharedWeights:
+    return _SharedWeights(weights)
 
 
 @dataclass

@@ -15,7 +15,9 @@ distribution times `ParamChain.payoff_vector()`.
 
 The classes come from the reachability closure of the support graph, worked
 out once per support pattern among the points, all patterns of a call in
-one stacked closure (`classify_supports`).  One GTH elimination
+one stacked closure (`classify_supports`), and are held as two arrays over
+(pattern, state): the smallest state of each state's class, its head, and
+whether that class is closed.  One GTH elimination
 (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985) over class-ordered flow
 matrices, run once for all points of a call with the point axis last and
 the points sorted by their number of closed classes, gives both the
@@ -86,36 +88,6 @@ class ParamChain:
 
     def payoff_vector(self) -> np.ndarray:
         return np.array([float(p) for p in self.payoff])
-
-
-@dataclass
-class ChainClass:
-    """A strongly connected component of the support graph."""
-
-    states: tuple[int, ...]
-    closed: bool
-
-
-@dataclass
-class ClassDecomposition:
-    classes: tuple[ChainClass, ...]
-
-    def closed_classes(self) -> list[ChainClass]:
-        return [c for c in self.classes if c.closed]
-
-    def transient_states(self) -> list[int]:
-        out: list[int] = []
-        for c in self.classes:
-            if not c.closed:
-                out.extend(c.states)
-        return sorted(out)
-
-    def describe(self) -> str:
-        parts = []
-        for c in self.classes:
-            kind = "closed" if c.closed else "transient"
-            parts.append(f"{kind} {{{', '.join(map(str, c.states))}}}")
-        return "; ".join(parts)
 
 
 def compose(player: PlayerMachine, probe: Probe, payoff: PayoffMatrix) -> ParamChain:
@@ -244,16 +216,17 @@ def evaluate(chain: ParamChain, x: float, y: float) -> tuple[np.ndarray, np.ndar
 # ---------------------------------------------------------------------------
 
 
-def classify_supports(support: np.ndarray) -> list[ClassDecomposition]:
-    """Strongly connected components of each support graph of a (G, n, n)
-    boolean stack, each flagged closed (no edges leave it) or transient,
-    ordered by smallest state.
+def classify_supports(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The strongly connected classes of each support graph of a (G, n, n)
+    boolean stack, as two (G, n) arrays: `head[g, s]` is the smallest state
+    of s's class in graph g, and `closed[g, s]` says whether that class is
+    closed (no edges leave it) rather than transient.
 
     Squaring the 0/1 walk matrices (support plus self-loops) k times covers
     every path of up to 2^k steps, so (n-1).bit_length() batched squarings
     give every graph's reachability closure; states that reach each other
-    form one class, headed by its smallest state, and a class is closed when
-    nothing it reaches lies outside it.
+    form one class, and a class is closed when nothing it reaches lies
+    outside it.
     """
     n = support.shape[-1]
     walk = (support | np.eye(n, dtype=bool)).astype(float)
@@ -261,24 +234,7 @@ def classify_supports(support: np.ndarray) -> list[ClassDecomposition]:
         walk = np.minimum(walk @ walk, 1.0)
     reach = walk > 0
     same = reach & reach.transpose(0, 2, 1)
-    closed = ~np.any(reach & ~same, axis=2)
-    decompositions = []
-    for heads, flags in zip(same.argmax(axis=2).tolist(), closed.tolist()):
-        members: dict[int, list[int]] = {}  # by head, so in order of smallest state
-        for state, head in enumerate(heads):
-            members.setdefault(head, []).append(state)
-        decompositions.append(
-            ClassDecomposition(
-                tuple(ChainClass(tuple(states), flags[head]) for head, states in members.items())
-            )
-        )
-    return decompositions
-
-
-def closed_classes(matrix: np.ndarray) -> ClassDecomposition:
-    """The classes of one evaluated (n, n) transition matrix's support graph,
-    its entries above SUPPORT_CUTOFF: the stack of one of `classify_supports`."""
-    return classify_supports(matrix[None] > SUPPORT_CUTOFF)[0]
+    return same.argmax(axis=2), ~np.any(reach & ~same, axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +250,12 @@ def limit_distributions(matrix: np.ndarray, init: np.ndarray, points) -> np.ndar
     The points are grouped by support pattern (matrix > SUPPORT_CUTOFF), and
     the classes of all patterns are worked out together, by one
     `classify_supports` call over the stacked support of each pattern's
-    first point.  One GTH pass then serves every point, over flow matrices
-    (1 + n, 1 + n, N) with the point axis last, each ordered [start, the
-    head (first state) of each closed class, the other closed-class states,
-    the transient states].  The start row is the initial distribution and a closed-class
+    first point; each pattern's state order and closed-class labels are
+    read from its head and closed arrays.  One GTH pass then serves every
+    point, over flow matrices (1 + n, 1 + n, N) with the point axis last,
+    each ordered [start, the head (smallest state) of each closed class, the
+    other closed-class states by class, the transient states], each group by
+    state.  The start row is the initial distribution and a closed-class
     row keeps only its own class's entries, so flow below SUPPORT_CUTOFF
     cannot leak between classes.  Eliminating every state after the heads
     leaves the start row holding the absorption probabilities;
@@ -329,23 +287,18 @@ def limit_distributions(matrix: np.ndarray, init: np.ndarray, points) -> np.ndar
         keys = support.view(np.dtype((np.void, support.shape[1]))).ravel()
         _, first, pattern = np.unique(keys, return_index=True, return_inverse=True)
 
-    decompositions = classify_supports(edges[first])
-    orders, labels = [], []
-    heads = np.empty(len(first), dtype=int)
-    closed_size = 0  # most closed-class states of any pattern
-    for g, decomposition in enumerate(decompositions):
-        closed = decomposition.closed_classes()
-        others = [s for cls in closed for s in cls.states[1:]]
-        order = np.array(
-            [cls.states[0] for cls in closed] + others + decomposition.transient_states()
-        )
-        label = np.full(n, -1)  # closed class of each state, -1 if transient
-        for j, cls in enumerate(closed):
-            label[list(cls.states)] = j
-        orders.append(order)
-        labels.append(label[order])
-        heads[g] = len(closed)
-        closed_size = max(closed_size, len(closed) + len(others))
+    head, closed = classify_supports(edges[first])
+    groups, state = np.arange(len(first))[:, None], np.arange(n)
+    is_head = closed & (head == state)
+    # closed class of each state, numbered in order of head, -1 if transient
+    labels = np.where(closed, (np.cumsum(is_head, axis=1) - 1)[groups, head], -1)
+    # closed heads, the other closed-class states by class, the transient
+    # states, each by state: one sort over the unique key kind * n + state
+    kind = np.where(is_head, 0, np.where(closed, 1 + labels, n + 1))
+    orders = np.argsort(kind * n + state, axis=1)
+    labels = labels[groups, orders]
+    heads = is_head.sum(axis=1)
+    closed_size = int(closed.sum(axis=1).max())  # most closed-class states of any pattern
 
     sort = None
     runs = [(0, slice(None))]
@@ -369,10 +322,11 @@ def limit_distributions(matrix: np.ndarray, init: np.ndarray, points) -> np.ndar
     def stuck(q: int) -> str:
         """The first state that point q could not eliminate, with its class."""
         k = n - int(np.argmin(out[::-1, q] > 0))
-        state = int(orders[pattern[q]][k - 1])
-        cls = next(cl for cl in decompositions[pattern[q]].classes if state in cl.states)
-        kind = "closed" if cls.closed else "transient"
-        return f"zero out-flow from state {state} of {kind} class {list(cls.states)}"
+        g = pattern[q]
+        s = int(orders[g, k - 1])
+        kind = "closed" if closed[g, s] else "transient"
+        members = np.flatnonzero(head[g] == head[g, s]).tolist()
+        return f"zero out-flow from state {s} of {kind} class {members}"
 
     flow = np.zeros((1 + n, 1 + n, count))
     for g, run in runs:

@@ -98,7 +98,8 @@ class ClosedFormCheckError(NumericError):
 
 
 class ReducibleChainError(ProbeFpError):
-    """Closed-form mode requires an irreducible chain; carries the classes found."""
+    """Closed-form mode requires an irreducible chain; `classes` holds the
+    classes found, as (states, closed) pairs in order of smallest state."""
 
     def __init__(self, message: str, classes=None):
         super().__init__(message)

@@ -30,6 +30,7 @@ probe that is the whole open triangle minus the denominator's zeros.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -234,7 +235,7 @@ class FingerprintGrid:
                 )
             n = int(given)
             mode = meta.pop("boundary_mode", CESARO)
-            rows = np.array(doc["values"], dtype=float)
+            rows = _json_rows(doc["values"])
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise InputError(f"malformed grid JSON: {exc!r}") from exc
         if rows.ndim != 2 or rows.shape[1] != 3:
@@ -302,6 +303,20 @@ def _csv_rows(lines: list[str], text: str) -> np.ndarray:
         except ValueError as exc:
             raise InputError(f"malformed grid CSV row {line!r}: {exc}") from exc
     return np.array(rows).reshape(-1, 3)
+
+
+def _json_rows(values) -> np.ndarray:
+    """A JSON grid's `values` as an array; InputError names the first row
+    with an entry that is not a JSON number, which np.array would read
+    (true as 1.0, "1_0" as 10.0)."""
+    if isinstance(values, list) and set(map(type, values)) == {list}:
+        if not set(map(type, itertools.chain.from_iterable(values))) <= {int, float}:
+            row = next(row for row in values if not set(map(type, row)) <= {int, float})
+            entry = next(v for v in row if type(v) not in (int, float))
+            raise InputError(
+                f"malformed grid JSON row {json.dumps(row)}: {json.dumps(entry)} is not a number"
+            )
+    return np.array(values, dtype=float)
 
 
 def _checked_mode(mode) -> str:
@@ -538,13 +553,20 @@ def symbolic_fingerprint(
     chain = compose(player, probe, payoff)
     n = chain.n_states
     support = chain.index[: n * n].reshape(1, n, n) > 0
-    decomposition = classify_supports(support)[0]
-    classes = decomposition.classes
-    if len(classes) != 1 or not classes[0].closed:
+    head, closed = classify_supports(support)
+    if head.any() or not closed.all():
+        members: dict[int, list[int]] = {}  # by head, so in order of smallest state
+        for state, h in enumerate(head[0].tolist()):
+            members.setdefault(h, []).append(state)
+        classes = tuple((tuple(states), bool(closed[0, h])) for h, states in members.items())
+        described = "; ".join(
+            f"{'closed' if shut else 'transient'} {{{', '.join(map(str, states))}}}"
+            for states, shut in classes
+        )
         raise ReducibleChainError(
             "chain is reducible at the generic interior point; "
-            f"classes: {decomposition.describe()}; use grid mode instead",
-            classes=decomposition,
+            f"classes: {described}; use grid mode instead",
+            classes=classes,
         )
 
     # Stationary equations pi (I - P) = 0, transposed to columns; the last

@@ -111,6 +111,20 @@ def support_classes(support) -> list[tuple[tuple[int, ...], bool]]:
     return classes
 
 
+def classes_of(head, closed) -> list[tuple[tuple[int, ...], bool]]:
+    """One graph's class arrays from `classify_supports` (each state's class
+    head and closed flag) as `support_classes` gives its classes; a head that
+    is not its class's smallest state, or a class whose states disagree on
+    its flag, fails."""
+    classes = []
+    for first in sorted(set(head.tolist())):
+        states = tuple(np.flatnonzero(head == first).tolist())
+        flags = {bool(closed[s]) for s in states}
+        assert states[0] == first and len(flags) == 1, (head, closed)
+        classes.append((states, flags.pop()))
+    return classes
+
+
 # ---------------------------------------------------------------------------
 # Polynomials one term at a time
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 from oracles import (
     cesaro_average,
     chain_sum_residuals,
+    classes_of,
     cycle_average_payoff,
     exact_l2_distance,
     mixing_probe,
@@ -26,7 +27,13 @@ from oracles import (
     strongly_connected_player,
 )
 from probefp import bundled_strategy_path
-from probefp.chain import compose, evaluate, closed_classes, limit_distributions
+from probefp.chain import (
+    SUPPORT_CUTOFF,
+    classify_supports,
+    compose,
+    evaluate,
+    limit_distributions,
+)
 from probefp.cli import main
 from probefp.fingerprint import (
     fingerprint_grid,
@@ -97,8 +104,8 @@ def test_criterion_03_stationary_solver_oracle(payoff):
                 oracle = cesaro_average(matrix, init, 10**6)
                 worst = max(worst, float(np.max(np.abs(pi - oracle))))
                 assert np.max(np.abs(pi - oracle)) <= 1e-6
-                for cls in closed_classes(matrix).closed_classes():
-                    idx = list(cls.states)
+                head, closed = classify_supports(matrix[None] > SUPPORT_CUTOFF)
+                for idx in [list(s) for s, shut in classes_of(head[0], closed[0]) if shut]:
                     sub = matrix[np.ix_(idx, idx)]
                     residual = np.max(np.abs(pi[idx] @ sub - pi[idx]))
                     assert residual <= 1e-9

@@ -435,6 +435,20 @@ def test_joss_ann_matches_per_transition_construction(players, payoff):
         assert validate_probe(probe) == validate_probe(fresh)
 
 
+def test_a_probe_file_parsed_again_shares_its_weight_table(players):
+    # the table is cached by the weights' values, so a second parse of the
+    # same text, with new weight objects, finds the first parse's table
+    text = (
+        "probe K\nalphabet C D\ninit C 0 : 1 - x\ninit D 1 : x\n"
+        "0 C -> C 0 : 1\n0 D -> D 1 : 1\n1 C -> C 0 : 1 - y\n1 C -> D 1 : y\n1 D -> D 1 : 1\n"
+    )
+    first, again = parse_probe(text), parse_probe(text)
+    assert first.init[1][2] is not again.init[1][2]
+    assert again.weights is first.weights and again.columns == first.columns
+    assert parse_probe(text.replace("1 - y", "1 - 1/2*y").replace(": y", ": 1/2*y")).weights \
+        is not first.weights
+
+
 def test_vertex_values_are_the_exact_values_at_the_vertices(players):
     rng = random.Random(53)
     probes = [joss_ann(base) for base in players.values()]

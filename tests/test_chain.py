@@ -11,6 +11,7 @@ from oracles import (
     cesaro_average_literal,
     chain_rows,
     chain_sum_residuals,
+    classes_of,
     compose_by_search,
     limit_distribution_point,
     mixing_probe,
@@ -26,10 +27,7 @@ from probefp.automata import Probe, joss_ann
 import probefp.chain as chain_module
 from probefp.chain import (
     SUPPORT_CUTOFF,
-    ChainClass,
-    ClassDecomposition,
     classify_supports,
-    closed_classes,
     compose,
     evaluate,
     evaluate_points,
@@ -219,22 +217,35 @@ def _limit(matrix, init, point=(0.0, 0.0)):
     return limit_distributions(matrix, np.array([init], dtype=float), [point])[0]
 
 
+def _classes(matrix):
+    """(states, closed) for each class of one evaluated transition matrix's
+    support graph, its entries above SUPPORT_CUTOFF: a stack of one."""
+    head, closed = classify_supports(np.asarray(matrix)[None] > SUPPORT_CUTOFF)
+    return classes_of(head[0], closed[0])
+
+
+def _closed_count(matrix):
+    return sum(shut for _, shut in _classes(matrix))
+
+
+def _one_closed_class(stack):
+    """Every graph of the stack misreported as one closed class."""
+    return np.zeros(stack.shape[:2], dtype=int), np.ones(stack.shape[:2], dtype=bool)
+
+
 def test_closed_classes_two_absorbing():
-    decomp = closed_classes(np.array([[1.0, 0], [0, 1]]))
-    assert [(c.states, c.closed) for c in decomp.classes] == [
+    assert _classes(np.array([[1.0, 0], [0, 1]])) == [
         ((0,), True),
         ((1,), True),
     ]
 
 
 def test_closed_classes_cycle():
-    decomp = closed_classes(np.array([[0.0, 1], [1, 0]]))
-    assert [(c.states, c.closed) for c in decomp.classes] == [((0, 1), True)]
+    assert _classes(np.array([[0.0, 1], [1, 0]])) == [((0, 1), True)]
 
 
 def test_closed_classes_transient():
-    decomp = closed_classes(np.array([[0.5, 0.5], [0, 1]]))
-    assert [(c.states, c.closed) for c in decomp.classes] == [
+    assert _classes(np.array([[0.5, 0.5], [0, 1]])) == [
         ((0,), False),
         ((1,), True),
     ]
@@ -262,18 +273,18 @@ def test_closed_classes_match_reachability_oracle():
     rng = np.random.default_rng(2024)
     matrices += [_random_support_chain(rng) for _ in range(1000)]
     for matrix in matrices:
-        decomp = closed_classes(matrix)
         expected = support_classes((matrix > SUPPORT_CUTOFF).tolist())
-        assert [(c.states, c.closed) for c in decomp.classes] == expected
+        assert _classes(matrix) == expected
 
     # the same graphs stacked by size: one closure classifies each matrix
     # of the stack as it would alone
     for n in range(1, 10):
         stack = np.array([m > SUPPORT_CUTOFF for m in matrices if len(m) == n])
         assert len(stack) > 1
-        for support, decomp in zip(stack, classify_supports(stack), strict=True):
-            expected = support_classes(support.tolist())
-            assert [(c.states, c.closed) for c in decomp.classes] == expected
+        head, closed = classify_supports(stack)
+        assert head.shape == closed.shape == stack.shape[:2]
+        for support, heads, flags in zip(stack, head, closed, strict=True):
+            assert classes_of(heads, flags) == support_classes(support.tolist())
 
 
 # -- limit distributions -------------------------------------------------------
@@ -345,8 +356,7 @@ def test_gth_stationary_weakly_coupled():
 def test_gth_zero_out_flow_raises(monkeypatch):
     # two absorbing states misreported as one closed class: state 1 has no
     # out-flow to state 0, so its elimination must refuse
-    merged = ClassDecomposition(classes=(ChainClass(states=(0, 1), closed=True),))
-    monkeypatch.setattr(chain_module, "classify_supports", lambda stack: [merged] * len(stack))
+    monkeypatch.setattr(chain_module, "classify_supports", _one_closed_class)
     with pytest.raises(SingularSystemError) as err:
         _limit([[1, 0], [0, 1]], [0.5, 0.5])
     message = str(err.value)
@@ -358,8 +368,7 @@ def test_batched_zero_out_flow_names_the_failing_point(monkeypatch):
     # right for the mixing points and leaves the absorbing one stuck
     mixing = [[0.5, 0.5], [0.25, 0.75]]
     absorbing = [[1.0, 0.0], [0.0, 1.0]]
-    merged = ClassDecomposition(classes=(ChainClass(states=(0, 1), closed=True),))
-    monkeypatch.setattr(chain_module, "classify_supports", lambda stack: [merged] * len(stack))
+    monkeypatch.setattr(chain_module, "classify_supports", _one_closed_class)
     with pytest.raises(SingularSystemError) as err:
         limit_distributions(
             np.array([mixing, mixing, absorbing]),
@@ -372,13 +381,12 @@ def test_batched_zero_out_flow_names_the_failing_point(monkeypatch):
     # patterns with two heads and with one; the pass sorts them by head count,
     # and the error still names the first stuck point of the batch as given
     stuck = np.eye(3)
-    merged = ClassDecomposition(classes=(ChainClass(states=(0, 1, 2), closed=True),))
 
     def misreport(stack):
-        return [
-            merged if (support == stuck.astype(bool)).all() else decomposition
-            for support, decomposition in zip(stack, classify_supports(stack))
-        ]
+        head, closed = classify_supports(stack)
+        merged = (stack == stuck.astype(bool)).all(axis=(1, 2))
+        head[merged], closed[merged] = 0, True
+        return head, closed
 
     monkeypatch.setattr(chain_module, "classify_supports", misreport)
     two_heads = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.25, 0.25]]
@@ -503,7 +511,7 @@ def test_mixed_batches_match_the_per_point_oracle(players, ja_tft, payoff):
     rng = np.random.default_rng(11)
     for n in (3, 6, 9):
         matrices, inits = _mixed_batch(rng, n, 60)
-        heads = {len(closed_classes(m).closed_classes()) for m in matrices}
+        heads = {_closed_count(m) for m in matrices}
         assert heads == {1, 2, 3}
         pi = limit_distributions(matrices, inits, [(p / 60, 0.0) for p in range(60)])
         for row, matrix, init in zip(pi, matrices, inits):
@@ -516,7 +524,7 @@ def test_mixed_batches_match_the_per_point_oracle(players, ja_tft, payoff):
     for n in (14, 20):
         points = np.array(_lattice(n))
         matrices, inits = evaluate_points(chain, *points.T)
-        assert len({len(closed_classes(m).closed_classes()) for m in matrices}) == 2
+        assert len({_closed_count(m) for m in matrices}) == 2
         pi = limit_distributions(matrices, inits, points)
         for row, (x, y) in zip(pi, points):
             assert abs(row @ oracle.payoff - oracle.value(x, y)) <= 1e-12

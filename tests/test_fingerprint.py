@@ -25,8 +25,15 @@ from oracles import (
     random_player,
     strongly_connected_player,
 )
-from probefp.automata import PayoffMatrix, PlayerMachine, joss_ann, parse_probe, validate_probe
-from probefp.chain import SUPPORT_CUTOFF, ChainClass, ClassDecomposition, compose
+from probefp.automata import (
+    PayoffMatrix,
+    PlayerMachine,
+    Probe,
+    joss_ann,
+    parse_probe,
+    validate_probe,
+)
+from probefp.chain import SUPPORT_CUTOFF, compose
 from probefp.errors import (
     ClosedFormCheckError,
     ExpressionSwellError,
@@ -49,7 +56,9 @@ from probefp.fingerprint import (
     symbolic_fingerprint,
     value_at,
 )
+from probefp.metrics import distance_matrix
 from probefp.polyexpr import ParamExpr, RationalFn, expr_parse, ratfn_equiv, ratfn_eval
+from probefp.simulate import estimate
 
 # Probe with a bridging transition of weight x: for x > 0 the chain is
 # absorbed into permanent defection, on the x = 0 edge it stays cooperative.
@@ -457,6 +466,41 @@ def test_grid_json_resolution_must_be_an_integer(players, ja_tft, payoff):
             FingerprintGrid.from_json(with_resolution(given))
 
 
+def test_grid_json_values_must_be_numbers(players, ja_tft, payoff):
+    doc = json.loads(fingerprint_grid(players["tft"], ja_tft, payoff, 6).to_json())
+    rows = doc["values"]
+
+    def with_row(k, row, *more):
+        values = [list(r) for r in rows]
+        values[k] = row
+        for j, other in more:
+            values[j] = other
+        return json.dumps({**doc, "values": values})
+
+    # np.array would read true as 1.0, "1_0" as 10.0 and " 7 " as 7.0, and
+    # [false, false, 1] as node (0, 0)
+    x, y, value = rows[3]
+    for row, entry in (
+        ([x, y, True], "true"),
+        (["1_0", y, value], '"1_0"'),
+        ([x, y, " 7 "], '" 7 "'),
+        ([False, False, 1], "false"),
+        ([x, y, None], "null"),
+        ([x, [y], value], f"[{json.dumps(y)}]"),
+    ):
+        with pytest.raises(InputError) as err:
+            FingerprintGrid.from_json(with_row(3, row, (5, [x, y, "0"])))
+        assert str(err.value) == (
+            f"malformed grid JSON row {json.dumps(row)}: {entry} is not a number"
+        )
+    # integers are JSON numbers too
+    grid = FingerprintGrid.from_json(with_row(0, [0, 0, 2]))
+    assert grid.values[(0, 0)] == 2.0
+    # values that are not a list of rows keep their messages
+    with pytest.raises(InputError, match=r"values of shape \(3,\) are not"):
+        FingerprintGrid.from_json(json.dumps({**doc, "values": [1, 2, 3]}))
+
+
 def test_grid_csv_layout(players, ja_tft, payoff):
     text = fingerprint_grid(players["tft"], ja_tft, payoff, 2).to_csv()
     lines = [line for line in text.splitlines() if not line.startswith("#")]
@@ -613,6 +657,77 @@ def test_swapping_c_and_d_swaps_x_and_y(players, payoff):
             assert ratfn_equiv(RationalFn(_swap_xy(dual_fn.num), _swap_xy(dual_fn.den)), fn)
             forms += 1
     assert forms == 17
+
+
+def _renamed_player(player: PlayerMachine, perm: list[int]) -> PlayerMachine:
+    """The player with state s renamed perm[s], each keeping its name."""
+    names = [""] * player.n_states
+    for s, name in enumerate(player.state_names):
+        names[perm[s]] = name
+    return PlayerMachine(
+        name=player.name,
+        alphabet=player.alphabet,
+        state_names=tuple(names),
+        initial_state=perm[player.initial_state],
+        initial_action=player.initial_action,
+        step={(perm[s], a): (perm[t], out) for (s, a), (t, out) in player.step.items()},
+    )
+
+
+def _renamed_probe(probe: Probe, perm: list[int]) -> Probe:
+    """The probe with state s renamed perm[s], each keeping its name, and
+    each group keeping its outcome order."""
+    names = [""] * probe.n_states
+    for s, name in enumerate(probe.state_names):
+        names[perm[s]] = name
+    return Probe(
+        name=probe.name,
+        alphabet=probe.alphabet,
+        state_names=tuple(names),
+        init=tuple((a, perm[t], w) for a, t, w in probe.init),
+        step={
+            (perm[s], a): tuple((b, perm[t], w) for b, t, w in outcomes)
+            for (s, a), outcomes in probe.step.items()
+        },
+    )
+
+
+def _outputs(player, probe, payoff) -> list[str]:
+    """The text of each output of one pair: its n = 12 grids in both
+    boundary modes, its closed form or refusal, and an estimate."""
+    texts = [fingerprint_grid(player, probe, payoff, 12, mode).to_csv()
+             for mode in (CESARO, INTERIOR_OFFSET)]
+    try:
+        fn = symbolic_fingerprint(player, probe, payoff).fn
+        texts.append(f"num: {fn.num.render()}\nden: {fn.den.render()}")
+    except ReducibleChainError as exc:
+        texts.append(str(exc))
+    texts.append(repr(estimate(player, probe, payoff, 0.25, 0.35, 600, replicates=2, seed=7)))
+    return texts
+
+
+def test_renaming_states_leaves_every_output_byte_identical(players, payoff):
+    # compose indexes joint states breadth-first from the initial support,
+    # each row's outcomes in the probe's order, so renaming the player's or
+    # the probe's states, with each group's outcome order kept, leaves the
+    # joint chain and every output unchanged
+    pairs = bundled_pairs(players) + random_oracle_pairs()
+    rng = random.Random(14)
+    corpus = [(str(k), pointwise_fingerprint(player, probe, payoff))
+              for k, (player, probe) in enumerate(pairs)]
+    distances = distance_matrix(corpus, 8).to_csv()
+    for rename in ("player", "probe"):
+        renamed_corpus = []
+        for k, (player, probe) in enumerate(pairs):
+            machine = player if rename == "player" else probe
+            perm = rng.sample(range(machine.n_states), machine.n_states)
+            if rename == "player":
+                renamed = (_renamed_player(player, perm), probe)
+            else:
+                renamed = (player, _renamed_probe(probe, perm))
+            assert _outputs(*renamed, payoff) == _outputs(player, probe, payoff), (k, rename, perm)
+            renamed_corpus.append((str(k), pointwise_fingerprint(*renamed, payoff)))
+        assert distance_matrix(renamed_corpus, 8).to_csv() == distances
 
 
 # Probe whose weights mix denominators (3, 7, 4, 5, 6) within and across
@@ -822,7 +937,7 @@ def test_symbolic_singular_system_raises(players, payoff, monkeypatch):
     monkeypatch.setattr(
         fingerprint_module,
         "classify_supports",
-        lambda support: [ClassDecomposition((ChainClass((0, 1, 2), closed=True),))],
+        lambda support: (np.zeros((1, 3), dtype=int), np.ones((1, 3), dtype=bool)),
     )
     with pytest.raises(ReducibleChainError) as err:
         symbolic_fingerprint(players["tft"], probe, payoff)

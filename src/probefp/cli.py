@@ -322,7 +322,7 @@ def _fingerprint_source(spec: str, settings: dict, payoff):
     pairs evaluated pointwise on the fly.  Returns the name, the evaluable
     and the SHA-256 digests of the files read, in the order of the spec."""
     path = Path(spec)
-    if path.suffix in (".json", ".csv") or (path.exists() and ":" not in spec):
+    if path.suffix in (".json", ".csv") or (":" not in spec and path.exists()):
         text, digest = _read_file(spec)
         try:
             grid = (

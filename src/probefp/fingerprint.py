@@ -19,13 +19,13 @@ come from that bound and from degree sums, so these values pack without
 overlap.  TERM_CAP caps the number of terms of any intermediate polynomial,
 counted after unpacking.
 
-Each closed form is then checked exactly: the chain's stationary system is
-solved modulo a prime p near 2**61 at one point (a, b), and payoff . pi times
-the form's denominator must equal its numerator there (`_check_exactly`).  A
-wrong form passes with probability at most its degree over p
-(Schwartz-Zippel).  A form holds off the zero sets of the chain's
-generically nonzero weights and of its own denominator; for a Joss-Ann
-probe that is the whole open triangle minus the denominator's zeros.
+Each closed form is then checked exactly: the chain's stationary vector pi
+is solved by GTH state censoring over GF(p), p a prime near 2**61, at one
+point (a, b), and payoff . pi times the form's denominator must equal its
+numerator there (`_check_exactly`).  A wrong form passes with probability at
+most its degree over p (Schwartz-Zippel).  A form holds off the zero sets of
+the chain's generically nonzero weights and of its own denominator; for a
+Joss-Ann probe that is the whole open triangle minus the denominator's zeros.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from types import MappingProxyType
 
 import numpy as np
@@ -84,8 +85,8 @@ TERM_CAP = 200_000
 
 # The exact check of a closed form tries each (prime, a, b) in turn, a and
 # b drawn once from a constant seed so that outputs are reproducible, until
-# one decides: a point where a scale, the system or the form's denominator
-# vanishes modulo the prime cannot.
+# one decides: a point where a scale, an out-flow of the stationary solve or
+# the form's denominator vanishes modulo the prime cannot.
 _rng = random.Random(0x5EED)
 EXACT_CHECKS = tuple(
     (p, _rng.randrange(1, p), _rng.randrange(1, p)) for p in (2**61 - 1, 2**61 - 31, 2**61 - 45)
@@ -604,16 +605,15 @@ def _check_exactly(chain: ParamChain, fn: RationalFn) -> None:
     ClosedFormCheckError if it is not, or if none can decide."""
     for p, a, b in EXACT_CHECKS:
         verdict = _agrees_modulo(chain, fn, p, a, b)
-        if verdict is None:
-            continue
-        if not verdict:
+        if verdict is False:
             raise ClosedFormCheckError(
                 f"closed form disagrees with the chain modulo the prime {p} "
                 f"at (x, y) = ({a}, {b})",
                 p,
                 (a, b),
             )
-        return
+        if verdict:
+            return
     raise ClosedFormCheckError(
         "no (prime, point) of the exact check could decide the closed form: at each, "
         "a scale, the stationary system or the form's denominator vanishes modulo the prime"
@@ -622,13 +622,9 @@ def _check_exactly(chain: ParamChain, fn: RationalFn) -> None:
 
 def _agrees_modulo(chain: ParamChain, fn: RationalFn, p: int, a: int, b: int) -> bool | None:
     """Whether fn = num / den agrees with the chain at (a, b) modulo the
-    prime p, or None when that point cannot decide.
-
-    The system is the closed form's: the transposed rows of pi (I - P) = 0
-    with the last equation replaced by sum(pi) = 1.  It is solved by
-    Gaussian elimination modulo p, and the point agrees when the init row
-    sums to 1, the dropped equation holds and payoff . pi * den = num.
-    """
+    prime p, or None when that point cannot decide: the init row sums to 1
+    and pi, solved from the chain by GTH over GF(p) (`_stationary_modulo`),
+    meets each equation of pi P = pi and payoff . pi * den = num."""
     n = chain.n_states
     if any(not c.denominator % p for c in chain.payoff):
         return None
@@ -642,40 +638,40 @@ def _agrees_modulo(chain: ParamChain, fn: RationalFn, p: int, a: int, b: int) ->
     if None in residues or num is None or not den:
         return None
     cells = [residues[k] for k in chain.index.tolist()]
-    matrix = [cells[s * n : (s + 1) * n] for s in range(n)]
-    # augmented rows [A | e_last]: A's row j is column j of I - P, and its
-    # last row is all ones
-    rows = [[((i == j) - matrix[i][j]) % p for i in range(n)] + [0] for j in range(n - 1)]
-    pi = _solve_modulo([*rows, [1] * (n + 1)], p)
+    pi = _stationary_modulo([cells[s * n : (s + 1) * n] for s in range(n)], p)
     if pi is None:
         return None
     mass = sum(cells[n * n :]) % p
-    dropped = (pi[-1] - sum(matrix[i][-1] * pi[i] for i in range(n))) % p
+    stationary = all(sum(map(mul, pi, cells[j : n * n : n])) % p == v for j, v in enumerate(pi))
     value = sum(c * v for c, v in zip(payoff, pi))
-    return mass == 1 and dropped == 0 and (value * den - num) % p == 0
+    return mass == 1 and stationary and (value * den - num) % p == 0
 
 
-def _solve_modulo(rows: list[list[int]], p: int) -> list[int] | None:
-    """The solution modulo the prime p of the n x (n + 1) augmented system
-    `rows`, by forward elimination with a search for a nonzero pivot and
-    back-substitution; None if the system is singular modulo p.  Overwrites
-    `rows`."""
-    n = len(rows)
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if rows[r][k]), None)
-        if pivot is None:
+def _stationary_modulo(rows: list[list[int]], p: int) -> list[int] | None:
+    """The stationary vector modulo the prime p of the n x n transition
+    residues `rows` (overwritten), by GTH state censoring as in
+    `limit_distributions`: states n - 1, ..., 1 are censored through their
+    out-flows to the states before them, then pi is back-substituted from
+    pi_0 = 1 and normalised; None when an out-flow or the total is 0 mod p."""
+    columns = []  # the flow into k = n - 1, ..., 1 from each state before it, over k's out-flow
+    for k in range(len(rows) - 1, 0, -1):
+        row = rows[k][:k]
+        out = sum(row) % p
+        if not out:
             return None
-        rows[k], rows[pivot] = rows[pivot], rows[k]
-        # no later step reads a column up to k, so those entries are left
-        inverse = pow(rows[k][k], -1, p)
-        tail = rows[k][k + 1 :] = [v * inverse % p for v in rows[k][k + 1 :]]
-        for row in rows[k + 1 :]:
-            factor = row[k]
+        inverse = pow(out, -1, p)
+        columns.append([above[k] * inverse % p for above in rows[:k]])
+        for i, factor in enumerate(columns[-1]):
             if factor:
-                row[k + 1 :] = [(v - factor * w) % p for v, w in zip(row[k + 1 :], tail)]
-    for k in reversed(range(n)):
-        rows[k][n] = (rows[k][n] - sum(rows[k][i] * rows[i][n] for i in range(k + 1, n))) % p
-    return [row[n] for row in rows]
+                rows[i] = [(v + factor * w) % p for v, w in zip(rows[i], row)]
+    pi = [1]
+    for column in reversed(columns):
+        pi.append(sum(map(mul, pi, column)) % p)
+    total = sum(pi) % p
+    if not total:
+        return None
+    inverse = pow(total, -1, p)
+    return [v * inverse % p for v in pi]
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ def _grlex(key: Exponents) -> tuple[int, int]:
 class ParamExpr:
     """Immutable exact polynomial in the two probe parameters."""
 
-    __slots__ = ("_terms", "_int_cache")
+    __slots__ = ("_terms", "_int_cache", "_hash")
 
     def __init__(self, terms: Mapping[Exponents, Fraction] | None = None):
         canonical: dict[Exponents, Fraction] = {}
@@ -59,6 +59,7 @@ class ParamExpr:
                     canonical[(int(i), int(j))] = coeff
         self._terms = canonical
         self._int_cache: tuple[int, IntTerms, int] | None = None
+        self._hash: int | None = None  # filled on first use
 
     # -- constructors ------------------------------------------------------
 
@@ -230,7 +231,9 @@ class ParamExpr:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -262,6 +265,7 @@ def _wrap(terms: dict[Exponents, Fraction]) -> ParamExpr:
     out = ParamExpr.__new__(ParamExpr)
     out._terms = terms
     out._int_cache = None
+    out._hash = None
     return out
 
 

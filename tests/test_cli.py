@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +264,22 @@ def test_distance_input_digests_follow_spec_order(workdir):
     expected = [hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in read]
     doc = json.loads(out_file.read_text())
     assert doc["meta"]["input_sha256"] == ";".join(expected)
+
+
+def test_distance_over_pairs_stats_no_path(workdir, monkeypatch):
+    # a spec with a colon is a pair, never a file, so it is not looked up
+    stats = []
+    exists = Path.exists
+    monkeypatch.setattr(Path, "exists", lambda path: stats.append(path) or exists(path))
+    code = main([
+        "distance",
+        f"{workdir / 'allc.player'}:ja:{workdir / 'tft.player'}",
+        f"{workdir / 'tft.player'}:{workdir / 'constc.probe'}",
+        f"{workdir / 'pavlov.player'}:ja",
+        "--quad-n", "4", "-o", str(workdir / "d.csv"),
+    ])
+    assert code == 0
+    assert stats == []
 
 
 def test_distance_usage_errors(workdir):

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import math
 import pickle
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -631,6 +632,22 @@ def _swap_xy(poly: ParamExpr) -> ParamExpr:
     return ParamExpr({(j, i): c for (i, j), c in poly.terms.items()})
 
 
+def _dual_probe(probe: Probe) -> Probe:
+    """The probe with C and D swapped in every move it reads and plays, and
+    x and y swapped in every weight."""
+
+    def dual(outcomes):
+        return tuple((_SWAP[a], s, _swap_xy(w)) for a, s, w in outcomes)
+
+    return Probe(
+        name=probe.name,
+        alphabet=probe.alphabet,
+        state_names=probe.state_names,
+        init=dual(probe.init),
+        step={(s, _SWAP[a]): dual(outcomes) for (s, a), outcomes in probe.step.items()},
+    )
+
+
 def test_swapping_c_and_d_swaps_x_and_y(players, payoff):
     # relabel C <-> D in the player, the Joss-Ann base and the payoff's
     # indices: the joint chains are isomorphic with x and y swapped, so
@@ -657,6 +674,22 @@ def test_swapping_c_and_d_swaps_x_and_y(players, payoff):
             assert ratfn_equiv(RationalFn(_swap_xy(dual_fn.num), _swap_xy(dual_fn.den)), fn)
             forms += 1
     assert forms == 17
+    # random players and probes, closed forms only: the dual probe also
+    # swaps x and y in its weights
+    forms = refused = 0
+    for player, probe in random_oracle_pairs() + irreducible_random_pairs(32):
+        dual, dual_probe = _dual_player(player), _dual_probe(probe)
+        try:
+            fn = symbolic_fingerprint(player, probe, payoff).fn
+        except ReducibleChainError:
+            with pytest.raises(ReducibleChainError):
+                symbolic_fingerprint(dual, dual_probe, dual_payoff)
+            refused += 1
+            continue
+        dual_fn = symbolic_fingerprint(dual, dual_probe, dual_payoff).fn
+        assert RationalFn(_swap_xy(dual_fn.num), _swap_xy(dual_fn.den)) == fn
+        forms += 1
+    assert (forms, refused) == (8 + 32, 32)
 
 
 def _renamed_player(player: PlayerMachine, perm: list[int]) -> PlayerMachine:
@@ -809,8 +842,8 @@ def test_integer_system_matches_scaled_polynomial_rows(players, payoff):
     assert checked == 6 + 17 + 25
 
 
-def _rational_solve(rows: list[list[int]]) -> list[Fraction] | None:
-    """The solution over the rationals of an n x (n + 1) augmented integer
+def _rational_solve(rows: list[list[Fraction]]) -> list[Fraction] | None:
+    """The solution over the rationals of an n x (n + 1) augmented rational
     system by Gauss-Jordan elimination; None if it is singular."""
     n = len(rows)
     a = [[Fraction(v) for v in row] for row in rows]
@@ -826,28 +859,44 @@ def _rational_solve(rows: list[list[int]]) -> list[Fraction] | None:
     return [a[k][n] / a[k][k] for k in range(n)]
 
 
+def _random_stochastic(rng: random.Random, n: int, edges: set) -> list[list[Fraction]]:
+    """An n x n matrix with small positive rational weights on `edges`,
+    each row summing to 1 exactly."""
+    weights = [[rng.randint(1, 9) if (i, j) in edges else 0 for j in range(n)] for i in range(n)]
+    return [[Fraction(w, sum(row)) for w in row] for row in weights]
+
+
+def _modulo(v: Fraction, p: int) -> int:
+    return v.numerator * pow(v.denominator, -1, p) % p
+
+
 def test_modular_solve_matches_rational_solve():
-    # small sparse integer systems modulo a prime far above their
-    # determinants, so singular modulo p exactly when singular over the
-    # rationals; a third have one row a combination of two others
+    # random irreducible chains (a random cycle through every state plus
+    # random edges): GTH over GF(p) gives the rational stationary vector,
+    # solved from pi (I - P) = 0 with one equation replaced by sum(pi) = 1,
+    # reduced modulo p
     p = fingerprint_module.EXACT_CHECKS[0][0]
     rng = random.Random(61)
-    singular = 0
-    for _ in range(400):
-        n = rng.randint(1, 7)
-        rows = [[rng.choice((0, 0, 0, -3, -1, 1, 2)) for _ in range(n + 1)] for _ in range(n)]
-        if n > 2 and rng.random() < 1 / 3:
-            r, s, t = rng.sample(range(n), 3)
-            c, d = rng.randint(-2, 2), rng.randint(-2, 2)
-            rows[r][:n] = [c * u + d * v for u, v in zip(rows[s][:n], rows[t][:n])]
-        expected = _rational_solve(rows)
-        solution = fingerprint_module._solve_modulo([[v % p for v in row] for row in rows], p)
-        if expected is None:
-            assert solution is None
-            singular += 1
-        else:
-            assert solution == [v.numerator * pow(v.denominator, -1, p) % p for v in expected]
-    assert singular >= 100
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        cycle = rng.sample(range(n), n)
+        edges = set(zip(cycle, cycle[1:] + cycle[:1]))
+        edges |= {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
+        matrix = _random_stochastic(rng, n, edges)
+        system = [[(i == j) - matrix[i][j] for i in range(n)] + [0] for j in range(n - 1)]
+        expected = _rational_solve([*system, [1] * (n + 1)])
+        assert expected is not None and all(v > 0 for v in expected)
+        rows = [[_modulo(v, p) for v in row] for row in matrix]
+        assert fingerprint_module._stationary_modulo(rows, p) == [_modulo(v, p) for v in expected]
+    # two absorbing states, wherever they are: no unique stationary vector
+    for _ in range(50):
+        n = rng.randint(2, 6)
+        absorbing = set(rng.sample(range(n), 2))
+        edges = {(s, s) for s in absorbing}
+        edges |= {(s, t) for s in range(n) if s not in absorbing for t in rng.sample(range(n), 2)}
+        edges |= {(s, min(absorbing)) for s in range(n) if s not in absorbing}
+        rows = [[_modulo(v, p) for v in row] for row in _random_stochastic(rng, n, edges)]
+        assert fingerprint_module._stationary_modulo(rows, p) is None
 
 
 def test_symbolic_one_state_chain(players, const_c_probe, payoff):
@@ -1159,6 +1208,53 @@ def test_exact_check_refuses_every_perturbed_form(players, payoff):
         assert f"modulo the prime {p} at (x, y) = ({a}, {b})" in str(err.value)
         checked += 1
     assert checked == 17 + 8 + 32  # the irreducible bundled and random pairs
+
+
+def test_exact_check_refuses_another_chains_form(players, payoff):
+    # each irreducible bundled chain against every other one's closed form,
+    # where the two forms differ as functions
+    forms = []
+    for player, probe in bundled_pairs(players):
+        try:
+            fn = symbolic_fingerprint(player, probe, payoff).fn
+        except ReducibleChainError:
+            continue
+        forms.append((compose(player, probe, payoff), fn))
+    refused = 0
+    for (chain, fn), (_, other) in permutations(forms, 2):
+        if ratfn_equiv(fn, other):
+            continue
+        with pytest.raises(ClosedFormCheckError) as err:
+            fingerprint_module._check_exactly(chain, other)
+        assert (err.value.prime, *err.value.point) in fingerprint_module.EXACT_CHECKS
+        refused += 1
+    assert len(forms) == 17 and refused == 258
+
+
+def test_exact_check_refuses_rows_that_do_not_sum_to_one(players, ja_tft, payoff):
+    # Pavlov vs JA(TFT) with one transition cell read from another weight,
+    # so that its row no longer sums to 1, and a constant form equal to the
+    # payoff of that chain's GTH vector modulo p: the init row and the
+    # payoff agree, so only the stationary equations pi P = pi refuse it
+    chain = compose(players["pavlov"], ja_tft, payoff)
+    n = chain.n_states
+    p, a, b = fingerprint_module.EXACT_CHECKS[0]
+
+    def residue(e: ParamExpr) -> int:
+        return sum(_modulo(c, p) * pow(a, i, p) * pow(b, j, p) for (i, j), c in e.terms.items())
+
+    values = [residue(e) for e in chain.weights.exprs]
+    index = chain.index.copy()
+    cell = int(np.flatnonzero(index[: n * n])[0])
+    index[cell] = next(k for k in range(1, len(values)) if values[k] != values[index[cell]])
+    broken = dataclasses.replace(chain, index=index)
+    cells = [values[k] for k in index.tolist()]
+    assert sum(cells[n * n :]) % p == 1
+    assert sum(cells[cell - cell % n : cell - cell % n + n]) % p != 1
+    pi = fingerprint_module._stationary_modulo([cells[s * n : (s + 1) * n] for s in range(n)], p)
+    value = sum(_modulo(c, p) * v for c, v in zip(chain.payoff, pi)) % p
+    fn = RationalFn(ParamExpr.const(value))
+    assert fingerprint_module._agrees_modulo(broken, fn, p, a, b) is False
 
 
 def test_exact_check_moves_past_points_that_cannot_decide(players, ja_tft, payoff, monkeypatch):

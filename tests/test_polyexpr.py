@@ -207,6 +207,20 @@ def test_render_parse_round_trip(e):
     assert expr_parse(e.render()) == e
 
 
+@given(_polys)
+@settings(max_examples=100, deadline=None)
+def test_equal_expressions_hash_equal(e):
+    # parsed, by arithmetic and from the term map: equal, so equal hashes,
+    # whichever of them is hashed first, and again once the hash is kept
+    x, y = ParamExpr.var_x(), ParamExpr.var_y()
+    built = [expr_parse(e.render()), (e + x) - x, e * ParamExpr.one(), -(-e), ParamExpr(e.terms)]
+    assert all(b == e for b in built)
+    hashes = [hash(b) for b in built] + [hash(e), hash(e)] + [hash(b) for b in built]
+    assert len(set(hashes)) == 1
+    assert len({e, *built}) == 1
+    assert hash(expr_parse("x*y - 1/2") + y) == hash(expr_parse("y + x*y - 0.5"))
+
+
 def test_render_is_reparseable_text():
     e = expr_parse("x^2*y - 1/2*x + 3")
     assert e.render() == "x^2*y - 1/2*x + 3"

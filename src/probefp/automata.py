@@ -42,6 +42,7 @@ from .polyexpr import ExprSyntaxError, ParamExpr, PolyTable, expr_parse
 # parameter triangle; affine weights are additionally checked exactly at the
 # three vertices.
 VALIDATION_LATTICE_N = 20
+# The lattice points are rounded floats, so a weight that is 0 or 1 there can read an ulp past it.
 WEIGHT_TOL = 1e-12
 
 # A probe outcome: (output action, next state, polynomial weight).
@@ -140,22 +141,25 @@ class PlayerMachine:
                 )
             if not (0 <= nxt < self.n_states):
                 raise PlayerFormatError(f"transition to unknown state index {nxt}")
-        unreachable = self._unreachable_states()
-        if unreachable:
-            names = ", ".join(self.state_names[s] for s in sorted(unreachable))
+        reached = _reachable(
+            [self.initial_state], lambda s: (self.step[(s, a)][0] for a in self.alphabet)
+        )
+        if len(reached) < self.n_states:
+            names = ", ".join(n for s, n in enumerate(self.state_names) if s not in reached)
             raise PlayerFormatError(f"unreachable state(s): {names}")
 
-    def _unreachable_states(self) -> set[int]:
-        seen = {self.initial_state}
-        frontier = [self.initial_state]
-        while frontier:
-            state = frontier.pop()
-            for action in self.alphabet:
-                nxt = self.step[(state, action)][0]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return set(range(self.n_states)) - seen
+
+def _reachable(starts, successors) -> set[int]:
+    """The states reached from `starts` by repeatedly following
+    `successors(state)`, an iterable of states."""
+    reached = set(starts)
+    frontier = list(reached)
+    while frontier:
+        for nxt in successors(frontier.pop()):
+            if nxt not in reached:
+                reached.add(nxt)
+                frontier.append(nxt)
+    return reached
 
 
 @dataclass
@@ -314,15 +318,10 @@ def validate_probe(probe: Probe) -> ProbeValidationReport:
 
     # Reachability under generic interior parameters: any outcome with a
     # nonzero weight polynomial counts as a support edge.
-    reached = {state for _, state, w in probe.init if not w.is_zero()}
-    frontier = list(reached)
-    while frontier:
-        state = frontier.pop()
-        for action in probe.alphabet:
-            for _, nxt, weight in probe.step[(state, action)]:
-                if not weight.is_zero() and nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
+    reached = _reachable(
+        (state for _, state, w in probe.init if w),
+        lambda s: (nxt for a in probe.alphabet for _, nxt, w in probe.step[(s, a)] if w),
+    )
     report.unreachable_states = sorted(set(range(probe.n_states)) - reached)
     return report
 
@@ -389,20 +388,6 @@ def _read_header(text: str, kind: str, error):
     return name, alphabet, lines[2:], lineno
 
 
-class _StateIndexer:
-    """Assigns state indices by first appearance in the file."""
-
-    def __init__(self):
-        self.names: list[str] = []
-        self.index: dict[str, int] = {}
-
-    def get(self, name: str) -> int:
-        if name not in self.index:
-            self.index[name] = len(self.names)
-            self.names.append(name)
-        return self.index[name]
-
-
 def parse_player(text: str) -> PlayerMachine:
     """Parse and validate a player file."""
     name, alphabet, lines, lineno = _read_header(text, "player", PlayerFormatError)
@@ -412,8 +397,8 @@ def parse_player(text: str) -> PlayerMachine:
     tokens = line.split()
     if len(tokens) != 3 or tokens[0] != "start":
         raise PlayerFormatError("expected 'start STATE ACTION' line", lineno)
-    indexer = _StateIndexer()
-    initial_state = indexer.get(tokens[1])
+    states: dict[str, int] = {}  # state indices by first appearance in the file
+    initial_state = states.setdefault(tokens[1], 0)
     initial_action = tokens[2]
     if initial_action not in alphabet:
         raise PlayerFormatError(f"start action {initial_action!r} not in alphabet", lineno)
@@ -428,8 +413,8 @@ def parse_player(text: str) -> PlayerMachine:
             raise PlayerFormatError(f"input {in_action!r} not in alphabet", lineno)
         if out_action not in alphabet:
             raise PlayerFormatError(f"output {out_action!r} not in alphabet", lineno)
-        state = indexer.get(state_tok)
-        nxt = indexer.get(next_tok)
+        state = states.setdefault(state_tok, len(states))
+        nxt = states.setdefault(next_tok, len(states))
         key = (state, in_action)
         if key in step:
             raise PlayerFormatError(
@@ -440,7 +425,7 @@ def parse_player(text: str) -> PlayerMachine:
     machine = PlayerMachine(
         name=name,
         alphabet=alphabet,
-        state_names=tuple(indexer.names),
+        state_names=tuple(states),
         initial_state=initial_state,
         initial_action=initial_action,
         step=step,
@@ -467,7 +452,7 @@ def _canonical_outcomes(
 def parse_probe(text: str) -> Probe:
     """Parse a probe file and run the full validation suite, raising on failure."""
     name, alphabet, lines, _ = _read_header(text, "probe", ProbeFormatError)
-    indexer = _StateIndexer()
+    states: dict[str, int] = {}  # state indices by first appearance in the file
     init_raw: list[Outcome] = []
     step_raw: dict[tuple[int, str], list[Outcome]] = {}
 
@@ -492,7 +477,8 @@ def parse_probe(text: str) -> Probe:
             action, state_tok = tokens[1], tokens[2]
             if action not in alphabet:
                 raise ProbeFormatError(f"action {action!r} not in alphabet", lineno)
-            init_raw.append((action, indexer.get(state_tok), parse_weight(expr_text, lineno)))
+            state = states.setdefault(state_tok, len(states))
+            init_raw.append((action, state, parse_weight(expr_text, lineno)))
         else:
             if len(tokens) != 5 or tokens[2] != "->":
                 raise ProbeFormatError(
@@ -503,10 +489,9 @@ def parse_probe(text: str) -> Probe:
                 raise ProbeFormatError(f"input {in_action!r} not in alphabet", lineno)
             if out_action not in alphabet:
                 raise ProbeFormatError(f"output {out_action!r} not in alphabet", lineno)
-            key = (indexer.get(state_tok), in_action)
-            step_raw.setdefault(key, []).append(
-                (out_action, indexer.get(next_tok), parse_weight(expr_text, lineno))
-            )
+            key = (states.setdefault(state_tok, len(states)), in_action)
+            nxt = states.setdefault(next_tok, len(states))
+            step_raw.setdefault(key, []).append((out_action, nxt, parse_weight(expr_text, lineno)))
 
     if not init_raw:
         raise ProbeFormatError("probe has no init lines")
@@ -514,7 +499,7 @@ def parse_probe(text: str) -> Probe:
     probe = Probe(
         name=name,
         alphabet=alphabet,
-        state_names=tuple(indexer.names),
+        state_names=tuple(states),
         init=_canonical_outcomes(init_raw, alphabet),
         step={k: _canonical_outcomes(v, alphabet) for k, v in step_raw.items()},
     )

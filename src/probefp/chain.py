@@ -49,9 +49,13 @@ from .polyexpr import PolyTable
 # from roundoff.
 SUPPORT_CUTOFF = 1e-14
 
+# A built probe's rows sum to exactly 1, so a float row sum is off by n ulps of roundoff at most.
 ROW_SUM_TOL = 1e-12
+# Within SIMPLEX_TOL of the triangle, a weight nonnegative on it can read about that far below 0.
 ENTRY_TOL = 1e-12
+# Coordinates computed in floating point can land an ulp or so outside the closed triangle.
 SIMPLEX_TOL = 1e-12
+# GTH is backward stable: roundoff leaves max |pi P - pi| near n ulps, so more is a failed solve.
 RESIDUAL_TOL = 1e-9
 # Mass sums in limit_distributions: GTH never subtracts, so roundoff alone stays far below this.
 MASS_TOL = 1e-10

@@ -23,8 +23,8 @@ class ExprSyntaxError(InputError):
         self.offset = offset
 
 
-class PlayerFormatError(InputError):
-    """Bad player file; carries the 1-based line number where known."""
+class _FileFormatError(InputError):
+    """Bad machine file; carries the 1-based line number where known."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -33,14 +33,12 @@ class PlayerFormatError(InputError):
         self.line = line
 
 
-class ProbeFormatError(InputError):
-    """Bad probe file; carries the 1-based line number where known."""
+class PlayerFormatError(_FileFormatError):
+    """Bad player file."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+
+class ProbeFormatError(_FileFormatError):
+    """Bad probe file."""
 
 
 class ProbeValidationError(InputError):

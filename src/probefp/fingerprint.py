@@ -77,6 +77,7 @@ BOUNDARY_MODES = (CESARO, INTERIOR_OFFSET)
 # Distance by which interior_offset mode pulls boundary points toward the
 # triangle centroid (1/3, 1/3).
 OFFSET_EPS = 1e-6
+# Points within this of an edge count as on it, as SIMPLEX_TOL admits points that near outside.
 BOUNDARY_TOL = 1e-12
 
 # Abort symbolic elimination once any intermediate polynomial grows past this
@@ -631,7 +632,7 @@ def _agrees_modulo(chain: ParamChain, fn: RationalFn, p: int, a: int, b: int) ->
     payoff = [c.numerator * pow(c.denominator, -1, p) for c in chain.payoff]
     exprs = (*chain.weights.exprs, fn.num, fn.den)
     x_powers, y_powers = [1], [1]
-    for _ in range(max(e.degree() for e in exprs)):
+    for _ in range(max(e._integer_terms()[0] for e in exprs)):
         x_powers.append(x_powers[-1] * a % p)
         y_powers.append(y_powers[-1] * b % p)
     *residues, num, den = (e._residue(x_powers, y_powers, p) for e in exprs)

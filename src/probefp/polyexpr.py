@@ -17,6 +17,9 @@ The module also owns the expression grammar used by probe files:
     factor := atom ('^' INT)? | '-' factor
     atom   := RATIONAL | DECIMAL | 'x' | 'y' | '(' expr ')'
 
+INT is a run of digits, RATIONAL is INT '/' INT and DECIMAL is INT '.' INT.
+A digit is a decimal digit as int() reads it (Unicode category Nd, so
+``٣`` is 3); superscripts such as ``²`` are not digits and are refused.
 Whitespace is insignificant.  Implicit multiplication is not allowed; the
 division slash only appears inside rational literals such as ``1/2``.
 Decimal literals are exact rationals (``0.25`` means 25/100).
@@ -25,6 +28,7 @@ Decimal literals are exact rationals (``0.25`` means 25/100).
 from __future__ import annotations
 
 import random
+import re
 import warnings
 from fractions import Fraction
 from math import gcd, lcm
@@ -93,9 +97,6 @@ class ParamExpr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def term_count(self) -> int:
-        return len(self._terms)
-
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
         if not self._terms:
@@ -106,12 +107,6 @@ class ParamExpr:
         if not self._terms:
             return Fraction(0)
         return max(abs(c) for c in self._terms.values())
-
-    def leading_coefficient(self) -> Fraction:
-        """Coefficient of the graded-lex leading term; 0 for the zero polynomial."""
-        if not self._terms:
-            return Fraction(0)
-        return self._terms[max(self._terms, key=_grlex)]
 
     def is_affine(self) -> bool:
         return self.degree() <= 1
@@ -133,14 +128,7 @@ class ParamExpr:
     def __sub__(self, other: "ParamExpr") -> "ParamExpr":
         if not isinstance(other, ParamExpr):
             return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            new = out[key] - coeff if key in out else -coeff
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return _wrap(out)
+        return self + -other
 
     def __neg__(self) -> "ParamExpr":
         return _wrap({k: -c for k, c in self._terms.items()})
@@ -338,152 +326,100 @@ def _render_term(coeff: Fraction, key: Exponents) -> str:
 # Expression parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_INT = "INT"
-_TOKEN_DECIMAL = "DECIMAL"
-_TOKEN_VAR = "VAR"
-_TOKEN_OP = "OP"
-_TOKEN_END = "END"
+# One match per token: a number (decimal digits, as int() reads them, with an
+# optional fraction part), a variable or an operator; whitespace between
+# tokens is skipped, and any other character is the last group.
+_SCANNER = re.compile(r"[ \t\r\n]+|(\d+(?:\.\d+)?|[-+*^()/xy])|(.)", re.DOTALL)
 
 
-class _Token:
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind: str, text: str, offset: int):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            if pos < n and text[pos] == "." and pos + 1 < n and text[pos + 1].isdigit():
-                pos += 1
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-                tokens.append(_Token(_TOKEN_DECIMAL, text[start:pos], start))
-            else:
-                tokens.append(_Token(_TOKEN_INT, text[start:pos], start))
-            continue
-        if ch in "xy":
-            tokens.append(_Token(_TOKEN_VAR, ch, pos))
-            pos += 1
-            continue
-        if ch in "+-*^()/":
-            tokens.append(_Token(_TOKEN_OP, ch, pos))
-            pos += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token(_TOKEN_END, "", n))
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """The (text, offset) tokens of `text`, then ("", len(text)): a token's
+    text is its kind, "" the end."""
+    tokens = []
+    for match in _SCANNER.finditer(text):
+        token, other = match.groups()
+        if other:
+            raise ExprSyntaxError(f"unexpected character {other!r}", match.start())
+        if token:
+            tokens.append((token, match.start()))
+    tokens.append(("", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> tuple[str, int]:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def parse(self) -> ParamExpr:
         value = self.parse_expr()
-        tok = self.peek()
-        if tok.kind != _TOKEN_END:
-            if tok.text == "/":
-                raise ExprSyntaxError(
-                    "division is only allowed inside rational literals", tok.offset
-                )
-            raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.offset)
+        token, offset = self.tokens[self.pos]
+        if token == "/":
+            raise ExprSyntaxError("division is only allowed inside rational literals", offset)
+        if token:
+            raise ExprSyntaxError(f"unexpected token {token!r}", offset)
         return value
 
     def parse_expr(self) -> ParamExpr:
         value = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == _TOKEN_OP and tok.text in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                value = value + rhs if tok.text == "+" else value - rhs
-            else:
-                return value
+        while self.peek() in ("+", "-"):
+            sign, _ = self.advance()
+            rhs = self.parse_term()
+            value = value + rhs if sign == "+" else value - rhs
+        return value
 
     def parse_term(self) -> ParamExpr:
         value = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == _TOKEN_OP and tok.text == "*":
-                self.advance()
-                value = value * self.parse_factor()
-            else:
-                return value
+        while self.peek() == "*":
+            self.advance()
+            value = value * self.parse_factor()
+        return value
 
     def parse_factor(self) -> ParamExpr:
-        tok = self.peek()
-        if tok.kind == _TOKEN_OP and tok.text == "-":
+        if self.peek() == "-":
             self.advance()
             return -self.parse_factor()
         value = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == _TOKEN_OP and tok.text == "^":
+        if self.peek() == "^":
             self.advance()
-            exp = self.peek()
-            if exp.kind != _TOKEN_INT:
-                raise ExprSyntaxError(
-                    "exponent must be a nonnegative integer literal", exp.offset
-                )
-            self.advance()
-            value = value ** int(exp.text)
+            exponent, offset = self.advance()
+            if not exponent.isdecimal():
+                raise ExprSyntaxError("exponent must be a nonnegative integer literal", offset)
+            value = value ** int(exponent)
         return value
 
     def parse_atom(self) -> ParamExpr:
-        tok = self.advance()
-        if tok.kind == _TOKEN_INT:
-            numerator = int(tok.text)
-            nxt = self.peek()
-            if nxt.kind == _TOKEN_OP and nxt.text == "/":
-                after = self.tokens[self.pos + 1]
-                if after.kind != _TOKEN_INT:
-                    raise ExprSyntaxError(
-                        "division is only allowed inside rational literals", nxt.offset
-                    )
-                self.advance()
-                self.advance()
-                if int(after.text) == 0:
-                    raise ExprSyntaxError("zero denominator in rational literal", after.offset)
-                return ParamExpr.const(Fraction(numerator, int(after.text)))
-            return ParamExpr.const(numerator)
-        if tok.kind == _TOKEN_DECIMAL:
-            whole, frac = tok.text.split(".")
-            value = Fraction(int(whole + frac), 10 ** len(frac))
-            return ParamExpr.const(value)
-        if tok.kind == _TOKEN_VAR:
-            return ParamExpr.var_x() if tok.text == "x" else ParamExpr.var_y()
-        if tok.kind == _TOKEN_OP and tok.text == "(":
+        token, offset = self.advance()
+        if token.isdecimal():
+            if self.peek() != "/":
+                return ParamExpr.const(int(token))
+            (_, slash), (den, den_offset) = self.tokens[self.pos : self.pos + 2]
+            if not den.isdecimal():
+                raise ExprSyntaxError("division is only allowed inside rational literals", slash)
+            if int(den) == 0:
+                raise ExprSyntaxError("zero denominator in rational literal", den_offset)
+            self.pos += 2
+            return ParamExpr.const(Fraction(int(token), int(den)))
+        if token[:1].isdecimal():  # a decimal literal
+            return ParamExpr.const(Fraction(token))
+        if token in ("x", "y"):
+            return ParamExpr.var_x() if token == "x" else ParamExpr.var_y()
+        if token == "(":
             value = self.parse_expr()
-            closing = self.advance()
-            if not (closing.kind == _TOKEN_OP and closing.text == ")"):
-                raise ExprSyntaxError("expected ')'", closing.offset)
+            closing, offset = self.advance()
+            if closing != ")":
+                raise ExprSyntaxError("expected ')'", offset)
             return value
-        if tok.kind == _TOKEN_END:
-            raise ExprSyntaxError("unexpected end of expression", tok.offset)
-        raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.offset)
+        if not token:
+            raise ExprSyntaxError("unexpected end of expression", offset)
+        raise ExprSyntaxError(f"unexpected token {token!r}", offset)
 
 
 def expr_parse(text: str) -> ParamExpr:

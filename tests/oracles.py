@@ -467,7 +467,7 @@ def ratfn_normal_form(num: ParamExpr, den: ParamExpr) -> tuple[ParamExpr, ParamE
     common = Fraction(0)
     for coeff in [*num.terms.values(), *den.terms.values()]:
         common = _frac_gcd(common, coeff)
-    if den.leading_coefficient() < 0:
+    if next(den.sorted_terms())[1] < 0:
         common = -common
     return num.scale(1 / common), den.scale(1 / common)
 

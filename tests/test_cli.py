@@ -64,6 +64,16 @@ def test_validate_bad_probe_prints_residual(workdir, capsys):
     assert "-x - y + 1" in out
 
 
+def test_validate_refuses_a_superscript_exponent(workdir, capsys):
+    # '²' passes str.isdigit() but is not a decimal digit: a syntax error, not a crash
+    text = CONST_C.replace("0 D -> C 0 : 1", "0 D -> C 0 : x^²")
+    (workdir / "super.probe").write_text(text)
+    code = main(["validate", str(workdir / "super.probe")])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "line 5: bad weight expression: unexpected character '²' (at offset 3)" in out
+
+
 def test_validate_unreadable_path(workdir, capsys):
     code = main(["validate", str(workdir / "missing.player")])
     assert code == 2

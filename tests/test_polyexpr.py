@@ -50,11 +50,49 @@ def test_decimal_equals_rational():
 
 @pytest.mark.parametrize(
     "bad",
-    ["2x", "x^-2", "x^(2)", "x^y", "1/0", "(x+y", "x+", "", "x y", "z", "x//2"],
+    [
+        "2x", "x^-2", "x^(2)", "x^y", "1/0", "(x+y", "x+", "", "x y", "z", "x//2",
+        "x^²", "²", "5²",
+    ],
 )
 def test_syntax_errors(bad):
     with pytest.raises(ExprSyntaxError):
         expr_parse(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, message, offset",
+    [
+        ("x y", "unexpected token 'y'", 2),
+        ("1/0", "zero denominator in rational literal", 2),
+        ("x^y", "exponent must be a nonnegative integer literal", 2),
+        ("x^-2", "exponent must be a nonnegative integer literal", 2),
+        ("(x+y", "expected ')'", 4),
+        ("x+", "unexpected end of expression", 2),
+        ("z", "unexpected character 'z'", 0),
+        ("x/2", "division is only allowed inside rational literals", 1),
+        ("1/x", "division is only allowed inside rational literals", 1),
+        ("2x", "unexpected token 'x'", 1),
+    ],
+)
+def test_syntax_error_message_and_offset(bad, message, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        expr_parse(bad)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("bad, offset", [("x^²", 2), ("²", 0), ("5²", 1), ("x + 1²", 5)])
+def test_non_decimal_digit_is_an_unexpected_character(bad, offset):
+    # str.isdigit() accepts superscripts, but int() reads only decimal digits
+    with pytest.raises(ExprSyntaxError) as err:
+        expr_parse(bad)
+    assert str(err.value) == f"unexpected character '²' (at offset {offset})"
+
+
+def test_decimal_digits_of_other_scripts_are_digits():
+    assert expr_parse("٣*x") == expr_parse("3*x")
+    assert expr_parse("x^٢ + ١/٤") == expr_parse("x^2 + 1/4")
 
 
 def test_rational_literal_with_spaces():
@@ -196,7 +234,7 @@ def test_poly_table_keeps_the_cancellation_bound(polys, points):
     for p, (x, y) in enumerate(points):
         for e, poly in enumerate(polys):
             exact = poly.evaluate_exact(x, y)
-            bound = 16 * (poly.term_count() + 3) * 2.0**-53 * abs(exact) + F(1e-290)
+            bound = 16 * (len(poly.terms) + 3) * 2.0**-53 * abs(exact) + F(1e-290)
             assert abs(F(values[p, e]) - exact) <= bound
             assert abs(values[p, e] - scalar_evaluator(poly)(x, y)) <= 2 * float(bound)
 
@@ -306,7 +344,7 @@ def test_ratfn_normalization():
     assert f.den == ParamExpr.one()
     # leading denominator coefficient is made positive
     g = RationalFn(expr_parse("x"), expr_parse("-x + 1") - ParamExpr.const(2))
-    assert g.den.leading_coefficient() > 0
+    assert next(g.den.sorted_terms())[1] > 0
 
 
 @given(_polys, _polys.filter(lambda p: not p.is_zero()))
@@ -321,7 +359,7 @@ def test_ratfn_normal_form_matches_the_rational_content_oracle(num, den):
     coeffs = [*f.num.terms.values(), *f.den.terms.values()]
     assert all(c.denominator == 1 for c in coeffs)
     assert math.gcd(*(c.numerator for c in coeffs)) == 1
-    assert f.den.leading_coefficient() > 0
+    assert next(f.den.sorted_terms())[1] > 0
     for part in (f.num, f.den):
         assert part._integer_terms() == ParamExpr(part.terms)._integer_terms()
         assert part._integer_terms()[2] == 1
